@@ -16,7 +16,6 @@ from typing import Optional
 import click
 
 from . import extract as extract_mod
-from . import index as index_mod
 from . import online as online_mod
 from . import synth as synth_mod
 from .agent import (
@@ -28,7 +27,7 @@ from .agent import (
     render_transcript,
     run_agent,
 )
-from .errors import ApexMemError, ParseError, ProviderFailure, UnknownEntity
+from .errors import ParseError, ProviderFailure
 from .extract import ReferenceExtractor
 from .index import VectorIndex
 from .ontology import Turn

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import calendar
 import re
-from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from dataclasses import dataclass
+from datetime import date, timedelta
 from typing import Any, List, Optional, Protocol, Tuple
 
 from . import index as index_mod

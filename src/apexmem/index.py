@@ -1,5 +1,5 @@
 """Hybrid retrieval: dense vectors from a pluggable embedder plus BM25
-lexical ranking over the store's lexical views, fused per query.
+lexical ranking over the search text of the store's rows, fused per query.
 """
 from __future__ import annotations
 
@@ -14,10 +14,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, EmbedderFailure, UnknownView, ZeroVector
-from .store import LEXICAL_VIEWS, Store
+from .store import SEARCH_TEXT, Store
 
-# index kinds and the store surface each one embeds
-KINDS = ("entity", "property", "event", "evidence", "turn")
+# index kinds; the search text each one embeds is defined in store.SEARCH_TEXT
+KINDS = tuple(SEARCH_TEXT)
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -77,7 +77,8 @@ def bm25_scores(
     for _, tokens in docs:
         for term in set(tokens):
             doc_freq[term] += 1
-    query_terms = tokenize(query)
+    # a term repeated in the query counts once
+    query_terms = list(dict.fromkeys(tokenize(query)))
     scores: Dict[int, float] = {}
     for doc_id, tokens in docs:
         tf = Counter(tokens)
@@ -96,43 +97,17 @@ def bm25_scores(
     return scores
 
 
-def lexical_search(store: Store, view: str, query: str, k: int) -> List[Tuple[int, float]]:
+def lexical_search(store: Store, kind: str, query: str, k: int) -> List[Tuple[int, float]]:
     """Top-k (doc_id, BM25 score), ties broken by ascending doc_id."""
-    corpus = _view_corpus(store, view)
-    scores = bm25_scores(corpus, query)
+    scores = bm25_scores(store.lexical_documents(kind), query)
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]
 
 
-def _view_corpus(store: Store, view: str) -> List[Tuple[int, str]]:
-    if view in LEXICAL_VIEWS:
-        return store.lexical_documents(view)
-    if view == "properties":
-        rows = store._conn.execute(
-            "SELECT property_id, property_name, dtype,"
-            " COALESCE(description, '') FROM properties ORDER BY property_id"
-        ).fetchall()
-        return [
-            (row[0], f"{row[1].replace('_', ' ')} {row[1]} {row[2]} {row[3]}".strip())
-            for row in rows
-        ]
-    raise UnknownView(f"unknown lexical view: {view}")
-
-
-_KIND_VIEW = {
-    "entity": "entities",
-    "property": "properties",
-    "event": "events",
-    "evidence": "evidence",
-    "turn": "turns",
-}
-
-
-def kind_documents(store: Store, kind: str) -> List[Tuple[int, str]]:
-    """The (doc_id, text) surface that both channels index for one kind."""
-    if kind not in KINDS:
-        raise UnknownView(f"unknown kind: {kind}")
-    return _view_corpus(store, _KIND_VIEW[kind])
+def kind_documents(store: Store, kind: str, after_id: int = 0) -> List[Tuple[int, str]]:
+    """The (doc_id, text) surface that both channels index for one kind,
+    limited to ids above ``after_id``."""
+    return store.lexical_documents(kind, after_id)
 
 
 class VectorIndex:
@@ -143,6 +118,8 @@ class VectorIndex:
         self.path = path
         self.dimension = self.embedder.dimension
         self.entries: Dict[Tuple[str, int], np.ndarray] = {}
+        # highest doc_id held per kind; rows are immutable and ids only grow
+        self.high_water: Dict[str, int] = {}
         if path is not None:
             self._load()
 
@@ -158,8 +135,10 @@ class VectorIndex:
         with open(self.path, "r", encoding="utf-8") as handle:
             for line in handle:
                 record = json.loads(line)
-                self.entries[(record["kind"], record["doc_id"])] = np.array(
-                    record["vector"], dtype=np.float64
+                self._put(
+                    record["kind"],
+                    record["doc_id"],
+                    np.array(record["vector"], dtype=np.float64),
                 )
 
     def save(self) -> None:
@@ -186,11 +165,14 @@ class VectorIndex:
         return vector
 
     def upsert(self, kind: str, doc_id: int, text: str) -> bool:
-        key = (kind, doc_id)
-        if key in self.entries:
+        if (kind, doc_id) in self.entries:
             return False
-        self.entries[key] = self.embed(text)
+        self._put(kind, doc_id, self.embed(text))
         return True
+
+    def _put(self, kind: str, doc_id: int, vector: np.ndarray) -> None:
+        self.entries[(kind, doc_id)] = vector
+        self.high_water[kind] = max(self.high_water.get(kind, 0), doc_id)
 
     def dense_scores(self, kind: str, query_vector: np.ndarray) -> Dict[int, float]:
         scores = {}
@@ -200,16 +182,15 @@ class VectorIndex:
         return scores
 
 
-def upsert_embeddings(
-    store: Store, index: VectorIndex, since_sequence: int = 0
-) -> int:
-    """Index every base row missing from the vector index. Idempotent and
-    resumable: partial progress is saved before an embedder failure
-    propagates."""
+def upsert_embeddings(store: Store, index: VectorIndex) -> int:
+    """Index every row above the index's highest doc_id of its kind. Rows
+    are read in ascending id order, so this is idempotent and resumable:
+    partial progress is saved before an embedder failure propagates."""
     indexed = 0
     try:
         for kind in KINDS:
-            for doc_id, text in kind_documents(store, kind):
+            after_id = index.high_water.get(kind, 0)
+            for doc_id, text in kind_documents(store, kind, after_id):
                 if index.upsert(kind, doc_id, text):
                     indexed += 1
     except EmbedderFailure:
@@ -256,7 +237,7 @@ def hybrid_search(
             raise UnknownView(f"unknown kind: {kind}")
         dense_all = index.dense_scores(kind, query_vector)
         dense_pool = sorted(dense_all.items(), key=lambda i: (-i[1], i[0]))[:pool]
-        lexical_pool = lexical_search(store, _KIND_VIEW[kind], query, pool)
+        lexical_pool = lexical_search(store, kind, query, pool)
         lexical_all = dict(lexical_pool)
         candidates = {doc_id for doc_id, _ in dense_pool} | set(lexical_all)
         if not candidates:

@@ -97,7 +97,8 @@ def build_online(
     scores: Optional[List[RelevanceScore]] = None,
 ) -> IngestionReport:
     """Ingest documents scoring strictly above theta_rel, in ascending
-    timestamp order. ``scores`` may inject precomputed relevance (fixtures,
+    timestamp order; with ``max_docs``, only that many of the highest
+    scoring. ``scores`` may inject precomputed relevance (fixtures,
     external scorers); by default they are computed here."""
     config = config or OnlineConfig()
     if scores is None:
@@ -105,26 +106,22 @@ def build_online(
     by_id = {score.doc_id: score for score in scores}
 
     report = IngestionReport()
-    selected_docs = []
+    selected = []
     for doc in corpus:
         score = by_id.get(doc.doc_id, RelevanceScore(doc.doc_id, 0.0))
         if score.score > config.theta_rel:
-            selected_docs.append(doc)
-            report.selected.append(score)
+            selected.append((doc, score))
         else:
             report.skipped.append(score)
 
-    selected_docs.sort(key=lambda d: temporal_sort_key(d.timestamp))
-    report.selected.sort(
-        key=lambda s: temporal_sort_key(
-            next(d.timestamp for d in corpus if d.doc_id == s.doc_id)
-        )
-    )
     if config.max_docs is not None:
-        selected_docs = selected_docs[: config.max_docs]
-        report.selected = report.selected[: config.max_docs]
+        # keep the most relevant; the sort is stable, so ties keep corpus order
+        selected.sort(key=lambda pair: -pair[1].score)
+        selected = selected[: config.max_docs]
+    selected.sort(key=lambda pair: temporal_sort_key(pair[0].timestamp))
+    report.selected = [score for _doc, score in selected]
 
-    for doc in selected_docs:
+    for doc, _score in selected:
         outcomes = extract.ingest_session(
             store, index, extractor, entity_provider, property_provider,
             list(doc.turns),

@@ -6,7 +6,7 @@ between threads without synchronization.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
 from typing import Any, Optional

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import subprocess
-from dataclasses import asdict
 from typing import List, Optional, Union
 
 import numpy as np

@@ -8,20 +8,13 @@ third (SQLite authorizer + query_only).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
-WHITELISTED_TABLES = frozenset(
-    {
-        "events",
-        "facts",
-        "evidence",
-        "entities",
-        "event_participants",
-        "properties",
-        "turns",
-    }
-)
+from . import store
+
+# membership form of the store's ordered whitelist
+WHITELISTED_TABLES = frozenset(store.WHITELISTED_TABLES)
 
 FORBIDDEN_KEYWORDS = frozenset(
     {

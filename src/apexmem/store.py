@@ -10,13 +10,15 @@ from __future__ import annotations
 import json
 import sqlite3
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import ontology
 from .errors import (
     DanglingReference,
     IoFailure,
     SchemaMismatch,
+    UnknownView,
     ValidationFailure,
 )
 from .ontology import (
@@ -30,7 +32,7 @@ from .ontology import (
     temporal_sort_key,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 WHITELISTED_TABLES = (
     "entities",
@@ -41,8 +43,6 @@ WHITELISTED_TABLES = (
     "event_participants",
     "turns",
 )
-
-LEXICAL_VIEWS = ("entities", "facts", "events", "evidence", "turns")
 
 _DDL = """
 CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
@@ -108,22 +108,50 @@ CREATE TABLE turns (
     anchor_datetime TEXT NOT NULL,
     UNIQUE (session_id, ordinal)
 );
-CREATE TABLE lex_entities (doc_id INTEGER PRIMARY KEY, text TEXT NOT NULL);
-CREATE TABLE lex_facts (doc_id INTEGER PRIMARY KEY, text TEXT NOT NULL);
-CREATE TABLE lex_events (doc_id INTEGER PRIMARY KEY, text TEXT NOT NULL);
-CREATE TABLE lex_evidence (doc_id INTEGER PRIMARY KEY, text TEXT NOT NULL);
-CREATE TABLE lex_turns (doc_id INTEGER PRIMARY KEY, text TEXT NOT NULL);
 """
 
 _EPOCH = "1970-01-01T00:00:00Z"
 
 
-def _value_text(value_json: str) -> str:
-    """Flatten a JSON value into searchable text."""
-    value = json.loads(value_json)
-    if isinstance(value, list):
-        return " ".join(str(item) for item in value)
-    return str(value)
+# The search text of each index kind, derived from its base rows when read:
+# kind -> (table, id column, text columns, render), where render maps a row
+# (id, *text columns) to the text.
+SEARCH_TEXT = {
+    "entity": (
+        "entities", "entity_id", "entity_name, aliases_json",
+        lambda row: " ".join([row[1], *json.loads(row[2])]),
+    ),
+    "property": (
+        "properties", "property_id", "property_name, dtype, description",
+        lambda row: (
+            f"{row[1].replace('_', ' ')} {row[1]} {row[2]} {row[3] or ''}".strip()
+        ),
+    ),
+    "event": (
+        "events", "id", "event_type, location",
+        # the non-empty parts of (event_type, location), space-joined
+        lambda row: (
+            f"{row[1]} {row[2]}" if row[1] and row[2] else row[1] or row[2] or ""
+        ),
+    ),
+    "evidence": ("evidence", "id", "quoted_text", itemgetter(1)),
+    "turn": ("turns", "id", "text", itemgetter(1)),
+}
+
+
+def table_columns() -> Dict[str, Tuple[str, ...]]:
+    """Column names of each whitelisted table, in schema order."""
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.executescript(_DDL)
+        return {
+            table: tuple(
+                row[1] for row in conn.execute(f"PRAGMA table_info({table})")
+            )
+            for table in WHITELISTED_TABLES
+        }
+    finally:
+        conn.close()
 
 
 @dataclass
@@ -262,13 +290,7 @@ class Store:
                         "external_id": external_id,
                         "created_at": created_at,
                     }
-                ],
-                "lex_entities": [
-                    {
-                        "doc_id": entity_id,
-                        "text": " ".join([entity.name, *sorted(entity.aliases)]),
-                    }
-                ],
+                ]
             },
         }
         self._commit(payload)
@@ -309,7 +331,7 @@ class Store:
     def append_turns(self, turns: Iterable[Turn]) -> list:
         turns = list(turns)
         next_id = self._next_id("turns", "id")
-        rows, lex_rows, ids = [], [], []
+        rows, ids = [], []
         for offset, turn in enumerate(turns):
             turn_id = next_id + offset
             existing = self._conn.execute(
@@ -331,11 +353,10 @@ class Store:
                     "anchor_datetime": turn.anchor_datetime,
                 }
             )
-            lex_rows.append({"doc_id": turn_id, "text": turn.text})
             ids.append(turn_id)
         if not rows:
             return []
-        self._commit({"op": "turns", "rows": {"turns": rows, "lex_turns": lex_rows}})
+        self._commit({"op": "turns", "rows": {"turns": rows}})
         return ids
 
     def append_event_bundle(
@@ -360,9 +381,8 @@ class Store:
                 raise DanglingReference(f"unknown subject id {fact.subject_id}")
 
         event_id = self._next_id("events", "id")
-        fact_ids = list(
-            range(self._next_id("facts", "id"), self._next_id("facts", "id") + len(facts))
-        )
+        fact_base = self._next_id("facts", "id")
+        fact_ids = list(range(fact_base, fact_base + len(facts)))
         evidence_base = self._next_id("evidence", "id")
 
         rows: dict = {
@@ -375,18 +395,8 @@ class Store:
                     "created_at": created_at,
                 }
             ],
-            "lex_events": [
-                {
-                    "doc_id": event_id,
-                    "text": " ".join(
-                        part for part in (event.event_type, event.location) if part
-                    ),
-                }
-            ],
             "facts": [],
-            "lex_facts": [],
             "evidence": [],
-            "lex_evidence": [],
             "event_participants": [
                 {"event_id": event_id, "entity_id": entity_id, "role": role.value}
                 for entity_id, role in participants
@@ -408,12 +418,6 @@ class Store:
                     "valid_to": fact.valid_to,
                     "confidence": fact.confidence,
                     "created_at": fact.created_at or created_at,
-                }
-            )
-            rows["lex_facts"].append(
-                {
-                    "doc_id": fact_id,
-                    "text": f"{fact.property_name} {_value_text(value_json)}",
                 }
             )
 
@@ -452,9 +456,6 @@ class Store:
                     "span_end": end,
                     "quoted_text": item.quoted_text,
                 }
-            )
-            rows["lex_evidence"].append(
-                {"doc_id": evidence_id, "text": item.quoted_text}
             )
             evidence_ids.append(evidence_id)
 
@@ -531,58 +532,19 @@ class Store:
             created_at=row[8],
         )
 
-    # -- lexical views ---------------------------------------------------
+    # -- search text ---------------------------------------------------
 
-    def rebuild_lexical_views(self) -> dict:
-        """Regenerate every lexical view from its base table; idempotent."""
-        counts = {}
-        with self._conn:
-            self._conn.execute("DELETE FROM lex_entities")
-            self._conn.execute(
-                "INSERT INTO lex_entities (doc_id, text)"
-                " SELECT entity_id, entity_name || ' ' ||"
-                " (SELECT COALESCE(group_concat(value, ' '), '')"
-                "  FROM json_each(aliases_json)) FROM entities"
-            )
-            self._conn.execute("DELETE FROM lex_facts")
-            for fact_id, prop, value_json in self._conn.execute(
-                "SELECT id, property_name, value_json FROM facts"
-            ).fetchall():
-                self._conn.execute(
-                    "INSERT INTO lex_facts (doc_id, text) VALUES (?, ?)",
-                    (fact_id, f"{prop} {_value_text(value_json)}"),
-                )
-            self._conn.execute("DELETE FROM lex_events")
-            self._conn.execute(
-                "INSERT INTO lex_events (doc_id, text)"
-                " SELECT id, event_type ||"
-                " CASE WHEN location IS NULL THEN '' ELSE ' ' || location END"
-                " FROM events"
-            )
-            self._conn.execute("DELETE FROM lex_evidence")
-            self._conn.execute(
-                "INSERT INTO lex_evidence (doc_id, text)"
-                " SELECT id, quoted_text FROM evidence"
-            )
-            self._conn.execute("DELETE FROM lex_turns")
-            self._conn.execute(
-                "INSERT INTO lex_turns (doc_id, text) SELECT id, text FROM turns"
-            )
-        for view in LEXICAL_VIEWS:
-            counts[view] = self._conn.execute(
-                f"SELECT COUNT(*) FROM lex_{view}"
-            ).fetchone()[0]
-        return counts
-
-    def lexical_documents(self, view: str) -> list:
-        """(doc_id, text) pairs for one lexical view, ascending by doc_id."""
-        if view not in LEXICAL_VIEWS:
-            from .errors import UnknownView
-
-            raise UnknownView(f"unknown lexical view: {view}")
-        return self._conn.execute(
-            f"SELECT doc_id, text FROM lex_{view} ORDER BY doc_id"
-        ).fetchall()
+    def lexical_documents(self, kind: str, after_id: int = 0) -> List[Tuple[int, str]]:
+        """(doc_id, search text) of one index kind's rows whose id is above
+        ``after_id``, ascending by doc_id."""
+        if kind not in SEARCH_TEXT:
+            raise UnknownView(f"unknown kind: {kind}")
+        table, key, columns, render = SEARCH_TEXT[kind]
+        rows = self._conn.execute(
+            f"SELECT {key}, {columns} FROM {table} WHERE {key} > ? ORDER BY {key}",
+            (after_id,),
+        )
+        return [(row[0], render(row)) for row in rows]
 
     # -- introspection ---------------------------------------------------
 
@@ -674,16 +636,13 @@ class Store:
         store._conn.commit()
         return store
 
-    def canonical_dump(self, include_views: bool = True) -> bytes:
+    def canonical_dump(self) -> bytes:
         """Deterministic byte rendering of all committed rows.
 
         Used for replay equality and before/after immutability checks.
         """
-        tables = list(WHITELISTED_TABLES) + ["append_log"]
-        if include_views:
-            tables += [f"lex_{view}" for view in LEXICAL_VIEWS]
         chunks = []
-        for table in tables:
+        for table in (*WHITELISTED_TABLES, "append_log"):
             cursor = self._conn.execute(f"SELECT * FROM {table}")
             rows = sorted(repr(row) for row in cursor.fetchall())
             chunks.append(table + "\n" + "\n".join(rows))

@@ -5,10 +5,10 @@ eager-update (overwrite) ablation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from . import extract, resolve
+from . import extract
 from .extract import ReferenceExtractor
 from .index import VectorIndex
 from .ontology import Turn, temporal_sort_key

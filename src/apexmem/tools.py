@@ -6,15 +6,13 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from . import index as index_mod
-from .errors import EmbedderFailure
 from .index import VectorIndex, hybrid_search
 from .ontology import temporal_sort_key
-from .sqlguard import WHITELISTED_TABLES, validate_sql
-from .store import Store
+from .sqlguard import validate_sql
+from .store import WHITELISTED_TABLES, Store, table_columns
 
 ROW_CAP = 200
 CHAR_CAP = 20_000
@@ -99,13 +97,7 @@ def render_markdown_table(headers: List[str], rows: List[List[Any]]) -> str:
 
 
 _SCHEMA_COLUMNS = {
-    "entities": "entity_id, entity_name, entity_type, role, aliases_json, external_id, created_at",
-    "properties": "property_id, property_name, dtype, description, created_at",
-    "facts": "id, subject_id, property_name, value_json, dtype, valid_from, valid_to, confidence, created_at",
-    "events": "id, event_type, anchor_datetime, location, created_at",
-    "evidence": "id, fact_id, event_id, turn_id, span_start, span_end, quoted_text",
-    "event_participants": "event_id, entity_id, role",
-    "turns": "id, session_id, ordinal, speaker, listener, text, anchor_datetime",
+    table: ", ".join(columns) for table, columns in table_columns().items()
 }
 
 _EXAMPLE_QUERIES = {
@@ -260,10 +252,7 @@ def render_entity_document(doc: EntityDocument) -> str:
 def entity_lookup(store: Store, index: VectorIndex, query: str, k: int = 5) -> ToolResult:
     if k < 1:
         return ToolResult(ok=False, error="k must be >= 1")
-    try:
-        hits = hybrid_search(store, index, ["entity"], query, k)
-    except EmbedderFailure as exc:
-        raise
+    hits = hybrid_search(store, index, ["entity"], query, k)
     documents = []
     for doc_id, _kind, _score in hits:
         doc = build_entity_document(store, doc_id)

@@ -267,11 +267,10 @@ def test_acceptance_4_retrieval_oracle_equivalence():
     assert len(scored) == 1000
     for doc_id, score in scored.items():
         brute = cosine(query_vec, embedder.embed(
-            store.lexical_documents("entities")[doc_id - 1][1]))
+            store.lexical_documents("entity")[doc_id - 1][1]))
         assert abs(score - brute) < 1e-9
 
     # hybrid rank order stable under unrelated-document padding
-    store.rebuild_lexical_views()
     query = names[0]
     baseline = [(doc_id, kind) for doc_id, kind, _ in
                 hybrid_search(store, index, ("entity",), query, k=5)]
@@ -279,7 +278,6 @@ def test_acceptance_4_retrieval_oracle_equivalence():
         store.append_entity(f"zzz unrelated padding {i} qqqq wwww", "Topic",
                             Role.Mentioned, [], created_at="2024-01-01T00:00:00Z")
     upsert_embeddings(store, index)
-    store.rebuild_lexical_views()
     padded = [(doc_id, kind) for doc_id, kind, _ in
               hybrid_search(store, index, ("entity",), query, k=5)]
     assert padded == baseline

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from apexmem.errors import DimensionMismatch, ZeroVector
+from apexmem import index as index_mod
+from apexmem.errors import DimensionMismatch, EmbedderFailure, ZeroVector
 from apexmem.index import (
     BM25_B,
     BM25_K1,
@@ -18,6 +19,7 @@ from apexmem.index import (
     tokenize,
     upsert_embeddings,
 )
+from apexmem.ontology import Role
 from conftest import ingest_case1
 
 
@@ -67,6 +69,7 @@ def test_bm25_matches_oracle_small():
     ),
     st.text(alphabet="abcdef ", min_size=1, max_size=15),
 )
+@example(texts=["a"], query="a a")  # a repeated query term counts once
 def test_bm25_matches_oracle_property(texts, query):
     corpus = [(i, t) for i, t in enumerate(texts) if tokenize(t)]
     if not corpus:
@@ -115,8 +118,7 @@ def test_minmax_normalize_spreads_to_unit_interval():
 
 def test_lexical_search_over_store(store, index):
     ingest_case1(store, index)
-    store.rebuild_lexical_views()
-    hits = lexical_search(store, "entities", "sakura sushi", k=3)
+    hits = lexical_search(store, "entity", "sakura sushi", k=3)
     assert hits
     top_id = hits[0][0]
     assert store.entity_row(top_id)["entity_name"] == "Sakura Sushi"
@@ -140,9 +142,52 @@ def test_vector_index_persistence(tmp_path, store):
     index.save()
     reloaded = VectorIndex(path=VectorIndex.sidecar_path(path))
     assert set(reloaded.entries) == set(index.entries)
+    assert reloaded.high_water == index.high_water
     for key, vec in index.entries.items():
         assert np.allclose(reloaded.entries[key], vec)
     disk_store.close()
+
+
+def test_upsert_embeddings_reads_only_new_rows(store, index, monkeypatch):
+    ingest_case1(store, index)
+    scanned = []
+    original = index_mod.kind_documents
+
+    def counting(store_, kind, after_id=0):
+        rows = original(store_, kind, after_id)
+        scanned.extend(rows)
+        return rows
+
+    monkeypatch.setattr(index_mod, "kind_documents", counting)
+    assert upsert_embeddings(store, index) == 0
+    assert scanned == []
+    new_id = store.append_entity("Carol", "Person", Role.Mentioned, [],
+                                 created_at="2024-05-01T00:00:00Z")
+    assert upsert_embeddings(store, index) == 1
+    assert scanned == [(new_id, "Carol")]
+    assert ("entity", new_id) in index.entries
+
+
+def test_upsert_embeddings_resumes_after_embedder_failure(store):
+    class FlakyEmbedder(TrigramEmbedder):
+        fail_on = "Bob"
+
+        def embed(self, text):
+            if text == self.fail_on:
+                raise RuntimeError("embedder down")
+            return super().embed(text)
+
+    embedder = FlakyEmbedder()
+    index = VectorIndex(embedder)
+    ids = [store.append_entity(name, "Person", Role.Mentioned, [],
+                               created_at="2024-01-01T00:00:00Z")
+           for name in ("Alice", "Bob", "Carol")]
+    with pytest.raises(EmbedderFailure):
+        upsert_embeddings(store, index)
+    assert set(index.entries) == {("entity", ids[0])}
+    embedder.fail_on = None
+    assert upsert_embeddings(store, index) == 2
+    assert set(index.entries) == {("entity", doc_id) for doc_id in ids}
 
 
 def test_hybrid_search_finds_entity(store, index):

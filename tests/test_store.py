@@ -5,6 +5,7 @@ import pytest
 from apexmem.errors import (
     DanglingReference,
     SchemaMismatch,
+    UnknownView,
     ValidationFailure,
 )
 from apexmem.ontology import DType, Event, Evidence, Fact, Role, Turn
@@ -147,11 +148,54 @@ def test_append_log_grows_monotonically(store):
     assert len(second) == len(first) + 1
 
 
-def test_rebuild_lexical_views(case1_store):
-    counts = case1_store.rebuild_lexical_views()
-    assert counts["entities"] >= 3
-    docs = case1_store.lexical_documents("entities")
+def test_lexical_documents_derived_from_base_rows(case1_store):
+    docs = case1_store.lexical_documents("entity")
+    assert len(docs) == case1_store.row_counts()["entities"] >= 3
     assert any("Italian Garden" in text for _, text in docs)
+    assert case1_store.lexical_documents("entity", after_id=docs[0][0]) == docs[1:]
+    with pytest.raises(UnknownView):
+        case1_store.lexical_documents("entities")
+
+
+def test_search_text_of_each_kind(store):
+    alice = store.append_entity("Alice", "Person", Role.Speaker, ["Ali", "Al"],
+                                created_at="2024-01-01T00:00:00Z")
+    bob = store.append_entity("Bob", "Person", Role.Mentioned, [],
+                              created_at="2024-01-01T00:00:00Z")
+    store.append_property("favorite_color", DType.str)
+    [turn_id] = store.append_turns([_turn(text="my favorite color is blue")])
+    evidence = Evidence(None, None, turn_id, (3, 25), "favorite color is blue")
+    store.append_event_bundle(
+        Event(None, "conversation", "2024-01-01T00:00:00Z", location="Rome"),
+        evidence=[evidence],
+    )
+    store.append_event_bundle(_event())
+    assert store.lexical_documents("entity") == [
+        (alice, "Alice Al Ali"), (bob, "Bob")]
+    assert store.lexical_documents("property") == [
+        (1, "favorite color favorite_color str")]
+    assert store.lexical_documents("event") == [
+        (1, "conversation Rome"), (2, "conversation")]
+    assert store.lexical_documents("evidence") == [(1, "favorite color is blue")]
+    assert store.lexical_documents("turn") == [(turn_id, "my favorite color is blue")]
+
+
+def test_append_log_holds_only_base_rows(case1_store):
+    for _sequence, payload in case1_store.append_log():
+        assert set(payload["rows"]) <= set(WHITELISTED_TABLES)
+
+
+def test_open_rejects_version_1_store(tmp_path):
+    path = str(tmp_path / "v1.sqlite")
+    Store.open(path).close()
+    import sqlite3
+
+    conn = sqlite3.connect(path)
+    conn.execute("UPDATE meta SET value = '1' WHERE key = 'schema_version'")
+    conn.commit()
+    conn.close()
+    with pytest.raises(SchemaMismatch):
+        Store.open(path)
 
 
 def test_schema_version_recorded(store):

@@ -4,6 +4,7 @@ import pytest
 
 from apexmem.index import VectorIndex
 from apexmem.ontology import DType, Event, Fact, Role
+from apexmem.store import WHITELISTED_TABLES
 from apexmem.tools import (
     CHAR_CAP,
     ROW_CAP,
@@ -29,6 +30,30 @@ def toolkit(store, index):
 
 def test_tool_names_and_schemas_agree():
     assert set(TOOL_NAMES) == set(TOOL_ARG_SCHEMAS)
+
+
+SCHEMA_TEXT = """\
+Tables
+------
+- entities(entity_id, entity_name, entity_type, role, aliases_json, external_id, created_at)
+- properties(property_id, property_name, dtype, description, created_at)
+- facts(id, subject_id, property_name, value_json, dtype, valid_from, valid_to, confidence, created_at)
+- events(id, event_type, anchor_datetime, location, created_at)
+- evidence(id, fact_id, event_id, turn_id, span_start, span_end, quoted_text)
+- event_participants(event_id, entity_id, role)
+- turns(id, session_id, ordinal, speaker, listener, text, anchor_datetime)
+
+Every table also has a lexical search view used by the search tool."""
+
+
+def test_schema_viewer_text_is_pinned():
+    assert schema_viewer().text == SCHEMA_TEXT
+
+
+def test_schema_viewer_lists_tables_in_whitelist_order():
+    listed = [line[2:line.index("(")] for line in schema_viewer().text.split("\n")
+              if line.startswith("- ")]
+    assert listed == list(WHITELISTED_TABLES)
 
 
 def test_schema_viewer_lists_tables_and_examples():
