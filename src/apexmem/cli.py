@@ -27,7 +27,7 @@ from .agent import (
     render_transcript,
     run_agent,
 )
-from .errors import ParseError, ProviderFailure
+from .errors import ParseError, ProviderFailure, ValidationFailure
 from .extract import ReferenceExtractor
 from .index import VectorIndex
 from .ontology import Turn
@@ -90,6 +90,11 @@ def open_index(store_path: str, embedder=None) -> VectorIndex:
     return VectorIndex(embedder=embedder, path=sidecar)
 
 
+# what a malformed input line raises: bad JSON, a missing or mistyped field,
+# or a value the ontology refuses (such as a timestamp that is not ISO-8601)
+_LINE_ERRORS = (json.JSONDecodeError, KeyError, TypeError, ValueError, ValidationFailure)
+
+
 def read_transcript(path: str):
     """JSONL transcript: one {session_id, ordinal, speaker, listener, text,
     anchor_datetime} object per line, grouped into sessions."""
@@ -110,10 +115,24 @@ def read_transcript(path: str):
                     text=raw["text"],
                     anchor_datetime=raw["anchor_datetime"],
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except _LINE_ERRORS as exc:
                 raise ParseError(f"line {line_number}: {exc}") from exc
             sessions.setdefault(turn.session_id, []).append(turn)
     return sessions
+
+
+def read_corpus(path: str) -> list:
+    """Parse an online corpus: one ``document_from_json`` object per line."""
+    corpus = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                corpus.append(online_mod.document_from_json(json.loads(line)))
+            except _LINE_ERRORS as exc:
+                raise ParseError(f"line {line_number}: {exc}") from exc
+    return corpus
 
 
 @click.group()
@@ -221,16 +240,17 @@ def qa(config, question, store_path, question_date, max_tool_calls, trace,
        policy_spec, corpus_path, theta_rel, as_json):
     """Answer a question using the agent loop. Exit 0 answered, 2 budget
     exhausted, 3 provider failure."""
+    try:
+        corpus = read_corpus(corpus_path) if corpus_path else None
+    except ParseError as exc:
+        click.echo(f"parse error: {exc}", err=True)
+        sys.exit(1)
+
     extractor, entity_provider, property_provider, embedder = build_pipeline(config)
     store = Store.open(store_path)
     index = open_index(store_path, embedder)
 
-    if corpus_path:
-        corpus = []
-        with open(corpus_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    corpus.append(online_mod.document_from_json(json.loads(line)))
+    if corpus is not None:
         online_mod.build_online(
             store, index, extractor, entity_provider, property_provider,
             corpus, question, online_mod.OnlineConfig(theta_rel=theta_rel),

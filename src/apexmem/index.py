@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import zlib
 from collections import Counter
@@ -13,7 +14,13 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmbedderFailure, UnknownView, ZeroVector
+from .errors import (
+    DimensionMismatch,
+    EmbedderFailure,
+    IoFailure,
+    UnknownView,
+    ZeroVector,
+)
 from .store import SEARCH_TEXT, Store
 
 # index kinds; the search text each one embeds is defined in store.SEARCH_TEXT
@@ -111,7 +118,8 @@ def kind_documents(store: Store, kind: str, after_id: int = 0) -> List[Tuple[int
 
 
 class VectorIndex:
-    """Flat, exhaustively scanned vector index persisted as a sidecar file."""
+    """Flat, exhaustively scanned vector index, persisted as an append-only
+    sidecar file when it has a path."""
 
     def __init__(self, embedder=None, path: Optional[str] = None):
         self.embedder = embedder or TrigramEmbedder()
@@ -120,7 +128,13 @@ class VectorIndex:
         self.entries: Dict[Tuple[str, int], np.ndarray] = {}
         # highest doc_id held per kind; rows are immutable and ids only grow
         self.high_water: Dict[str, int] = {}
+        # keys embedded since the last save, which save() appends to the
+        # sidecar; an index without a file keeps no such list
+        self._unsaved: Optional[List[Tuple[str, int]]] = None
+        # bytes of whole records in the sidecar; anything past them is torn
+        self._saved_bytes = 0
         if path is not None:
+            self._unsaved = []
             self._load()
 
     @classmethod
@@ -128,30 +142,50 @@ class VectorIndex:
         return store_path + ".vec"
 
     def _load(self) -> None:
-        import os
-
-        if self.path is None or not os.path.exists(self.path):
+        """Read the sidecar's JSON lines. A final line without its newline is
+        a record torn by a crash: it is dropped here and cut off by the next
+        save, and ``upsert_embeddings`` embeds its row again. Any other
+        malformed line raises."""
+        if not os.path.exists(self.path):
             return
-        with open(self.path, "r", encoding="utf-8") as handle:
+        with open(self.path, "rb") as handle:
             for line in handle:
+                if not line.endswith(b"\n"):
+                    break
                 record = json.loads(line)
                 self._put(
                     record["kind"],
                     record["doc_id"],
                     np.array(record["vector"], dtype=np.float64),
                 )
+                self._saved_bytes += len(line)
 
     def save(self) -> None:
+        """Append the vectors embedded since the last save to the sidecar,
+        one JSON line each, in the order they were embedded. The file exists
+        afterwards even when nothing was new."""
         if self.path is None:
             return
-        with open(self.path, "w", encoding="utf-8") as handle:
-            for (kind, doc_id), vector in sorted(self.entries.items()):
-                handle.write(
-                    json.dumps(
-                        {"kind": kind, "doc_id": doc_id, "vector": vector.tolist()}
-                    )
-                    + "\n"
-                )
+        payload = "".join(
+            json.dumps({"kind": kind, "doc_id": doc_id,
+                        "vector": self.entries[kind, doc_id].tolist()}) + "\n"
+            for kind, doc_id in self._unsaved
+        ).encode("utf-8")
+        with open(self.path, "a+b") as handle:
+            size = handle.tell()
+            if size < self._saved_bytes:
+                raise IoFailure(f"sidecar {self.path} lost records saved to it")
+            # cut a torn record, left by a crash or a failed write, so that
+            # it is never joined onto the next one; whole records past the
+            # saved bytes come from another writer and are never cut
+            if size > self._saved_bytes:
+                handle.seek(self._saved_bytes)
+                if b"\n" in handle.read():
+                    raise IoFailure(f"sidecar {self.path} was appended to by another writer")
+                handle.truncate(self._saved_bytes)
+            handle.write(payload)
+        self._saved_bytes += len(payload)
+        self._unsaved.clear()
 
     def embed(self, text: str) -> np.ndarray:
         try:
@@ -168,6 +202,8 @@ class VectorIndex:
         if (kind, doc_id) in self.entries:
             return False
         self._put(kind, doc_id, self.embed(text))
+        if self._unsaved is not None:
+            self._unsaved.append((kind, doc_id))
         return True
 
     def _put(self, kind: str, doc_id: int, vector: np.ndarray) -> None:

@@ -15,7 +15,7 @@ from .index import (
     cosine,
     minmax_normalize,
 )
-from .ontology import Turn, temporal_sort_key
+from .ontology import Turn, parse_iso_datetime, temporal_sort_key
 from .store import Store
 
 DEFAULT_THETA_REL = 0.2
@@ -36,6 +36,9 @@ class Document:
     doc_id: str
     timestamp: str
     turns: tuple
+
+    def __post_init__(self):
+        parse_iso_datetime(self.timestamp)
 
     def text(self) -> str:
         return "\n".join(turn.text for turn in self.turns)

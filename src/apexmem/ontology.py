@@ -136,12 +136,18 @@ def format_iso_datetime(value: datetime) -> str:
 
 
 def temporal_sort_key(iso: Optional[str]) -> str:
-    """Orderable key for mixed date / datetime ISO strings; None sorts first."""
+    """Orderable key for mixed date / datetime ISO strings: the UTC instant,
+    to the second, as ``YYYY-MM-DDTHH:MM:SSZ``; None sorts first."""
     if iso is None:
         return ""
-    if "T" not in iso:
+    # timestamps are checked when they enter the engine, so the separators
+    # at every third position from 4 tell the two canonical forms apart
+    shape = iso[4::3]
+    if shape == "--T::Z" and len(iso) == 20:
+        return iso
+    if shape == "--" and len(iso) == 10:
         return iso + "T00:00:00Z"
-    return iso
+    return format_iso_datetime(parse_iso_datetime(iso))
 
 
 _SCALAR_TYPES = (str, int, float, bool)

@@ -554,14 +554,12 @@ class Store:
             for table in WHITELISTED_TABLES
         }
 
-    def entity_row(self, entity_id: int) -> Optional[dict]:
-        row = self._conn.execute(
-            "SELECT entity_id, entity_name, entity_type, role, aliases_json,"
-            " external_id, created_at FROM entities WHERE entity_id = ?",
-            (entity_id,),
-        ).fetchone()
-        if row is None:
-            return None
+    _ENTITY_COLUMNS = (
+        "entity_id, entity_name, entity_type, role, aliases_json, external_id, created_at"
+    )
+
+    @staticmethod
+    def _entity_dict(row: tuple) -> dict:
         return {
             "entity_id": row[0],
             "entity_name": row[1],
@@ -572,18 +570,24 @@ class Store:
             "created_at": row[6],
         }
 
+    def entity_row(self, entity_id: int) -> Optional[dict]:
+        row = self._conn.execute(
+            f"SELECT {self._ENTITY_COLUMNS} FROM entities WHERE entity_id = ?",
+            (entity_id,),
+        ).fetchone()
+        return None if row is None else self._entity_dict(row)
+
     def find_entity_by_name(self, name: str) -> Optional[dict]:
-        """Case-insensitive match on canonical name or any alias."""
+        """Case-insensitive match on canonical name or any alias; the lowest
+        entity_id wins."""
         target = ontology.normalize_name(name).lower()
         for row in self._conn.execute(
-            "SELECT entity_id FROM entities ORDER BY entity_id"
-        ).fetchall():
-            info = self.entity_row(row[0])
-            names = [info["entity_name"].lower()] + [
-                alias.lower() for alias in info["aliases"]
-            ]
-            if target in names:
-                return info
+            f"SELECT {self._ENTITY_COLUMNS} FROM entities ORDER BY entity_id"
+        ):
+            if row[1].lower() == target or any(
+                alias.lower() == target for alias in json.loads(row[4])
+            ):
+                return self._entity_dict(row)
         return None
 
     def all_rows(self, table: str) -> list:

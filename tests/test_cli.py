@@ -1,10 +1,13 @@
 import json
 import os
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
 from apexmem.cli import load_config, main
+from apexmem.index import VectorIndex
+from apexmem.store import Store
 from conftest import fixture_path
 
 
@@ -35,6 +38,29 @@ def test_ingest_reports_counts(runner, tmp_path):
     assert report["failed_turns"] == []
 
 
+def test_ingest_twice_leaves_one_sidecar_line_per_row(runner, tmp_path):
+    store_path = _ingest_case1(runner, tmp_path)
+    later = tmp_path / "later.jsonl"
+    later.write_text(json.dumps({
+        "session_id": "s3", "ordinal": 0, "speaker": "Bob", "listener": "Alice",
+        "text": "My favorite color is green.", "anchor_datetime": "2024-04-02T09:00:00Z",
+    }) + "\n")
+    result = runner.invoke(main, ["ingest", str(later), "--store", store_path])
+    assert result.exit_code == 0, result.output
+    store = Store.open(store_path, create_if_missing=False)
+    counts = store.row_counts()
+    store.close()
+    with open(VectorIndex.sidecar_path(store_path), encoding="utf-8") as handle:
+        keys = [(r["kind"], r["doc_id"]) for r in map(json.loads, handle)]
+    assert len(keys) == len(set(keys))
+    assert Counter(kind for kind, _ in keys) == {
+        "entity": counts["entities"], "property": counts["properties"],
+        "event": counts["events"], "evidence": counts["evidence"],
+        "turn": counts["turns"],
+    }
+    assert counts["turns"] == 3
+
+
 def test_ingest_parse_error_names_line(runner, tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"session_id": "s"}\n')
@@ -43,6 +69,35 @@ def test_ingest_parse_error_names_line(runner, tmp_path):
     )
     assert result.exit_code == 1
     assert "line 1" in result.output
+
+
+def test_ingest_bad_timestamp_names_line(runner, tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({
+        "session_id": "s", "ordinal": 0, "speaker": "A", "listener": "B",
+        "text": "hi", "anchor_datetime": "March 1",
+    }) + "\n")
+    result = runner.invoke(
+        main, ["ingest", str(bad), "--store", str(tmp_path / "s.sqlite")]
+    )
+    assert result.exit_code == 1
+    assert "parse error: line 1" in result.output
+
+
+def test_qa_online_bad_timestamp_names_line(runner, tmp_path):
+    with open(fixture_path("online_corpus.jsonl"), encoding="utf-8") as handle:
+        first = handle.readline()
+    bad = dict(json.loads(first), timestamp="March 1")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(first + json.dumps(bad) + "\n")
+    store_path = tmp_path / "online.sqlite"
+    result = runner.invoke(main, [
+        "qa", "What is Alice's favorite restaurant?",
+        "--store", str(store_path), "--online", str(corpus),
+    ])
+    assert result.exit_code == 1
+    assert "parse error: line 2" in result.output
+    assert not store_path.exists()
 
 
 def test_qa_answers_case1(runner, tmp_path):

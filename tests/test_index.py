@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from apexmem import index as index_mod
-from apexmem.errors import DimensionMismatch, EmbedderFailure, ZeroVector
+from apexmem.errors import DimensionMismatch, EmbedderFailure, IoFailure, ZeroVector
 from apexmem.index import (
     BM25_B,
     BM25_K1,
@@ -20,6 +21,7 @@ from apexmem.index import (
     upsert_embeddings,
 )
 from apexmem.ontology import Role
+from apexmem.store import Store
 from conftest import ingest_case1
 
 
@@ -188,6 +190,163 @@ def test_upsert_embeddings_resumes_after_embedder_failure(store):
     embedder.fail_on = None
     assert upsert_embeddings(store, index) == 2
     assert set(index.entries) == {("entity", doc_id) for doc_id in ids}
+
+
+def _disk_case1(tmp_path):
+    """A file-backed store holding case 1, with its index saved."""
+    path = str(tmp_path / "db.sqlite")
+    disk_store = Store.open(path)
+    index = VectorIndex(path=VectorIndex.sidecar_path(path))
+    ingest_case1(disk_store, index)
+    index.save()
+    return disk_store, index
+
+
+def _add_entities(store, names):
+    return [store.append_entity(name, "Person", Role.Mentioned, [],
+                                created_at="2024-05-01T00:00:00Z")
+            for name in names]
+
+
+def _sidecar_lines(index):
+    with open(index.path, "rb") as handle:
+        return handle.read().splitlines(keepends=True)
+
+
+def test_save_appends_only_new_vectors(tmp_path):
+    disk_store, index = _disk_case1(tmp_path)
+    before = open(index.path, "rb").read()
+    assert len(before.splitlines()) == len(index.entries)
+    new_ids = _add_entities(disk_store, ["Carol", "Dave", "Erin"])
+    assert upsert_embeddings(disk_store, index) == 3
+    after = open(index.path, "rb").read()
+    assert after.startswith(before)
+    added = [json.loads(line) for line in after[len(before):].splitlines()]
+    assert [(r["kind"], r["doc_id"]) for r in added] == [("entity", i) for i in new_ids]
+    index.save()  # nothing new: the file is left as it is
+    assert open(index.path, "rb").read() == after
+    disk_store.close()
+
+
+def test_save_with_nothing_new_creates_the_file(tmp_path):
+    index = VectorIndex(path=str(tmp_path / "empty.vec"))
+    index.save()
+    assert open(index.path, "rb").read() == b""
+
+
+def test_reload_is_bitwise_equal(tmp_path):
+    disk_store, index = _disk_case1(tmp_path)
+    _add_entities(disk_store, ["Carol"])
+    upsert_embeddings(disk_store, index)
+    reloaded = VectorIndex(path=index.path)
+    assert reloaded.high_water == index.high_water
+    assert list(reloaded.entries) == list(index.entries)
+    for key, vector in index.entries.items():
+        assert reloaded.entries[key].tobytes() == vector.tobytes()
+    disk_store.close()
+
+
+def test_full_rewrite_sidecar_loads_unchanged(tmp_path, store, index):
+    """A sidecar written whole and sorted by (kind, doc_id) loads as it is,
+    and later saves append to it."""
+    ingest_case1(store, index)
+    path = str(tmp_path / "sorted.vec")
+    with open(path, "w", encoding="utf-8") as handle:
+        for (kind, doc_id), vector in sorted(index.entries.items()):
+            handle.write(json.dumps(
+                {"kind": kind, "doc_id": doc_id, "vector": vector.tolist()}) + "\n")
+    original = open(path, "rb").read()
+    reloaded = VectorIndex(path=path)
+    assert reloaded.high_water == index.high_water
+    assert set(reloaded.entries) == set(index.entries)
+    for key, vector in index.entries.items():
+        assert reloaded.entries[key].tobytes() == vector.tobytes()
+    (new_id,) = _add_entities(store, ["Carol"])
+    assert upsert_embeddings(store, reloaded) == 1
+    lines = _sidecar_lines(reloaded)
+    assert b"".join(lines[:-1]) == original
+    assert json.loads(lines[-1])["doc_id"] == new_id
+
+
+def test_torn_last_record_is_dropped_and_embedded_again(tmp_path):
+    disk_store, index = _disk_case1(tmp_path)
+    lines = _sidecar_lines(index)
+    torn = json.loads(lines[-1])
+    with open(index.path, "wb") as handle:
+        handle.write(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+    reopened = VectorIndex(path=index.path)
+    lost = (torn["kind"], torn["doc_id"])
+    assert lost not in reopened.entries
+    assert len(reopened.entries) == len(lines) - 1
+    assert reopened.high_water[torn["kind"]] < torn["doc_id"]
+    assert upsert_embeddings(disk_store, reopened) == 1
+    assert reopened.entries[lost].tobytes() == index.entries[lost].tobytes()
+    assert _sidecar_lines(reopened) == lines
+    disk_store.close()
+
+
+def test_malformed_middle_line_raises(tmp_path):
+    disk_store, index = _disk_case1(tmp_path)
+    lines = _sidecar_lines(index)
+    lines[1] = lines[1][: len(lines[1]) // 2] + b"\n"
+    with open(index.path, "wb") as handle:
+        handle.write(b"".join(lines))
+    with pytest.raises(ValueError):
+        VectorIndex(path=index.path)
+    disk_store.close()
+
+
+def test_embedder_failure_leaves_prefix_on_disk(tmp_path):
+    class FlakyEmbedder(TrigramEmbedder):
+        def embed(self, text):
+            if text == "Bob":
+                raise RuntimeError("embedder down")
+            return super().embed(text)
+
+    path = str(tmp_path / "db.sqlite")
+    disk_store = Store.open(path)
+    ids = _add_entities(disk_store, ["Alice", "Bob", "Carol"])
+    index = VectorIndex(FlakyEmbedder(), path=VectorIndex.sidecar_path(path))
+    with pytest.raises(EmbedderFailure):
+        upsert_embeddings(disk_store, index)
+    on_disk = VectorIndex(path=index.path)
+    assert set(on_disk.entries) == {("entity", ids[0])}
+    assert upsert_embeddings(disk_store, on_disk) == 2
+    assert [json.loads(line)["doc_id"] for line in _sidecar_lines(on_disk)] == ids
+    disk_store.close()
+
+
+def test_save_refuses_a_sidecar_that_lost_saved_records(tmp_path):
+    disk_store, index = _disk_case1(tmp_path)
+    with open(index.path, "wb"):
+        pass
+    _add_entities(disk_store, ["Carol"])
+    with pytest.raises(IoFailure):
+        upsert_embeddings(disk_store, index)
+    disk_store.close()
+
+
+def test_save_refuses_records_appended_by_another_writer(tmp_path):
+    """Two indexes on one sidecar: the second one's whole records are never
+    cut as if they were torn; the first index's save raises instead."""
+    disk_store, first = _disk_case1(tmp_path)
+    second = VectorIndex(path=first.path)
+    _add_entities(disk_store, ["Carol"])
+    assert upsert_embeddings(disk_store, second) == 1
+    written = open(first.path, "rb").read()
+    _add_entities(disk_store, ["Dave"])
+    with pytest.raises(IoFailure):
+        upsert_embeddings(disk_store, first)
+    assert open(first.path, "rb").read() == written
+    assert VectorIndex(path=first.path).high_water == second.high_water
+    disk_store.close()
+
+
+def test_in_memory_index_keeps_no_unsaved_list(store, index):
+    ingest_case1(store, index)
+    assert index.entries
+    assert index._unsaved is None
+    index.save()  # no file: nothing to do
 
 
 def test_hybrid_search_finds_entity(store, index):

@@ -1,5 +1,6 @@
 import pytest
 
+from apexmem.errors import ValidationFailure
 from apexmem.index import VectorIndex
 from apexmem.online import (
     DEFAULT_THETA_REL,
@@ -120,6 +121,13 @@ def test_theta_zero_reproduces_offline_ingestion(index):
     assert online_fact.value == offline_fact.value
     online_store.close()
     offline_store.close()
+
+
+def test_document_timestamp_must_be_iso():
+    with pytest.raises(ValidationFailure):
+        _doc("d1", "March 1", "hi")
+    with pytest.raises(ValidationFailure):
+        document_from_json({"doc_id": "d1", "timestamp": "March 1", "turns": []})
 
 
 def test_document_from_json_round_trip():

@@ -149,3 +149,48 @@ def test_infer_dtype():
     assert ontology.infer_dtype(dt.date(2024, 1, 1)) is DType.date
     assert ontology.infer_dtype([1, 2]) is DType.list
     assert ontology.infer_dtype("hello") is DType.str
+
+
+def test_temporal_sort_key_canonicalizes_to_utc():
+    assert temporal_sort_key("2024-05-01T22:00:00Z") == "2024-05-01T22:00:00Z"
+    assert temporal_sort_key("2024-05-02T01:00:00+05:00") == "2024-05-01T20:00:00Z"
+    assert temporal_sort_key("2024-05-01T22:00:00.5Z") == "2024-05-01T22:00:00Z"
+    assert temporal_sort_key("2024-05-01") == "2024-05-01T00:00:00Z"
+    # same lengths as the canonical forms, other separators
+    assert temporal_sort_key("2024-05-01 22:00:00Z") == "2024-05-01T22:00:00Z"
+    assert temporal_sort_key("2024-W18-3") == "2024-05-01T00:00:00Z"
+    with pytest.raises(ValidationFailure):
+        temporal_sort_key("March 1")
+    assert temporal_sort_key("2024-05-02T01:00:00+05:00") < temporal_sort_key(
+        "2024-05-01T22:00:00Z"
+    )
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.datetimes(
+                min_value=dt.datetime(1901, 1, 1), max_value=dt.datetime(2099, 12, 31)
+            ),
+            st.integers(min_value=-14 * 60, max_value=14 * 60),
+        ),
+        min_size=2,
+        max_size=6,
+    )
+)
+def test_temporal_sort_key_orders_as_utc_instants(stamps):
+    """Key order is UTC-instant order (to the second) for any mix of offsets."""
+    instants, texts = [], []
+    for local, offset_minutes in stamps:
+        tz = dt.timezone(dt.timedelta(minutes=offset_minutes))
+        moment = local.replace(microsecond=0, tzinfo=tz)
+        instants.append(moment)
+        texts.append(moment.isoformat())
+    for a in range(len(texts)):
+        for b in range(len(texts)):
+            assert (temporal_sort_key(texts[a]) < temporal_sort_key(texts[b])) == (
+                instants[a] < instants[b]
+            )
+            assert (temporal_sort_key(texts[a]) == temporal_sort_key(texts[b])) == (
+                instants[a] == instants[b]
+            )

@@ -8,8 +8,11 @@ from apexmem.errors import (
     UnknownView,
     ValidationFailure,
 )
+from apexmem.extract import ingest_session
+from apexmem.index import VectorIndex
 from apexmem.ontology import DType, Event, Evidence, Fact, Role, Turn
 from apexmem.store import SCHEMA_VERSION, Store, WHITELISTED_TABLES
+from conftest import reference_pipeline
 
 
 def _turn(session="s1", ordinal=0, text="hello world",
@@ -57,6 +60,38 @@ def test_append_entity_and_lookup(store):
     assert row["entity_id"] == entity_id
     assert store.find_entity_by_name("ALI")["entity_id"] == entity_id
     assert store.find_entity_by_name("nobody") is None
+
+
+def test_find_entity_by_name_semantics(store):
+    created = "2024-01-01T00:00:00Z"
+    sam = store.append_entity("Sam", "Person", Role.Speaker, [], created_at=created)
+    sammy = store.append_entity("Samantha Jones", "Person", Role.Mentioned,
+                                ["Sammy", "SAM"], created_at=created)
+    place = store.append_entity("Italian Garden", "Place", Role.Mentioned,
+                                ["the Garden"], created_at=created)
+    # alias hit, matched case-insensitively after whitespace normalization
+    assert store.find_entity_by_name("sammy")["entity_id"] == sammy
+    assert store.find_entity_by_name("  THE   garden ") == store.entity_row(place)
+    assert store.find_entity_by_name("italian GARDEN")["entity_id"] == place
+    # "sam" is one entity's name and another's alias: the lowest id wins
+    assert store.find_entity_by_name("sAm")["entity_id"] == sam
+    assert store.find_entity_by_name("Samantha") is None
+    assert store.find_entity_by_name("Jones") is None
+
+
+def test_offset_timestamps_compare_as_instants(store):
+    """22:00Z is later than 01:00+05:00 on the next day (20:00Z)."""
+    extractor, entity_provider, property_provider = reference_pipeline()
+    turns = [("s1", "My favorite color is blue.", "2024-05-01T22:00:00Z"),
+             ("s2", "My favorite color is red.", "2024-05-02T01:00:00+05:00")]
+    for session_id, text, anchor in turns:
+        session = [Turn(None, session_id, "Alice", "Assistant", text, anchor, 0)]
+        outcomes = ingest_session(store, VectorIndex(), extractor, entity_provider,
+                                  property_provider, session)
+        assert all(outcome.ok for outcome in outcomes)
+    alice = store.find_entity_by_name("Alice")["entity_id"]
+    assert store.latest_fact(alice, "favorite_color").value == "blue"
+    assert store.max_anchor_datetime() == "2024-05-01T22:00:00Z"
 
 
 def test_append_turns_rejects_duplicate_ordinal(store):
