@@ -22,7 +22,6 @@ DEFAULT_MAX_TOOL_CALLS = 40
 class AgentConfig:
     max_tool_calls: int = DEFAULT_MAX_TOOL_CALLS
     question_date: Optional[str] = None
-    trace_enabled: bool = False
 
     def __post_init__(self):
         if self.max_tool_calls < 1:
@@ -60,19 +59,11 @@ class AgentTranscript:
 
 class PolicyProvider(Protocol):
     def step(
-        self, question: str, history: List[AgentStep]
+        self, question: str, history: List[AgentStep], named_params: dict
     ) -> Union[ToolAction, FinalAnswer]: ...
 
 
-_TEMPORAL_PATTERNS = (
-    "last month",
-    "last week",
-    "yesterday",
-    "today",
-    "tomorrow",
-)
-
-_AGO_IN_TEXT = re.compile(r"\b(\d+)\s+(day|week|month)s?\s+ago\b", re.I)
+_AGO_IN_TEXT = re.compile(rf"\b{extract.AGO_PATTERN}\b", re.I)
 
 
 @dataclass(frozen=True)
@@ -104,7 +95,7 @@ def resolve_question_temporals(question: str, question_date: str) -> AnnotatedQu
     parse_iso_datetime(question_date)
     annotations = []
     lowered = question.lower()
-    for pattern in _TEMPORAL_PATTERNS:
+    for pattern in extract.RELATIVE_EXPRESSIONS:
         if pattern in lowered:
             valid_from, valid_to = extract.normalize_temporal(pattern, question_date)
             annotations.append(TemporalAnnotation(pattern, valid_from, valid_to))
@@ -129,7 +120,8 @@ def run_agent(
 ) -> AgentTranscript:
     """Drive the policy against the tools until it answers, fails, or the
     call budget runs out. Tool failures are passed back in-band and never
-    terminate the loop."""
+    terminate the loop. The question date reaches the policy and the tools
+    through one dict, the named parameters that GraphSQL also binds."""
     config = config or AgentConfig()
     toolkit = toolkit or ToolKit(store, index)
 
@@ -142,7 +134,7 @@ def run_agent(
 
     while len(transcript.steps) < config.max_tool_calls:
         try:
-            output = policy.step(question, list(transcript.steps))
+            output = policy.step(question, list(transcript.steps), named_params)
         except Exception as exc:
             raise ProviderFailure(str(exc)) from exc
 
@@ -221,7 +213,7 @@ class ScriptedPolicy:
         self.outputs = list(outputs)
         self.position = 0
 
-    def step(self, question, history):
+    def step(self, question, history, named_params):
         if self.position >= len(self.outputs):
             raise ProviderFailure("script exhausted without an answer")
         output = self.outputs[self.position]
@@ -237,14 +229,14 @@ _STOPWORDS = frozenset(
 
 class HeuristicPolicy:
     """Deterministic reference policy: look up the best-matching entity,
-    then answer with the latest value of the property whose name best
-    overlaps the question."""
+    then answer with the value in force at the question date of the
+    property whose name best overlaps the question."""
 
     def __init__(self, store: Store):
         self.store = store
         self._looked_up = False
 
-    def step(self, question, history):
+    def step(self, question, history, named_params):
         if not self._looked_up:
             self._looked_up = True
             return ToolAction(
@@ -252,20 +244,18 @@ class HeuristicPolicy:
                 call=ToolCall("entity_lookup", {"query": question, "k": 3}),
             )
         question_tokens = set(tokenize(question)) - _STOPWORDS
+        as_of = named_params["question_date"]
         best = None
-        for row in self.store._conn.execute(
-            "SELECT entity_id FROM entities ORDER BY entity_id"
+        for entity_id, entity_name in self.store._conn.execute(
+            "SELECT entity_id, entity_name FROM entities ORDER BY entity_id"
         ).fetchall():
-            entity_id = row[0]
-            info = self.store.entity_row(entity_id)
-            name_tokens = set(tokenize(info["entity_name"]))
-            if not name_tokens & question_tokens:
+            if not set(tokenize(entity_name)) & question_tokens:
                 continue
             for prop in self.store.subject_properties(entity_id):
                 overlap = len(set(prop.split("_")) & question_tokens)
                 if overlap == 0:
                     continue
-                fact = self.store.latest_fact(entity_id, prop)
+                fact = self.store.latest_fact(entity_id, prop, as_of)
                 if fact is None:
                     continue
                 key = (overlap, entity_id, prop)

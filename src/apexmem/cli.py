@@ -260,7 +260,6 @@ def qa(config, question, store_path, question_date, max_tool_calls, trace,
     agent_config = AgentConfig(
         max_tool_calls=max_tool_calls,
         question_date=question_date,
-        trace_enabled=trace,
     )
     try:
         transcript = run_agent(store, index, policy, question, agent_config)

@@ -31,7 +31,14 @@ _WEEKDAYS = {
     for number, name in enumerate(calendar.day_name)
 }
 
-_AGO_RE = re.compile(r"^(\d+)\s+(day|week|month)s?\s+ago$")
+# Relative expressions resolved against an anchor, in the order a question's
+# annotations list them (the first one sets the question's range).
+RELATIVE_EXPRESSIONS = ("last month", "last week", "yesterday", "today", "tomorrow")
+# "N days/weeks/months ago"
+AGO_PATTERN = r"(\d+)\s+(day|week|month)s?\s+ago"
+
+_AGO_RE = re.compile(f"^{AGO_PATTERN}$")
+_TEMPORAL_WORDS = "|".join(RELATIVE_EXPRESSIONS)
 _ISO_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
 
@@ -99,15 +106,6 @@ def normalize_temporal(expression: str, anchor: str) -> Tuple[str, Optional[str]
     raise UnparseableTemporal(f"unrecognized temporal expression: {expression!r}")
 
 
-RELATIVE_EXPRESSIONS = (
-    "yesterday",
-    "today",
-    "tomorrow",
-    "last week",
-    "last month",
-)
-
-
 @dataclass(frozen=True)
 class RawParticipant:
     mention: str
@@ -148,15 +146,11 @@ class Extractor(Protocol):
 _FOOD_CUES = re.compile(
     r"\b(pasta|sushi|restaurant|food|pizza|cafe|eat|dinner|lunch|menu)\b", re.I
 )
-_TEMPORAL_WORDS = r"yesterday|today|tomorrow|last week|last month"
 
 
 class ReferenceExtractor:
     """Deterministic pattern extractor covering copula assertions, explicit
     dates, and a small verb lexicon. Emits confidence 1.0 for every match."""
-
-    def __init__(self, emit_empty_events: bool = True):
-        self.emit_empty_events = emit_empty_events
 
     def extract(self, request: ExtractionRequest) -> RawEventBundle:
         turn = request.turn
@@ -385,9 +379,6 @@ def extract_turn(
                 )
             )
 
-    if not facts and not _emit_empty_events(extractor):
-        return CommittedTurn(turn.id, None, [], [])
-
     event = Event(
         id=None,
         event_type=bundle.event_type,
@@ -401,10 +392,6 @@ def extract_turn(
     return CommittedTurn(
         turn.id, committed.event_id, committed.fact_ids, committed.evidence_ids
     )
-
-
-def _emit_empty_events(extractor) -> bool:
-    return getattr(extractor, "emit_empty_events", True)
 
 
 def _resolve_or_create(
@@ -437,7 +424,7 @@ def _resolve_or_create(
 @dataclass(frozen=True)
 class CommittedTurn:
     turn_id: int
-    event_id: Optional[int]
+    event_id: int
     fact_ids: list
     evidence_ids: list
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import subprocess
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -183,12 +183,9 @@ def policy_from_response(raw: dict) -> Union[ToolAction, FinalAnswer]:
 
 
 class SubprocessPolicy:
-    def __init__(self, command: List[str], named_params: Optional[dict] = None):
+    def __init__(self, command: List[str]):
         self.command = command
-        self.named_params = named_params or {}
 
-    def step(self, question, history):
-        response = _run(
-            self.command, policy_request(question, history, self.named_params)
-        )
+    def step(self, question, history, named_params):
+        response = _run(self.command, policy_request(question, history, named_params))
         return policy_from_response(response)

@@ -486,14 +486,25 @@ class Store:
 
     # -- temporal fact queries -----------------------------------------
 
-    def fact_history(self, subject_id: int, property_name: str) -> list:
-        """All matching facts, ascending by (valid_from, created_at, id)."""
+    def fact_history(
+        self,
+        subject_id: int,
+        property_name: str,
+        as_of: Optional[str] = None,
+    ) -> list:
+        """Matching facts, ascending by (valid_from, created_at, id). With
+        ``as_of``, only the facts whose valid_from is unset or at or before
+        it: the one as-of rule of the engine."""
         rows = self._conn.execute(
             "SELECT id, subject_id, property_name, value_json, dtype,"
             " valid_from, valid_to, confidence, created_at"
             " FROM facts WHERE subject_id = ? AND property_name = ?",
             (subject_id, property_name),
         ).fetchall()
+        if as_of is not None:
+            # an unset valid_from keys as "", before every cutoff
+            cutoff = temporal_sort_key(as_of)
+            rows = [r for r in rows if temporal_sort_key(r[5]) <= cutoff]
         rows.sort(
             key=lambda r: (temporal_sort_key(r[5]), temporal_sort_key(r[8]), r[0])
         )
@@ -505,16 +516,8 @@ class Store:
         property_name: str,
         as_of: Optional[str] = None,
     ) -> Optional[Fact]:
-        """Most recent fact whose valid_from is at or before ``as_of``."""
-        history = self.fact_history(subject_id, property_name)
-        if as_of is not None:
-            cutoff = temporal_sort_key(as_of)
-            history = [
-                fact
-                for fact in history
-                if fact.valid_from is None
-                or temporal_sort_key(fact.valid_from) <= cutoff
-            ]
+        """The last fact of ``fact_history``: the value in force at ``as_of``."""
+        history = self.fact_history(subject_id, property_name, as_of)
         return history[-1] if history else None
 
     @staticmethod

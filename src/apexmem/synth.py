@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from datetime import date, timedelta
+from typing import Dict, List, Tuple
 
 from . import extract
 from .extract import ReferenceExtractor
 from .index import VectorIndex
-from .ontology import Turn, temporal_sort_key
+from .ontology import Turn
 from .resolve import RuleBasedProvider
 from .store import Store
 
@@ -33,7 +34,7 @@ class Probe:
     kind: str  # "latest" | "before"
     subject: str
     property_name: str
-    as_of: str
+    as_of: str  # the question date: the value in force on it is expected
     expected: str
 
 
@@ -47,8 +48,8 @@ class SynthCorpus:
 
 def generate_corpus(seed: int, n_sessions: int, revisions_per_subject: int = 3) -> SynthCorpus:
     """Deterministic corpus: each subject revises one property across
-    sessions; probes ask for the latest value and for the value before
-    each revision."""
+    sessions; probes ask for the latest value and, on the day before each
+    revision, for the value then in force."""
     rng = random.Random(seed)
     n_subjects = max(1, min(len(_NAMES), n_sessions // 2 or 1))
     subjects = list(_NAMES[:n_subjects])
@@ -98,10 +99,10 @@ def generate_corpus(seed: int, n_sessions: int, revisions_per_subject: int = 3) 
             Probe("latest", subject, prop_name, "2030-01-01", history[-1][1])
         )
         for revision in range(1, len(history)):
-            revision_date, _ = history[revision]
+            day_before = date.fromisoformat(history[revision][0]) - timedelta(days=1)
             before = history[revision - 1][1]
             probes.append(
-                Probe("before", subject, prop_name, revision_date, before)
+                Probe("before", subject, prop_name, day_before.isoformat(), before)
             )
     return SynthCorpus(sessions, probes, timeline)
 
@@ -125,21 +126,6 @@ class SynthReport:
         return self.before_correct / self.before_total if self.before_total else 1.0
 
 
-def _answer_probe_append_only(store: Store, subject_id: int, probe: Probe) -> Optional[str]:
-    if probe.kind == "latest":
-        fact = store.latest_fact(subject_id, probe.property_name)
-    else:
-        # value in force strictly before the revision date
-        history = store.fact_history(subject_id, probe.property_name)
-        cutoff = temporal_sort_key(probe.as_of)
-        earlier = [
-            f for f in history
-            if f.valid_from is not None and temporal_sort_key(f.valid_from) < cutoff
-        ]
-        fact = earlier[-1] if earlier else None
-    return None if fact is None else str(fact.value)
-
-
 def run_synth_eval(
     seed: int, n_sessions: int, revisions_per_subject: int = 3, mode: str = "append_only"
 ) -> SynthReport:
@@ -151,41 +137,32 @@ def run_synth_eval(
 
     if mode == "eager_update":
         # overwrite semantics: history is lost at ingestion time
-        state: Dict[Tuple[str, str], str] = {}
-        for (subject, prop), history in corpus.timeline.items():
-            state[(subject, prop)] = history[-1][1]
+        state = {key: history[-1][1] for key, history in corpus.timeline.items()}
+        answers = [state.get((p.subject, p.property_name)) for p in corpus.probes]
+    else:
+        store = Store.open(":memory:")
+        index = VectorIndex()
+        extractor = ReferenceExtractor()
+        entity_provider = RuleBasedProvider()
+        property_provider = RuleBasedProvider()
+        for session in corpus.sessions:
+            extract.ingest_session(
+                store, index, extractor, entity_provider, property_provider, session
+            )
+        answers = []
         for probe in corpus.probes:
-            answer = state.get((probe.subject, probe.property_name))
-            if probe.kind == "latest":
-                report.latest_total += 1
-                report.latest_correct += int(answer == probe.expected)
-            else:
-                report.before_total += 1
-                report.before_correct += int(answer == probe.expected)
-        return report
+            row = store.find_entity_by_name(probe.subject)
+            fact = row and store.latest_fact(
+                row["entity_id"], probe.property_name, probe.as_of
+            )
+            answers.append(str(fact.value) if fact else None)
+        store.close()
 
-    store = Store.open(":memory:")
-    index = VectorIndex()
-    extractor = ReferenceExtractor()
-    entity_provider = RuleBasedProvider()
-    property_provider = RuleBasedProvider()
-    for session in corpus.sessions:
-        extract.ingest_session(
-            store, index, extractor, entity_provider, property_provider, session
-        )
-
-    for probe in corpus.probes:
-        row = store.find_entity_by_name(probe.subject)
-        answer = (
-            _answer_probe_append_only(store, row["entity_id"], probe)
-            if row
-            else None
-        )
+    for probe, answer in zip(corpus.probes, answers):
         if probe.kind == "latest":
             report.latest_total += 1
             report.latest_correct += int(answer == probe.expected)
         else:
             report.before_total += 1
             report.before_correct += int(answer == probe.expected)
-    store.close()
     return report

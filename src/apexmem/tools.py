@@ -125,7 +125,8 @@ _EXAMPLE_QUERIES = {
         "CAST((julianday(:question_date) - julianday(json_extract(f.value_json, '$')))"
         "/7 AS INTEGER) as weeks_approx "
         "FROM facts f WHERE f.subject_id = :user_id "
-        "AND f.property_name = :property_id ORDER BY f.created_at DESC LIMIT 1"
+        "AND f.property_name = :property_id "
+        "ORDER BY julianday(f.created_at) DESC LIMIT 1"
     ),
 }
 
@@ -133,7 +134,7 @@ _USAGE_GUIDE = """\
 Usage guide
 -----------
 - entity_lookup: call first to canonicalize a person/place/thing name to an
-  entity id and see its most recent property values at a glance.
+  entity id and see its property values in force at the question date.
 - search: broad hybrid retrieval; use for open-ended questions, or when you
   do not know which entity, event, or property holds the answer.
 - property_search: find the canonical snake_case property name before
@@ -143,12 +144,14 @@ Usage guide
   read-only SELECT (or WITH ... SELECT) statements over the whitelisted
   tables are accepted. Named parameters (:question_date etc.) are bound
   from the arguments.
-- Temporal SQL: anchor_datetime and valid_from/valid_to are ISO-8601 text;
-  compare them lexicographically, or use julianday(:question_date) -
-  julianday(json_extract(f.value_json, '$')) for day arithmetic. To get the
-  current value of a property, ORDER BY valid_from DESC, created_at DESC
-  LIMIT 1. Superseded facts remain in the table: filter by valid_from <=
-  the question date to reconstruct past states.
+- Temporal SQL: anchor_datetime and valid_from/valid_to are ISO-8601 text
+  that may carry a UTC offset, so compare them with julianday(), never as
+  strings; julianday(:question_date) -
+  julianday(json_extract(f.value_json, '$')) gives a difference in days. To
+  get the current value of a property, ORDER BY julianday(valid_from) DESC,
+  julianday(created_at) DESC LIMIT 1. Superseded facts remain in the table:
+  filter by julianday(valid_from) <= julianday(:question_date) to
+  reconstruct past states.
 """
 
 
@@ -156,9 +159,6 @@ def schema_viewer(include_examples: bool = False, include_guide: bool = False) -
     sections = ["Tables", "------"]
     for table in WHITELISTED_TABLES:
         sections.append(f"- {table}({_SCHEMA_COLUMNS[table]})")
-    sections.append(
-        "\nEvery table also has a lexical search view used by the search tool."
-    )
     if include_examples:
         sections.append("\nExample queries\n---------------")
         for category, query in _EXAMPLE_QUERIES.items():
@@ -179,20 +179,24 @@ class EntityDocument:
     facts: str
 
 
-def build_entity_document(store: Store, entity_id: int) -> Optional[EntityDocument]:
+def build_entity_document(
+    store: Store, entity_id: int, as_of: Optional[str] = None
+) -> Optional[EntityDocument]:
+    """The entity as known at ``as_of`` (a question date): its facts in force
+    then, and the anchors of its events on or before that day."""
     row = store.entity_row(entity_id)
     if row is None:
         return None
-    properties = store.subject_properties(entity_id)
     latest_rows = []
     history_rows = []
-    for prop in properties:
-        latest = store.latest_fact(entity_id, prop)
-        if latest is not None:
+    for prop in store.subject_properties(entity_id):
+        history = store.fact_history(entity_id, prop, as_of)
+        if history:
+            latest = history[-1]
             latest_rows.append(
                 [prop, json.dumps(_jsonable(latest.value)), latest.valid_from or ""]
             )
-        for fact in store.fact_history(entity_id, prop):
+        for fact in history:
             history_rows.append(
                 [
                     prop,
@@ -211,6 +215,9 @@ def build_entity_document(store: Store, entity_id: int) -> Optional[EntityDocume
             (entity_id,),
         ).fetchall()
     )
+    if as_of is not None:
+        day = temporal_sort_key(as_of)[:10]
+        anchors = tuple(a for a in anchors if temporal_sort_key(a)[:10] <= day)
     last_anchor = max(anchors, key=temporal_sort_key) if anchors else None
     return EntityDocument(
         id=entity_id,
@@ -249,13 +256,19 @@ def render_entity_document(doc: EntityDocument) -> str:
     return "\n".join(lines)
 
 
-def entity_lookup(store: Store, index: VectorIndex, query: str, k: int = 5) -> ToolResult:
+def entity_lookup(
+    store: Store,
+    index: VectorIndex,
+    query: str,
+    k: int = 5,
+    as_of: Optional[str] = None,
+) -> ToolResult:
     if k < 1:
         return ToolResult(ok=False, error="k must be >= 1")
     hits = hybrid_search(store, index, ["entity"], query, k)
     documents = []
     for doc_id, _kind, _score in hits:
-        doc = build_entity_document(store, doc_id)
+        doc = build_entity_document(store, doc_id, as_of)
         if doc is not None:
             documents.append(render_entity_document(doc))
     if not documents:
@@ -439,6 +452,9 @@ class ToolKit:
         self.index = index
 
     def dispatch(self, call: ToolCall, default_params: Optional[dict] = None) -> ToolResult:
+        """Run one call. ``default_params`` are the run's named parameters:
+        GraphSQL binds them, and entity_lookup shows the entity as of their
+        question_date."""
         if call.tool not in TOOL_NAMES:
             return ToolResult(ok=False, error=f"unknown tool: {call.tool!r}")
         error = _validate_args(call)
@@ -452,7 +468,8 @@ class ToolKit:
             )
         if call.tool == "entity_lookup":
             return entity_lookup(
-                self.store, self.index, args["query"], int(args.get("k", 5))
+                self.store, self.index, args["query"], int(args.get("k", 5)),
+                (default_params or {}).get("question_date"),
             )
         if call.tool == "graph_sql":
             params = dict(default_params or {})

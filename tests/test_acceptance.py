@@ -297,7 +297,7 @@ class _FuzzPolicy:
         self.calls = 0
         self._rng = random.Random(5)
 
-    def step(self, question, history):
+    def step(self, question, history, named_params):
         self.calls += 1
         from apexmem.tools import ToolCall
 

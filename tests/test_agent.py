@@ -1,4 +1,8 @@
+from datetime import date, timedelta
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apexmem.agent import (
     DEFAULT_MAX_TOOL_CALLS,
@@ -12,8 +16,14 @@ from apexmem.agent import (
     run_agent,
 )
 from apexmem.errors import ProviderFailure
+from apexmem.extract import ingest_session
+from apexmem.index import VectorIndex
+from apexmem.ontology import Turn
+from apexmem.store import Store
 from apexmem.tools import ToolCall
-from conftest import ingest_case1
+from conftest import ingest_case1, reference_pipeline
+
+NOT_FOUND = "I could not find an answer in memory."
 
 
 def test_default_budget_is_40():
@@ -30,6 +40,15 @@ def test_resolve_question_temporals():
     params = annotated.named_params()
     assert params["question_date"] == "2024-04-01"
     assert params["range_start"] == "2024-03-31"
+    # annotations follow extract.RELATIVE_EXPRESSIONS, then "N ... ago"
+    annotated = resolve_question_temporals(
+        "What did Alice eat 3 weeks ago, yesterday and last month?",
+        "2024-04-01T00:00:00Z",
+    )
+    assert [a.expression for a in annotated.annotations] == [
+        "last month", "yesterday", "3 weeks ago"]
+    assert annotated.named_params()["range_start"] == "2024-03-01"
+    assert annotated.annotations[2].valid_from == "2024-03-11"
 
 
 def test_scripted_policy_answers(store, index):
@@ -52,7 +71,7 @@ def test_budget_exhaustion_is_exact(store, index):
         def __init__(self):
             self.calls = 0
 
-        def step(self, question, history):
+        def step(self, question, history, named_params):
             self.calls += 1
             return ToolAction("poke", ToolCall("schema_viewer", {}))
 
@@ -85,7 +104,7 @@ def test_malformed_output_reprompted_once(store, index):
         def __init__(self, outputs):
             self.outputs = list(outputs)
 
-        def step(self, question, history):
+        def step(self, question, history, named_params):
             return self.outputs.pop(0)
 
     recovered = Flaky(["garbage", FinalAnswer("ok", (), None)])
@@ -101,7 +120,7 @@ def test_policy_exception_raises_provider_failure(store, index):
     ingest_case1(store, index)
 
     class Broken:
-        def step(self, question, history):
+        def step(self, question, history, named_params):
             raise RuntimeError("boom")
 
     with pytest.raises(ProviderFailure):
@@ -138,6 +157,62 @@ def test_heuristic_policy_answers_case1(store, index):
     )
     assert transcript.terminated_reason == "answered"
     assert transcript.answer.text == "Sakura Sushi"
+
+
+def test_heuristic_policy_answers_at_the_question_date(store, index):
+    ingest_case1(store, index)
+    transcript = run_agent(
+        store, index, HeuristicPolicy(store),
+        "What is Alice's favorite restaurant?",
+        AgentConfig(question_date="2024-02-01"),
+    )
+    assert transcript.answer.text == "Italian Garden"
+    lookup = transcript.steps[0]
+    assert lookup.call.tool == "entity_lookup" and lookup.result.ok
+    documents = lookup.result.text.split("### ")[1:]
+    alice = next(doc for doc in documents if doc.startswith("Alice "))
+    assert '"Italian Garden"' in alice
+    assert "Sakura Sushi" not in alice
+    assert "2024-03-20" not in alice
+    assert "last_anchor: 2024-01-15T10:00:00Z" in alice
+
+
+_COLORS = ("blue", "green", "red", "amber", "teal")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    statements=st.lists(
+        st.tuples(st.integers(0, 60), st.sampled_from(_COLORS)),
+        min_size=1, max_size=5,
+    ),
+    asked=st.integers(-5, 70),
+)
+@example(statements=[(0, "blue"), (30, "red")], asked=10)
+@example(statements=[(0, "blue"), (30, "red")], asked=-1)
+def test_heuristic_answer_is_the_last_value_stated_by_the_question_date(
+    statements, asked
+):
+    """Statements are made ``days`` after 2024-01-01, in list order within a
+    day; the question is asked ``asked`` days after it."""
+    start = date(2024, 1, 1)
+    statements = sorted(statements, key=lambda s: s[0])
+    turns = [
+        Turn(None, "s", "Alice", "Assistant", f"My favorite color is {value}.",
+             f"{start + timedelta(days)}T10:{ordinal:02d}:00Z", ordinal)
+        for ordinal, (days, value) in enumerate(statements)
+    ]
+    store = Store.open(":memory:")
+    index = VectorIndex()
+    for outcome in ingest_session(store, index, *reference_pipeline(), turns):
+        assert outcome.ok, outcome.error
+    transcript = run_agent(
+        store, index, HeuristicPolicy(store), "What is Alice's favorite color?",
+        AgentConfig(question_date=str(start + timedelta(asked))),
+    )
+    store.close()
+    stated = [value for days, value in statements if days <= asked]
+    assert transcript.answer.text == (stated[-1] if stated else NOT_FOUND)
 
 
 def test_render_transcript(store, index):

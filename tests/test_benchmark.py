@@ -1,6 +1,8 @@
-"""One round of the file-backed benchmark workload as a smoke test: it
+"""One round of two benchmark workloads as smoke tests. ``ingest_file``
 ingests into a file-backed store, reopens it with its vector sidecar and
-checks row counts, fact histories, replay equality and one vector per row."""
+checks row counts, fact histories, replay equality and one vector per row.
+``qa_mem`` asks questions dated at and between revisions of a 600-turn store
+and checks each answer against the value in force at the question date."""
 import json
 import os
 import subprocess
@@ -9,9 +11,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_ingest_file_round_is_correct():
+def _one_round(workload: str) -> None:
     completed = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "ingest_file",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -20,3 +22,11 @@ def test_ingest_file_round_is_correct():
     assert result["correct"] is True, completed.stderr
     assert result["failed"] == 0, completed.stderr
     assert result["attempted"] > 0
+
+
+def test_ingest_file_round_is_correct():
+    _one_round("ingest_file")
+
+
+def test_qa_mem_round_is_correct():
+    _one_round("qa_mem")

@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+import sys
 from collections import Counter
 
 import pytest
@@ -108,6 +110,23 @@ def test_qa_answers_case1(runner, tmp_path):
     ])
     assert result.exit_code == 0, result.output
     assert "Sakura Sushi" in result.output
+
+
+def test_qa_sends_the_question_date_to_a_plugin_policy(runner, tmp_path):
+    store_path = _ingest_case1(runner, tmp_path)
+    plugin = tmp_path / "policy.py"
+    plugin.write_text(
+        "import json, sys\n"
+        "request = json.load(sys.stdin)\n"
+        "json.dump({'answer': request['named_params']['question_date']}, sys.stdout)\n"
+    )
+    result = runner.invoke(main, [
+        "qa", "What is Alice's favorite restaurant?",
+        "--store", store_path, "--question-date", "2024-02-01",
+        "--policy", shlex.join([sys.executable, str(plugin)]),
+    ])
+    assert result.exit_code == 0, result.output
+    assert result.output.strip() == "2024-02-01"
 
 
 def test_qa_trace_flag(runner, tmp_path):

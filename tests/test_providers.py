@@ -74,7 +74,7 @@ def test_subprocess_policy(tmp_path):
             json.dump({"answer": "42", "cited_evidence": []}, sys.stdout)
     """)
     policy = SubprocessPolicy(command)
-    first = policy.step("q", [])
+    first = policy.step("q", [], {})
     assert isinstance(first, ToolAction)
     assert first.call.tool == "schema_viewer"
 
@@ -83,4 +83,4 @@ def test_subprocess_policy_crash_raises(tmp_path):
     command = _script(tmp_path, "crash.py", "import sys; sys.exit(3)")
     policy = SubprocessPolicy(command)
     with pytest.raises(ProviderFailure):
-        policy.step("q", [])
+        policy.step("q", [], {})

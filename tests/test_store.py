@@ -158,6 +158,25 @@ def test_fact_history_and_latest_resolution(store):
                              "2023-01-01T00:00:00Z") is None
 
 
+def test_fact_history_as_of_includes_the_cutoff_day(store):
+    subject = store.append_entity("Alice", "Person", Role.Speaker, [],
+                                  created_at="2023-06-01T00:00:00Z")
+    values = [("amber", None, "2023-06-01"), ("blue", "2024-01-01", "2024-01-01"),
+              ("green", "2024-03-01", "2024-03-01")]
+    for value, valid_from, day in values:
+        fact = Fact(None, subject, "favorite_color", value, DType.str,
+                    valid_from, None, 1.0, day + "T09:00:00Z")
+        store.append_event_bundle(_event(day + "T09:00:00Z"), [fact], [], [])
+
+    def as_of(day):
+        return [f.value for f in store.fact_history(subject, "favorite_color", day)]
+
+    assert as_of("2024-03-01") == ["amber", "blue", "green"]
+    assert as_of("2024-02-29") == ["amber", "blue"]
+    assert as_of("2023-12-31") == ["amber"]  # an unset valid_from always counts
+    assert store.latest_fact(subject, "favorite_color", "2024-01-01").value == "blue"
+
+
 def test_replay_reconstructs_store(store, tmp_path):
     subject = store.append_entity("Alice", "Person", Role.Speaker, [],
                                   created_at="2024-01-01T00:00:00Z")

@@ -41,9 +41,7 @@ Tables
 - events(id, event_type, anchor_datetime, location, created_at)
 - evidence(id, fact_id, event_id, turn_id, span_start, span_end, quoted_text)
 - event_participants(event_id, entity_id, role)
-- turns(id, session_id, ordinal, speaker, listener, text, anchor_datetime)
-
-Every table also has a lexical search view used by the search tool."""
+- turns(id, session_id, ordinal, speaker, listener, text, anchor_datetime)"""
 
 
 def test_schema_viewer_text_is_pinned():
