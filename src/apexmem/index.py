@@ -1,5 +1,9 @@
 """Hybrid retrieval: dense vectors from a pluggable embedder plus BM25
 lexical ranking over the search text of the store's rows, fused per query.
+
+Rows are immutable and ids only grow, so both channels keep their state per
+kind and only ever extend it: a query first folds in the rows added since
+the last one, then scores every row with a few array operations.
 """
 from __future__ import annotations
 
@@ -7,10 +11,13 @@ import json
 import math
 import os
 import re
+import weakref
 import zlib
+from array import array
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -104,28 +111,199 @@ def bm25_scores(
     return scores
 
 
-def lexical_search(store: Store, kind: str, query: str, k: int) -> List[Tuple[int, float]]:
+def lexical_search(
+    store: Store, index: "VectorIndex", kind: str, query: str, k: int
+) -> List[Tuple[int, float]]:
     """Top-k (doc_id, BM25 score), ties broken by ascending doc_id."""
-    scores = bm25_scores(store.lexical_documents(kind), query)
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+    return index.lexical_scores(store, kind, query).top(k)
+
+
+class Scores(Mapping):
+    """doc_id -> score over the rows of one kind, backed by two aligned
+    arrays. ``rows`` maps a doc_id to its position; positions past the
+    arrays' end are rows added after the scores were taken."""
+
+    def __init__(self, doc_ids: np.ndarray, values: np.ndarray,
+                 rows: Optional[Dict[int, int]] = None):
+        self.doc_ids = doc_ids
+        self.values = values
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.doc_ids.tolist())
+
+    def __getitem__(self, doc_id: int) -> float:
+        if self._rows is None:
+            self._rows = dict(zip(self.doc_ids.tolist(), range(len(self.doc_ids))))
+        row = self._rows.get(doc_id, len(self.values))
+        if row >= len(self.values):
+            raise KeyError(doc_id)
+        return float(self.values[row])
+
+    def top(self, k: int) -> List[Tuple[int, float]]:
+        """The k best (doc_id, score), best first, ties by ascending doc_id."""
+        doc_ids, values = self.doc_ids, self.values
+        n = len(values)
+        if k < 1:
+            return []
+        if k < n:
+            # every row that ties with the k-th best competes for its place
+            picked = np.flatnonzero(values >= np.partition(values, n - k)[n - k])
+            doc_ids, values = doc_ids[picked], values[picked]
+        order = np.lexsort((doc_ids, -values))[:k]
+        return list(zip(doc_ids[order].tolist(), values[order].tolist()))
+
+
+class _Postings:
+    """Incremental BM25 statistics of one kind: per term the rows holding it
+    and its frequency there, each row's doc_id and length, and the total
+    length. ``extend`` appends rows above ``high_water``."""
+
+    def __init__(self):
+        self.high_water = 0
+        self.doc_ids = array("q")
+        self.lengths = array("q")
+        self.total_length = 0
+        self.terms: Dict[str, Tuple[array, array]] = {}
+        self.length_norms = np.empty(0)
+
+    def extend(self, documents: Iterable[Tuple[int, str]]) -> None:
+        for doc_id, text in documents:
+            tokens = tokenize(text)
+            row = len(self.doc_ids)
+            self.doc_ids.append(doc_id)
+            self.lengths.append(len(tokens))
+            self.total_length += len(tokens)
+            for term, freq in Counter(tokens).items():
+                posting = self.terms.get(term)
+                if posting is None:
+                    posting = self.terms[term] = (array("q"), array("q"))
+                posting[0].append(row)
+                posting[1].append(freq)
+            self.high_water = doc_id
+
+    def scores(self, query: str) -> Scores:
+        """BM25 of every row with a positive score. The arithmetic is that of
+        ``bm25_scores``, term by term in the same order."""
+        n_docs = len(self.doc_ids)
+        totals = np.zeros(n_docs)
+        if len(self.length_norms) != n_docs:
+            # the part of each row's denominator that no term changes
+            avgdl = self.total_length / n_docs
+            self.length_norms = BM25_K1 * (
+                1.0 - BM25_B + BM25_B * np.array(self.lengths) / avgdl
+            )
+        for term in dict.fromkeys(tokenize(query)):
+            posting = self.terms.get(term)
+            if posting is None:
+                continue
+            rows, freqs = np.array(posting[0]), np.array(posting[1])
+            df = len(rows)
+            idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+            totals[rows] += idf * freqs * (BM25_K1 + 1.0) / (freqs + self.length_norms[rows])
+        positive = np.flatnonzero(totals > 0.0)
+        return Scores(np.array(self.doc_ids)[positive], totals[positive])
+
+
+class _Vectors:
+    """One kind's vectors as the rows of one float64 matrix, with their norms
+    and doc_ids. ``add`` only queues a vector; ``fold`` copies the queue in
+    as one block, growing the matrix about 1.25x when it is full."""
+
+    def __init__(self, dimension: int):
+        self.matrix = np.empty((0, dimension))
+        self.norms = np.empty(0)
+        self.doc_ids = np.empty(0, dtype=np.int64)
+        self.count = 0
+        # doc_id -> row, queued rows included
+        self.rows: Dict[int, int] = {}
+        self.pending: List[Tuple[int, np.ndarray]] = []
+
+    def add(self, doc_id: int, vector: np.ndarray) -> None:
+        self.rows[doc_id] = self.count + len(self.pending)
+        self.pending.append((doc_id, vector))
+
+    def vector(self, doc_id: int) -> np.ndarray:
+        row = self.rows[doc_id]
+        if row >= self.count:
+            return self.pending[row - self.count][1].copy()
+        return self.matrix[row].copy()
+
+    def fold(self) -> None:
+        if not self.pending:
+            return
+        start, stop = self.count, self.count + len(self.pending)
+        if stop > len(self.matrix):
+            capacity = max(stop, len(self.matrix) * 5 // 4)
+            self.matrix = _grown(self.matrix, capacity, start)
+            self.norms = _grown(self.norms, capacity, start)
+            self.doc_ids = _grown(self.doc_ids, capacity, start)
+        block = self.matrix[start:stop]
+        block[:] = [vector for _, vector in self.pending]
+        self.norms[start:stop] = np.sqrt(np.einsum("ij,ij->i", block, block))
+        # cosine is undefined for a zero vector; the batch stays queued, so
+        # every query of this kind raises
+        if not self.norms[start:stop].all():
+            raise ZeroVector("cosine undefined for all-zero vectors")
+        self.doc_ids[start:stop] = [doc_id for doc_id, _ in self.pending]
+        self.count = stop
+        self.pending.clear()
+
+
+def _grown(old: np.ndarray, capacity: int, used: int) -> np.ndarray:
+    new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+    new[:used] = old[:used]
+    return new
+
+
+class _Entries(Mapping):
+    """(kind, doc_id) -> vector over every kind's rows. It holds the per-kind
+    state, not the index, so that dropping an index frees it at once."""
+
+    def __init__(self, vectors: Dict[str, _Vectors]):
+        self._vectors = vectors
+
+    def __len__(self) -> int:
+        return sum(len(kind.rows) for kind in self._vectors.values())
+
+    def __iter__(self) -> Iterator[Tuple[str, int]]:
+        for kind, vectors in self._vectors.items():
+            for doc_id in vectors.rows:
+                yield kind, doc_id
+
+    def __contains__(self, key) -> bool:
+        kind, doc_id = key
+        return kind in self._vectors and doc_id in self._vectors[kind].rows
+
+    def __getitem__(self, key: Tuple[str, int]) -> np.ndarray:
+        kind, doc_id = key
+        if key not in self:
+            raise KeyError(key)
+        return self._vectors[kind].vector(doc_id)
 
 
 def kind_documents(store: Store, kind: str, after_id: int = 0) -> List[Tuple[int, str]]:
-    """The (doc_id, text) surface that both channels index for one kind,
-    limited to ids above ``after_id``."""
+    """The (doc_id, text) rows of one kind that ``upsert_embeddings`` embeds,
+    limited to ids above ``after_id``. The lexical channel reads the same
+    rows from ``Store.lexical_documents`` itself, so that this counts the
+    embedder's reads only."""
     return store.lexical_documents(kind, after_id)
 
 
 class VectorIndex:
-    """Flat, exhaustively scanned vector index, persisted as an append-only
-    sidecar file when it has a path."""
+    """Exhaustively scanned vectors, one matrix per kind, persisted as an
+    append-only sidecar file when it has a path; and the BM25 postings of
+    the store it is searched with, which are derived and never saved."""
 
     def __init__(self, embedder=None, path: Optional[str] = None):
         self.embedder = embedder or TrigramEmbedder()
         self.path = path
         self.dimension = self.embedder.dimension
-        self.entries: Dict[Tuple[str, int], np.ndarray] = {}
+        self._vectors: Dict[str, _Vectors] = {}
+        self.entries = _Entries(self._vectors)
         # highest doc_id held per kind; rows are immutable and ids only grow
         self.high_water: Dict[str, int] = {}
         # keys embedded since the last save, which save() appends to the
@@ -133,6 +311,9 @@ class VectorIndex:
         self._unsaved: Optional[List[Tuple[str, int]]] = None
         # bytes of whole records in the sidecar; anything past them is torn
         self._saved_bytes = 0
+        # the store the postings were read from; another store resets them
+        self._lexical_store = None
+        self._postings: Dict[str, _Postings] = {}
         if path is not None:
             self._unsaved = []
             self._load()
@@ -207,15 +388,44 @@ class VectorIndex:
         return True
 
     def _put(self, kind: str, doc_id: int, vector: np.ndarray) -> None:
-        self.entries[(kind, doc_id)] = vector
+        vectors = self._vectors.get(kind)
+        if vectors is None:
+            vectors = self._vectors[kind] = _Vectors(self.dimension)
+        vectors.add(doc_id, vector)
         self.high_water[kind] = max(self.high_water.get(kind, 0), doc_id)
 
-    def dense_scores(self, kind: str, query_vector: np.ndarray) -> Dict[int, float]:
-        scores = {}
-        for (entry_kind, doc_id), vector in self.entries.items():
-            if entry_kind == kind:
-                scores[doc_id] = cosine(query_vector, vector)
-        return scores
+    def dense_scores(self, kind: str, query_vector: np.ndarray) -> Scores:
+        """Cosine similarity of the query to every vector of ``kind``."""
+        query_vector = np.asarray(query_vector, dtype=np.float64)
+        if query_vector.shape != (self.dimension,):
+            raise DimensionMismatch(
+                f"dimensions {query_vector.shape} vs ({self.dimension},)"
+            )
+        vectors = self._vectors.get(kind)
+        if vectors is None:
+            return Scores(np.empty(0, dtype=np.int64), np.empty(0))
+        query_norm = np.linalg.norm(query_vector)
+        if query_norm == 0.0:
+            raise ZeroVector("cosine undefined for all-zero vectors")
+        vectors.fold()
+        n = vectors.count
+        # einsum runs on this thread; matrix @ vector may hand a large
+        # matrix to BLAS threads, which cost more than they save here
+        products = np.einsum("ij,j->i", vectors.matrix[:n], query_vector)
+        return Scores(vectors.doc_ids[:n], products / (vectors.norms[:n] * query_norm),
+                      vectors.rows)
+
+    def lexical_scores(self, store: Store, kind: str, query: str) -> Scores:
+        """BM25 over every committed row of ``kind`` in ``store``, after
+        reading in the rows added since the last query of that kind."""
+        if self._lexical_store is None or self._lexical_store() is not store:
+            self._lexical_store = weakref.ref(store)
+            self._postings.clear()
+        postings = self._postings.get(kind)
+        if postings is None:
+            postings = self._postings[kind] = _Postings()
+        postings.extend(store.lexical_documents(kind, postings.high_water))
+        return postings.scores(query)
 
 
 def upsert_embeddings(store: Store, index: VectorIndex) -> int:
@@ -261,21 +471,22 @@ def hybrid_search(
     query: str,
     k: int,
     alpha: float = FUSION_ALPHA,
+    query_vector: Optional[np.ndarray] = None,
 ) -> List[Tuple[int, str, HybridScore]]:
-    """Fused ranking over the union of dense and lexical candidate pools."""
+    """Fused ranking over the union of dense and lexical candidate pools.
+    ``query_vector``, when given, is ``index.embed(query)``."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    query_vector = index.embed(query)
+    if query_vector is None:
+        query_vector = index.embed(query)
     pool = POOL_MULTIPLIER * k
     results = []
     for kind in sorted(set(kinds)):
         if kind not in KINDS:
             raise UnknownView(f"unknown kind: {kind}")
         dense_all = index.dense_scores(kind, query_vector)
-        dense_pool = sorted(dense_all.items(), key=lambda i: (-i[1], i[0]))[:pool]
-        lexical_pool = lexical_search(store, kind, query, pool)
-        lexical_all = dict(lexical_pool)
-        candidates = {doc_id for doc_id, _ in dense_pool} | set(lexical_all)
+        lexical_all = dict(lexical_search(store, index, kind, query, pool))
+        candidates = {doc_id for doc_id, _ in dense_all.top(pool)} | set(lexical_all)
         if not candidates:
             continue
         dense_raw = {doc_id: dense_all.get(doc_id, 0.0) for doc_id in candidates}

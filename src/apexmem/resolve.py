@@ -120,8 +120,7 @@ def retrieve_entity_candidates(
     if k < 1:
         raise ValueError("k must be >= 1")
     query_vector = index.embed(mention)
-    scored = index.dense_scores("entity", query_vector)
-    ranked = sorted(scored.items(), key=lambda item: (-item[1], item[0]))[:k]
+    ranked = index.dense_scores("entity", query_vector).top(k)
     candidates = []
     for entity_id, score in ranked:
         row = store.entity_row(entity_id)
@@ -144,8 +143,7 @@ def retrieve_property_candidates(
     store: Store, index: VectorIndex, name: str, k: int = DEFAULT_K
 ) -> List[Candidate]:
     query_vector = index.embed(name)
-    scored = index.dense_scores("property", query_vector)
-    ranked = sorted(scored.items(), key=lambda item: (-item[1], item[0]))[:k]
+    ranked = index.dense_scores("property", query_vector).top(k)
     candidates = []
     for property_id, score in ranked:
         row = store._conn.execute(

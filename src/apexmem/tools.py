@@ -68,6 +68,65 @@ TOOL_ARG_SCHEMAS: Dict[str, dict] = {
 }
 
 
+# JSON Schema's types, as jsonschema checks them: 1.0 is an integer, True is not
+_TYPE_CHECKS = {
+    "object": lambda value: isinstance(value, dict),
+    "string": lambda value: isinstance(value, str),
+    "boolean": lambda value: isinstance(value, bool),
+    "integer": lambda value: not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ),
+}
+_KEYWORDS = {"type", "properties", "required", "additionalProperties", "minimum"}
+
+
+def _schema_error(schema: dict, value: Any) -> Optional[str]:
+    """The first way ``value`` breaks ``schema``, or None. Only the keywords
+    in ``_KEYWORDS`` are checked; ``_check_supported`` refuses any other."""
+    if "type" in schema and not _TYPE_CHECKS[schema["type"]](value):
+        return f"{value!r} is not of type {schema['type']!r}"
+    if (
+        "minimum" in schema
+        and isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and value < schema["minimum"]
+    ):
+        return f"{value!r} is less than the minimum of {schema['minimum']!r}"
+    if not isinstance(value, dict):
+        return None
+    properties = schema.get("properties", {})
+    for name in schema.get("required", ()):
+        if name not in value:
+            return f"{name!r} is a required property"
+    if schema.get("additionalProperties") is False:
+        extra = [repr(name) for name in value if name not in properties]
+        if extra:
+            return f"additional properties are not allowed ({', '.join(extra)} unexpected)"
+    for name, subschema in properties.items():
+        if name in value:
+            error = _schema_error(subschema, value[name])
+            if error:
+                return f"{name}: {error}"
+    return None
+
+
+def _check_supported(schema: dict) -> None:
+    """Raise unless ``_schema_error`` checks all of ``schema``."""
+    unknown = set(schema) - _KEYWORDS
+    if schema.get("additionalProperties", False) is not False:
+        unknown.add("additionalProperties")
+    if schema.get("type", "object") not in _TYPE_CHECKS:
+        unknown.add(f"type {schema['type']!r}")
+    if unknown:
+        raise ValueError(f"unsupported JSON Schema keywords: {sorted(unknown)}")
+    for subschema in schema.get("properties", {}).values():
+        _check_supported(subschema)
+
+
+for _schema in TOOL_ARG_SCHEMAS.values():
+    _check_supported(_schema)
+
+
 @dataclass(frozen=True)
 class ToolResult:
     ok: bool
@@ -359,8 +418,10 @@ def search(store: Store, index: VectorIndex, query: str, k: int = 5) -> ToolResu
     if k < 1:
         return ToolResult(ok=False, error="k must be >= 1")
     sections = []
+    query_vector = index.embed(query)
 
-    entity_hits = hybrid_search(store, index, ["entity"], query, k)
+    entity_hits = hybrid_search(store, index, ["entity"], query, k,
+                                query_vector=query_vector)
     rows = []
     for doc_id, _kind, score in entity_hits:
         info = store.entity_row(doc_id)
@@ -372,7 +433,8 @@ def search(store: Store, index: VectorIndex, query: str, k: int = 5) -> ToolResu
         "Entities:\n" + render_markdown_table(["id", "name", "type", "score"], rows)
     )
 
-    property_hits = hybrid_search(store, index, ["property"], query, k)
+    property_hits = hybrid_search(store, index, ["property"], query, k,
+                                  query_vector=query_vector)
     rows = []
     for doc_id, _kind, score in property_hits:
         name, dtype = store._conn.execute(
@@ -385,7 +447,8 @@ def search(store: Store, index: VectorIndex, query: str, k: int = 5) -> ToolResu
         + render_markdown_table(["property_name", "dtype", "score"], rows)
     )
 
-    ev_hits = hybrid_search(store, index, ["event", "evidence"], query, k)
+    ev_hits = hybrid_search(store, index, ["event", "evidence"], query, k,
+                            query_vector=query_vector)
     rows = []
     for doc_id, kind, score in ev_hits:
         if kind == "event":
@@ -404,7 +467,8 @@ def search(store: Store, index: VectorIndex, query: str, k: int = 5) -> ToolResu
         + render_markdown_table(["kind", "id", "summary", "score"], rows)
     )
 
-    turn_hits = hybrid_search(store, index, ["turn"], query, k)
+    turn_hits = hybrid_search(store, index, ["turn"], query, k,
+                              query_vector=query_vector)
     rows = []
     for doc_id, _kind, score in turn_hits:
         record = store._conn.execute(
@@ -483,10 +547,5 @@ class ToolKit:
 
 
 def _validate_args(call: ToolCall) -> Optional[str]:
-    import jsonschema
-
-    try:
-        jsonschema.validate(call.args, TOOL_ARG_SCHEMAS[call.tool])
-    except jsonschema.ValidationError as exc:
-        return f"invalid arguments for {call.tool}: {exc.message}"
-    return None
+    error = _schema_error(TOOL_ARG_SCHEMAS[call.tool], call.args)
+    return f"invalid arguments for {call.tool}: {error}" if error else None

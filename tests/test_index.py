@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from apexmem.errors import DimensionMismatch, EmbedderFailure, IoFailure, ZeroVe
 from apexmem.index import (
     BM25_B,
     BM25_K1,
+    KINDS,
     TrigramEmbedder,
     VectorIndex,
     bm25_scores,
@@ -120,7 +123,7 @@ def test_minmax_normalize_spreads_to_unit_interval():
 
 def test_lexical_search_over_store(store, index):
     ingest_case1(store, index)
-    hits = lexical_search(store, "entity", "sakura sushi", k=3)
+    hits = lexical_search(store, index, "entity", "sakura sushi", k=3)
     assert hits
     top_id = hits[0][0]
     assert store.entity_row(top_id)["entity_name"] == "Sakura Sushi"
@@ -367,3 +370,125 @@ def test_hybrid_dense_matches_brute_force(store, index):
     for doc_id, _, score in results:
         doc_vec = index.entries[("entity", doc_id)]
         assert score.dense == pytest.approx(cosine(query_vec, doc_vec), abs=1e-9)
+
+
+_WORDS = ["sakura", "sushi", "garden", "pasta", "blue", "red", "town", "walk"]
+
+
+class _ScaledEmbedder(TrigramEmbedder):
+    """Trigram vectors scaled by the text's length, so that no norm is 1."""
+
+    def embed(self, text):
+        return super().embed(text) * (1.0 + len(text))
+
+
+def _append_entity(store, text):
+    return store.append_entity(text, "Topic", Role.Mentioned, [],
+                               created_at="2024-01-01T00:00:00Z")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.sampled_from(["append", "append and embed", "query"]),
+        st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5),
+    ),
+    min_size=1, max_size=30,
+))
+def test_incremental_index_matches_oracles(steps):
+    """Appends, embeddings and queries in any order: the postings and the
+    matrix, extended in place, score like the from-scratch oracles."""
+    store = Store.open(":memory:")
+    embedder = _ScaledEmbedder()
+    index = VectorIndex(embedder)
+    for action, words in steps:
+        text = " ".join(words)
+        if action != "query":
+            _append_entity(store, text)
+            if action == "append and embed":
+                upsert_embeddings(store, index)
+            continue
+        corpus = store.lexical_documents("entity")
+        got = index.lexical_scores(store, "entity", text)
+        want = bm25_scores(corpus, text)
+        assert set(got) == set(want)
+        for doc_id, score in want.items():
+            assert abs(got[doc_id] - score) < 1e-9
+        query_vector = embedder.embed(text)
+        embedded = [(doc_id, doc) for doc_id, doc in corpus
+                    if doc_id <= index.high_water.get("entity", 0)]
+        dense = index.dense_scores("entity", query_vector)
+        assert set(dense) == {doc_id for doc_id, _ in embedded}
+        for doc_id, doc in embedded:
+            assert abs(dense[doc_id] - cosine(query_vector, embedder.embed(doc))) < 1e-9
+    store.close()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), min_size=2, max_size=5, unique=True),
+    st.lists(st.integers(0, 40), max_size=6),
+)
+def test_duplicate_texts_score_equal_and_rank_by_doc_id(rows, query_points):
+    """The same text at arbitrary rows, folded in different batches and
+    after matrix growth, gets bitwise-equal scores and ranks by doc_id."""
+    store = Store.open(":memory:")
+    index = VectorIndex()
+    duplicate = "sakura sushi garden"
+    ids = []
+    for row in range(max(rows) + 1):
+        text = duplicate if row in rows else f"filler {_WORDS[row % 8]} {row}"
+        doc_id = _append_entity(store, text)
+        if row in rows:
+            ids.append(doc_id)
+        if row in query_points:
+            upsert_embeddings(store, index)
+            hybrid_search(store, index, ("entity",), "sushi", 3)
+    upsert_embeddings(store, index)
+
+    lexical = [hit for hit in lexical_search(store, index, "entity", duplicate, 10)
+               if hit[0] in ids]
+    assert [doc_id for doc_id, _ in lexical] == ids
+    assert len({score for _, score in lexical}) == 1
+
+    hybrid = [hit for hit in hybrid_search(store, index, ("entity",), duplicate, 10)
+              if hit[0] in ids]
+    assert [doc_id for doc_id, _, _ in hybrid] == ids
+    assert len({score for _, _, score in hybrid}) == 1
+    store.close()
+
+
+def test_dropped_index_is_freed_at_once(store):
+    """Nothing in an index points back to it, so ``del`` frees it and its
+    per-kind state without waiting for the cycle collector."""
+    index = VectorIndex()
+    ingest_case1(store, index)
+    hybrid_search(store, index, KINDS, "Sakura Sushi", k=3)
+    refs = [weakref.ref(index), weakref.ref(index.entries)]
+    refs += [weakref.ref(state) for state in index._vectors.values()]
+    refs += [weakref.ref(state) for state in index._postings.values()]
+    gc.disable()
+    try:
+        del index
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_dense_scores_refuse_zero_vectors(store):
+    class ZeroForBob(TrigramEmbedder):
+        def embed(self, text):
+            return np.zeros(self.dimension) if text == "Bob" else super().embed(text)
+
+    index = VectorIndex(ZeroForBob())
+    for name in ("Alice", "Bob"):
+        _append_entity(store, name)
+    upsert_embeddings(store, index)
+    query = TrigramEmbedder().embed("Alice")
+    for _ in range(2):  # the zero row stays and keeps refusing
+        with pytest.raises(ZeroVector):
+            index.dense_scores("entity", query)
+    alice_only = VectorIndex()
+    alice_only.upsert("entity", 1, "Alice")
+    with pytest.raises(ZeroVector):
+        alice_only.dense_scores("entity", np.zeros(TrigramEmbedder.dimension))

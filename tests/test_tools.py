@@ -1,11 +1,16 @@
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from apexmem.index import VectorIndex
-from apexmem.ontology import DType, Event, Fact, Role
-from apexmem.store import WHITELISTED_TABLES
+from apexmem.extract import ingest_session
+from apexmem.index import KINDS, VectorIndex
+from apexmem.ontology import DType, Event, Fact, Role, Turn
+from apexmem.store import WHITELISTED_TABLES, Store
 from apexmem.tools import (
+    _check_supported,
+    _schema_error,
     CHAR_CAP,
     ROW_CAP,
     TOOL_ARG_SCHEMAS,
@@ -19,7 +24,7 @@ from apexmem.tools import (
     schema_viewer,
     search,
 )
-from conftest import ingest_case1
+from conftest import ingest_case1, reference_pipeline
 
 
 @pytest.fixture
@@ -165,6 +170,95 @@ def test_dispatch_validates_args(toolkit):
     assert not bad.ok
     unknown = toolkit.dispatch(ToolCall("time_travel", {}))
     assert not unknown.ok
+
+
+@pytest.mark.parametrize("args, error", [
+    ({"query": "x", "k": True}, "True is not of type 'integer'"),
+    ({"query": "x", "k": 0}, "0 is less than the minimum of 1"),
+    ({"query": 3}, "3 is not of type 'string'"),
+    ({"k": 2}, "'query' is a required property"),
+    ({"query": "x", "depth": 2}, "'depth' unexpected"),
+    (["query"], "is not of type 'object'"),
+])
+def test_dispatch_rejects_bad_args_in_band(toolkit, args, error):
+    result = toolkit.dispatch(ToolCall("search", args))
+    assert not result.ok
+    assert result.error.startswith("invalid arguments for search: ")
+    assert error in result.error
+
+
+def test_dispatch_accepts_integral_float_k(toolkit):
+    """JSON Schema integers include 1.0, as jsonschema accepts it."""
+    assert toolkit.dispatch(ToolCall("search", {"query": "sushi", "k": 2.0})).ok
+    assert not toolkit.dispatch(ToolCall("search", {"query": "sushi", "k": 2.5})).ok
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "array"},
+    {"type": "string", "maxLength": 3},
+    {"type": "object", "additionalProperties": True},
+    {"type": "object", "properties": {"n": {"type": "number"}}},
+])
+def test_unsupported_schema_keywords_are_refused(schema):
+    with pytest.raises(ValueError):
+        _check_supported(schema)
+
+
+_ARG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([1.0, 0.0, 2.5, -1.0]),
+    st.floats(allow_nan=True), st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.lists(st.integers(), max_size=2),
+)
+_ARG_KEYS = st.sampled_from(
+    ["query", "k", "sql", "params", "include_examples", "include_guide", "extra"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(TOOL_NAMES),
+       st.one_of(st.dictionaries(_ARG_KEYS, _ARG_VALUES, max_size=4), _ARG_VALUES))
+def test_arg_checker_agrees_with_jsonschema(tool, args):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = TOOL_ARG_SCHEMAS[tool]
+    valid = jsonschema.Draft202012Validator(schema).is_valid(args)
+    assert (_schema_error(schema, args) is None) == valid
+
+
+def test_search_reads_each_row_once(monkeypatch):
+    """Searches interleaved with ingests read each committed row of each
+    kind once, however many searches follow it: retrieval cost does not
+    grow with the history."""
+    reads = []
+    searching = False
+    original = Store.lexical_documents
+
+    def counting(self, kind, after_id=0):
+        rows = original(self, kind, after_id)
+        if searching:
+            reads.extend((kind, doc_id) for doc_id, _ in rows)
+        return rows
+
+    monkeypatch.setattr(Store, "lexical_documents", counting)
+    store = Store.open(":memory:")
+    index = VectorIndex()
+    places = ["Italian Garden", "Sakura Sushi", "Blue Lagoon", "Red Fort", "Green Leaf"]
+    speakers = ["Alice", "Bob", "Carol", "Dave", "Erin", "Frank", "Grace"]
+    for i in range(30):
+        turn = Turn(None, f"s{i}", speakers[i % 7], "Assistant",
+                    f"I love {places[i % 5]}! I go there every week.",
+                    f"2024-01-{i % 28 + 1:02d}T10:00:00Z", 0)
+        for outcome in ingest_session(store, index, *reference_pipeline(), [turn]):
+            assert outcome.ok, outcome.error
+        searching = True
+        assert search(store, index, places[(i * 3) % 5]).ok
+        searching = False
+    counts = Counter(reads)
+    assert max(counts.values()) == 1
+    committed = {(kind, doc_id) for kind in KINDS
+                 for doc_id, _ in original(store, kind)}
+    assert set(counts) == committed
+    store.close()
 
 
 def test_arg_schemas_are_json_serializable():
