@@ -121,9 +121,10 @@ def retrieve_entity_candidates(
         raise ValueError("k must be >= 1")
     query_vector = index.embed(mention)
     ranked = index.dense_scores("entity", query_vector).top(k)
+    rows = store.entity_rows(entity_id for entity_id, _ in ranked)
     candidates = []
     for entity_id, score in ranked:
-        row = store.entity_row(entity_id)
+        row = rows.get(entity_id)
         if row is None:
             continue
         candidates.append(
@@ -144,12 +145,10 @@ def retrieve_property_candidates(
 ) -> List[Candidate]:
     query_vector = index.embed(name)
     ranked = index.dense_scores("property", query_vector).top(k)
+    rows = store.property_rows(property_id for property_id, _ in ranked)
     candidates = []
     for property_id, score in ranked:
-        row = store._conn.execute(
-            "SELECT property_name, dtype FROM properties WHERE property_id = ?",
-            (property_id,),
-        ).fetchone()
+        row = rows.get(property_id)
         if row is None:
             continue
         candidates.append(
@@ -290,10 +289,7 @@ def resolve_property(
     except Exception as exc:
         raise ProviderFailure(str(exc)) from exc
     if decision.decision == "choose_existing":
-        row = store._conn.execute(
-            "SELECT property_name FROM properties WHERE property_id = ?",
-            (decision.id,),
-        ).fetchone()
+        row = store.property_rows([decision.id]).get(decision.id)
         if row is None:
             raise InvalidDecision(
                 f"choose_existing names unknown property id {decision.id}"

@@ -12,6 +12,7 @@ import sqlite3
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
+from urllib.parse import quote
 
 from . import ontology
 from .errors import (
@@ -167,6 +168,7 @@ class Store:
     def __init__(self, conn: sqlite3.Connection, path: str):
         self._conn = conn
         self.path = path
+        self._reader: Optional[sqlite3.Connection] = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -181,6 +183,16 @@ class Store:
             conn = sqlite3.connect(path)
         except sqlite3.Error as exc:
             raise IoFailure(str(exc)) from exc
+        if path != ":memory:":
+            try:
+                # write-ahead log: a commit appends to -wal instead of
+                # creating, syncing and deleting a rollback journal; FULL
+                # still syncs the WAL before each commit returns
+                conn.execute("PRAGMA journal_mode = WAL")
+                conn.execute("PRAGMA synchronous = FULL")
+            except sqlite3.Error as exc:
+                conn.close()
+                raise IoFailure(f"cannot open store {path}: {exc}") from exc
         conn.execute("PRAGMA foreign_keys = ON")
         store = cls(conn, path)
         if exists and store._has_schema():
@@ -195,6 +207,11 @@ class Store:
         return store
 
     def close(self) -> None:
+        # the reader goes first, so that the writer is the last connection:
+        # it checkpoints the WAL and removes -wal and -shm
+        if self._reader is not None:
+            self._reader.close()  # a no-op if its caller closed it already
+            self._reader = None
         self._conn.close()
 
     def _has_schema(self) -> bool:
@@ -249,8 +266,13 @@ class Store:
                 (self.sequence + 1, json.dumps(payload, sort_keys=True)),
             )
             self._conn.commit()
-        except Exception:
+        except Exception as exc:
             self._conn.rollback()
+            if isinstance(exc, sqlite3.OperationalError) and "locked" in str(exc):
+                raise IoFailure(
+                    f"store {self.path} is locked by another writer;"
+                    f" {payload['op']} commit rolled back: {exc}"
+                ) from exc
             raise
 
     def _apply(self, payload: dict) -> None:
@@ -580,6 +602,31 @@ class Store:
         ).fetchone()
         return None if row is None else self._entity_dict(row)
 
+    def _rows_by_id(self, table: str, key: str, columns: str, ids) -> dict:
+        ids = list(ids)
+        if not ids:
+            return {}
+        # the ids go in as one JSON array, so the statement text is the same
+        # for any number of them and each connection prepares it once
+        rows = self._conn.execute(
+            f"SELECT {columns} FROM json_each(?) AS ids"
+            f" CROSS JOIN {table} ON {table}.{key} = ids.value",
+            (json.dumps(ids),),
+        )
+        return {row[0]: row for row in rows}
+
+    def entity_rows(self, entity_ids: Iterable[int]) -> Dict[int, dict]:
+        """``entity_row`` of each id that exists, in one statement."""
+        rows = self._rows_by_id("entities", "entity_id", self._ENTITY_COLUMNS, entity_ids)
+        return {entity_id: self._entity_dict(row) for entity_id, row in rows.items()}
+
+    def property_rows(self, property_ids: Iterable[int]) -> Dict[int, Tuple[str, str]]:
+        """(property_name, dtype) of each id that exists, in one statement."""
+        rows = self._rows_by_id(
+            "properties", "property_id", "property_id, property_name, dtype", property_ids
+        )
+        return {property_id: row[1:] for property_id, row in rows.items()}
+
     def find_entity_by_name(self, name: str) -> Optional[dict]:
         """Case-insensitive match on canonical name or any alias; the lowest
         entity_id wins."""
@@ -656,8 +703,27 @@ class Store:
         return "\n---\n".join(chunks).encode("utf-8")
 
     def readonly_connection(self) -> sqlite3.Connection:
-        """A second connection for read-only query execution."""
+        """The store's one read-only connection (the writer itself for
+        ``:memory:``), opened on first use and closed by ``close()``.
+
+        Each statement on it sees every row committed before it starts, so
+        a caller must finish or close its cursors, or the connection stays
+        on their snapshot. The caller must not rely on closing it: the
+        store owns it, and opens a new one if it finds it closed."""
         if self.path == ":memory:":
             return self._conn
-        conn = sqlite3.connect(f"file:{self.path}?mode=ro", uri=True)
-        return conn
+        if self._reader is not None:
+            try:
+                self._reader.in_transaction  # raises once the reader is closed
+                return self._reader
+            except sqlite3.ProgrammingError:
+                pass
+        try:
+            # autocommit: no implicit BEGIN, so no statement can leave the
+            # reader inside a transaction, pinned to an old snapshot
+            self._reader = sqlite3.connect(
+                f"file:{quote(self.path)}?mode=ro", uri=True, isolation_level=None
+            )
+        except sqlite3.Error as exc:
+            raise IoFailure(f"cannot open a reader on store {self.path}: {exc}") from exc
+        return self._reader

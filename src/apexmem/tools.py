@@ -370,7 +370,6 @@ class GraphSql:
             return ToolResult(ok=False, error=f"SqlRejected: {report.reason}")
 
         conn = self.store.readonly_connection()
-        owns_conn = conn is not self.store._conn
         try:
             conn.set_authorizer(self._authorizer)
             bound = {
@@ -389,12 +388,17 @@ class GraphSql:
                         + ", ".join(sorted(missing))
                     ),
                 )
+            cursor = conn.cursor()
             try:
-                cursor = conn.execute(statement, bound)
+                cursor.execute(statement, bound)
                 headers = [d[0] for d in cursor.description or []]
                 rows = cursor.fetchmany(ROW_CAP + 1)
             except sqlite3.Error as exc:
                 return ToolResult(ok=False, error=f"SqlRuntimeError: {exc}")
+            finally:
+                # an unfinished statement would keep the store's reader on
+                # this snapshot, blind to later commits
+                cursor.close()
             truncated = len(rows) > ROW_CAP
             rows = rows[:ROW_CAP]
             table = render_markdown_table(headers, [list(row) for row in rows])
@@ -405,8 +409,6 @@ class GraphSql:
             # passing None does not reliably clear the authorizer on older
             # sqlite3 bindings; install an allow-all callback instead
             conn.set_authorizer(lambda *args: sqlite3.SQLITE_OK)
-            if owns_conn:
-                conn.close()
 
 
 def graph_sql(store: Store, statement: str, params: Optional[dict] = None) -> ToolResult:

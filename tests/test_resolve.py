@@ -11,8 +11,10 @@ from apexmem.resolve import (
     RuleBasedProvider,
     normalize_snake_case,
     resolve_entity,
+    render_entity_text,
     resolve_property,
     retrieve_entity_candidates,
+    retrieve_property_candidates,
 )
 from conftest import ingest_case1
 
@@ -107,6 +109,27 @@ def test_retrieve_entity_candidates_scores_in_unit_interval(store, index):
     ingest_case1(store, index)
     for candidate in retrieve_entity_candidates(store, index, "garden", 10):
         assert 0.0 <= candidate.score <= 1.0
+
+
+def test_candidates_follow_the_ranking_and_skip_rows_the_store_lacks(store, index):
+    """One read per candidate set gives the rows of the per-id reads: the
+    dense ranking's order, with ids the store does not hold left out."""
+    ingest_case1(store, index)
+    index.upsert("entity", 9001, "Italian Garden restaurant")
+    index.upsert("property", 9002, "favorite restaurant")
+    for kind, mention in (("entity", "Italian Garden"), ("property", "favorite_restaurant")):
+        ranked = index.dense_scores(kind, index.embed(mention)).top(10)
+        retrieve = retrieve_entity_candidates if kind == "entity" else retrieve_property_candidates
+        candidates = retrieve(store, index, mention)
+        assert [c.id for c in candidates] == [i for i, _ in ranked if i < 9000]
+        assert len(candidates) == len(ranked) - 1
+    for candidate in retrieve_entity_candidates(store, index, "Italian Garden"):
+        row = store.entity_row(candidate.id)
+        assert candidate.name == row["entity_name"]
+        assert candidate.text == render_entity_text(
+            row["entity_name"], row["entity_type"], row["aliases"])
+    assert store.entity_rows([]) == {} and store.property_rows([]) == {}
+    assert set(store.entity_rows([1, 9001])) == {1}
 
 
 def test_resolve_property_exact_match_short_circuits(store, index):

@@ -1,9 +1,13 @@
+import importlib.util
 import os
+import sqlite3
+import sys
 
 import pytest
 
 from apexmem.errors import (
     DanglingReference,
+    IoFailure,
     SchemaMismatch,
     UnknownView,
     ValidationFailure,
@@ -254,3 +258,137 @@ def test_open_rejects_version_1_store(tmp_path):
 
 def test_schema_version_recorded(store):
     assert store.schema_version() == SCHEMA_VERSION
+
+
+def _ingest(store, index, sessions):
+    for session in sessions:
+        for outcome in ingest_session(store, index, *reference_pipeline(), session):
+            assert outcome.ok, outcome.error
+
+
+def _sessions(prefix, count):
+    return [
+        [_turn(f"{prefix}{i}", 0, f"My favorite color is shade{i}.",
+               f"2024-01-{i + 1:02d}T10:00:00Z")]
+        for i in range(count)
+    ]
+
+
+def test_readonly_connection_is_owned_and_sees_new_commits(tmp_path):
+    store = Store.open(str(tmp_path / "db.sqlite"))
+    reader = store.readonly_connection()
+    assert store.readonly_connection() is reader
+    with pytest.raises(sqlite3.OperationalError):
+        reader.execute("INSERT INTO meta (key, value) VALUES ('k', 'v')")
+
+    def count():
+        return reader.execute("SELECT COUNT(*) FROM entities").fetchone()[0]
+
+    assert count() == 0
+    store.append_entity("Alice", "Person", Role.Speaker)
+    assert count() == 1
+    _ingest(store, VectorIndex(), _sessions("s", 2))
+    assert count() == store.row_counts()["entities"] > 1
+    store.close()
+    with pytest.raises(sqlite3.ProgrammingError):
+        count()
+
+
+def test_close_tolerates_a_reader_its_caller_closed(tmp_path):
+    store = Store.open(str(tmp_path / "db.sqlite"))
+    first = store.readonly_connection()
+    first.close()
+    second = store.readonly_connection()
+    assert second is not first
+    assert second.execute("SELECT COUNT(*) FROM turns").fetchone()[0] == 0
+    second.close()
+    store.close()
+
+
+def test_reader_opens_the_store_whatever_its_path_holds(tmp_path):
+    path = str(tmp_path / "a #1?x=%20.sqlite")
+    store = Store.open(path)
+    store.append_entity("Alice", "Person", Role.Speaker)
+    reader = store.readonly_connection()
+    assert reader.execute("SELECT COUNT(*) FROM entities").fetchone()[0] == 1
+    with pytest.raises(sqlite3.OperationalError):
+        reader.execute("DELETE FROM entities")
+    store.close()
+    assert sorted(os.listdir(tmp_path)) == ["a #1?x=%20.sqlite"]
+
+
+def test_memory_store_reads_through_its_writer(store):
+    assert store.readonly_connection() is store._conn
+
+
+def _journal_mode(store):
+    return store._conn.execute("PRAGMA journal_mode").fetchone()[0]
+
+
+def test_file_store_runs_on_the_write_ahead_log(tmp_path, store):
+    assert _journal_mode(store) == "memory"
+    path = str(tmp_path / "db.sqlite")
+    disk = Store.open(path)
+    assert _journal_mode(disk) == "wal"
+    assert disk._conn.execute("PRAGMA synchronous").fetchone()[0] == 2  # FULL
+    _ingest(disk, VectorIndex(), _sessions("s", 3))
+    disk.readonly_connection().execute("SELECT COUNT(*) FROM facts").fetchone()
+    assert os.path.exists(path + "-wal")
+    before = disk.canonical_dump()
+    disk.close()
+    assert sorted(os.listdir(tmp_path)) == ["db.sqlite"]
+
+    raw = sqlite3.connect(path)
+    assert raw.execute("PRAGMA journal_mode = DELETE").fetchone()[0] == "delete"
+    raw.close()
+    again = Store.open(path, create_if_missing=False)
+    assert _journal_mode(again) == "wal"
+    assert again.canonical_dump() == before
+    again.close()
+    assert sorted(os.listdir(tmp_path)) == ["db.sqlite"]
+
+
+def test_commit_on_a_locked_store_raises_io_failure(tmp_path):
+    path = str(tmp_path / "db.sqlite")
+    store = Store.open(path)
+    store._conn.execute("PRAGMA busy_timeout = 50")
+    other = sqlite3.connect(path, isolation_level=None)
+    other.execute("BEGIN IMMEDIATE")
+    with pytest.raises(IoFailure) as caught:
+        store.append_entity("Alice", "Person", Role.Speaker)
+    assert path in str(caught.value) and "entity" in str(caught.value)
+    assert store.row_counts()["entities"] == 0
+    other.execute("ROLLBACK")
+    other.close()
+    assert store.append_entity("Alice", "Person", Role.Speaker) == 1
+    assert len(store.append_log()) == 1
+    store.close()
+
+
+def _load_gen():
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_file_backed_ingest_statements_per_turn(tmp_path):
+    """A guard on the SQLite round trips of the write path: candidate rows
+    are read with one statement per candidate set, not one per candidate."""
+    gen = _load_gen()
+    corpus = gen.make_corpus(1, 8, 3, 6, tag="file")
+    store = Store.open(str(tmp_path / "db.sqlite"))
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    sessions = [
+        [Turn(None, t.session_id, t.speaker, t.listener, t.text, t.anchor_datetime,
+              t.ordinal) for t in specs]
+        for specs in corpus.sessions
+    ]
+    _ingest(store, VectorIndex(), sessions)
+    store._conn.set_trace_callback(None)
+    assert corpus.n_turns == 120
+    assert len(statements) / corpus.n_turns <= 40
+    store.close()

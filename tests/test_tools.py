@@ -145,6 +145,28 @@ def test_graph_sql_row_cap(store, index):
     assert len(result.text) <= CHAR_CAP + 100
 
 
+def test_graph_sql_sees_rows_committed_after_a_truncated_result(tmp_path):
+    """A result cut at ROW_CAP leaves its statement unfinished; the store's
+    one reader must still see the commits that follow."""
+    store = Store.open(str(tmp_path / "db.sqlite"))
+    store.append_turns(
+        Turn(None, "s0", "Alice", "Assistant", f"note {i}", "2024-01-01T00:00:00Z", i)
+        for i in range(ROW_CAP + 50)
+    )
+    first = graph_sql(store, "SELECT id FROM turns")
+    assert first.ok and "truncated" in first.text
+    session = [Turn(None, "s1", "Alice", "Assistant", "My favorite color is blue.",
+                    "2024-01-02T10:00:00Z", 0)]
+    for outcome in ingest_session(store, VectorIndex(), *reference_pipeline(), session):
+        assert outcome.ok, outcome.error
+    second = graph_sql(store, "SELECT COUNT(*) AS n FROM turns")
+    assert second.ok
+    assert second.text.split("\n")[2] == f"| {ROW_CAP + 51} |"
+    facts = graph_sql(store, "SELECT COUNT(*) AS n FROM facts")
+    assert facts.text.split("\n")[2] == "| 1 |"
+    store.close()
+
+
 def test_graph_sql_leaves_store_untouched(toolkit, store):
     before = store.canonical_dump()
     toolkit.dispatch(ToolCall("graph_sql", {"sql": "SELECT * FROM facts"}))
