@@ -140,7 +140,8 @@ def run_agent(
 
         if isinstance(output, FinalAnswer):
             for cited in output.cited_evidence:
-                if not _evidence_or_turn_exists(store, cited):
+                if (store.kind_row("evidence", cited, ("id",)) is None
+                        and store.kind_row("turn", cited, ("id",)) is None):
                     output = FinalAnswer(output.text, (), output.confidence)
                     break
             transcript.answer = output
@@ -173,14 +174,6 @@ def run_agent(
 
     transcript.terminated_reason = "budget_exhausted"
     return transcript
-
-
-def _evidence_or_turn_exists(store: Store, item_id: int) -> bool:
-    row = store._conn.execute(
-        "SELECT 1 FROM evidence WHERE id = ? UNION SELECT 1 FROM turns WHERE id = ?",
-        (item_id, item_id),
-    ).fetchone()
-    return row is not None
 
 
 def render_transcript(transcript: AgentTranscript, result_chars: int = 600) -> str:
@@ -246,9 +239,7 @@ class HeuristicPolicy:
         question_tokens = set(tokenize(question)) - _STOPWORDS
         as_of = named_params["question_date"]
         best = None
-        for entity_id, entity_name in self.store._conn.execute(
-            "SELECT entity_id, entity_name FROM entities ORDER BY entity_id"
-        ).fetchall():
+        for entity_id, entity_name in self.store.entity_names():
             if not set(tokenize(entity_name)) & question_tokens:
                 continue
             for prop in self.store.subject_properties(entity_id):

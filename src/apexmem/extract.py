@@ -284,7 +284,7 @@ def extract_turn(
     """Run the full pipeline for one committed turn: extract, normalize,
     resolve, validate, commit. Nothing is committed if validation fails."""
     turn = request.turn
-    if turn.id is None or store._turn_text(turn.id) is None:
+    if turn.id is None or store.turn_text(turn.id) is None:
         raise ValidationFailure("turn must be committed before extraction")
 
     try:

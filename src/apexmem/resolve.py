@@ -231,7 +231,10 @@ def resolve_entity(
         raise InvalidDecision("provider returned a non-decision value")
 
     if decision.decision == "choose_existing":
-        if decision.id is None or store.entity_row(decision.id) is None:
+        # a candidate's row was read a moment ago; only another id is read
+        if decision.id not in {c.id for c in candidates} and (
+            decision.id is None or store.entity_row(decision.id) is None
+        ):
             raise InvalidDecision(
                 f"choose_existing names unknown entity id {decision.id}"
             )
@@ -289,15 +292,18 @@ def resolve_property(
     except Exception as exc:
         raise ProviderFailure(str(exc)) from exc
     if decision.decision == "choose_existing":
-        row = store.property_rows([decision.id]).get(decision.id)
-        if row is None:
-            raise InvalidDecision(
-                f"choose_existing names unknown property id {decision.id}"
-            )
+        name = next((c.name for c in candidates if c.id == decision.id), None)
+        if name is None:
+            row = store.property_rows([decision.id]).get(decision.id)
+            if row is None:
+                raise InvalidDecision(
+                    f"choose_existing names unknown property id {decision.id}"
+                )
+            name = row[0]
         return ResolutionDecision(
             decision="choose_existing",
             id=decision.id,
-            normalized_name=row[0],
+            normalized_name=name,
             dtype=dtype,
             confidence=decision.confidence,
             rationale=decision.rationale,

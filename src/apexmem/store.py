@@ -11,7 +11,7 @@ import json
 import sqlite3
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from urllib.parse import quote
 
 from . import ontology
@@ -446,7 +446,7 @@ class Store:
         evidence_ids = []
         for offset, item in enumerate(evidence):
             evidence_id = evidence_base + offset
-            turn_text = self._turn_text(item.turn_id)
+            turn_text = self.turn_text(item.turn_id)
             if turn_text is None:
                 raise DanglingReference(f"unknown turn id {item.turn_id}")
             start, end = item.text_span
@@ -500,7 +500,7 @@ class Store:
             is not None
         )
 
-    def _turn_text(self, turn_id: int) -> Optional[str]:
+    def turn_text(self, turn_id: int) -> Optional[str]:
         row = self._conn.execute(
             "SELECT text FROM turns WHERE id = ?", (turn_id,)
         ).fetchone()
@@ -571,6 +571,14 @@ class Store:
         )
         return [(row[0], render(row)) for row in rows]
 
+    def kind_row(self, kind: str, doc_id: int, columns: Sequence[str]) -> Optional[tuple]:
+        """The named columns of the base row behind one index document, or
+        None if the store lacks it."""
+        table, key, _text_columns, _render = SEARCH_TEXT[kind]
+        return self._conn.execute(
+            f"SELECT {', '.join(columns)} FROM {table} WHERE {key} = ?", (doc_id,)
+        ).fetchone()
+
     # -- introspection ---------------------------------------------------
 
     def row_counts(self) -> dict:
@@ -626,6 +634,32 @@ class Store:
             "properties", "property_id", "property_id, property_name, dtype", property_ids
         )
         return {property_id: row[1:] for property_id, row in rows.items()}
+
+    def property_usage(self, names: Iterable[str]) -> Dict[str, int]:
+        """Number of facts of each property name, in one statement."""
+        rows = self._conn.execute(
+            "SELECT names.value, (SELECT COUNT(*) FROM facts"
+            " WHERE property_name = names.value) FROM json_each(?) AS names",
+            (json.dumps(list(names)),),
+        )
+        return dict(rows.fetchall())
+
+    def entity_names(self) -> List[Tuple[int, str]]:
+        """(entity_id, entity_name) of every entity, ascending by id."""
+        return self._conn.execute(
+            "SELECT entity_id, entity_name FROM entities ORDER BY entity_id"
+        ).fetchall()
+
+    def entity_anchors(self, entity_id: int) -> Tuple[str, ...]:
+        """The distinct anchors of the events the entity takes part in,
+        ascending as text."""
+        rows = self._conn.execute(
+            "SELECT DISTINCT e.anchor_datetime FROM events e"
+            " JOIN event_participants p ON p.event_id = e.id"
+            " WHERE p.entity_id = ? ORDER BY e.anchor_datetime",
+            (entity_id,),
+        )
+        return tuple(row[0] for row in rows)
 
     def find_entity_by_name(self, name: str) -> Optional[dict]:
         """Case-insensitive match on canonical name or any alias; the lowest

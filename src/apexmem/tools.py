@@ -265,15 +265,7 @@ def build_entity_document(
                     fact.created_at or "",
                 ]
             )
-    anchors = tuple(
-        r[0]
-        for r in store._conn.execute(
-            "SELECT DISTINCT e.anchor_datetime FROM events e"
-            " JOIN event_participants p ON p.event_id = e.id"
-            " WHERE p.entity_id = ? ORDER BY e.anchor_datetime",
-            (entity_id,),
-        ).fetchall()
-    )
+    anchors = store.entity_anchors(entity_id)
     if as_of is not None:
         day = temporal_sort_key(as_of)[:10]
         anchors = tuple(a for a in anchors if temporal_sort_key(a)[:10] <= day)
@@ -346,7 +338,6 @@ class GraphSql:
 
     def __init__(self, store: Store):
         self.store = store
-        self.accessed_tables: set = set()
 
     def _authorizer(self, action, arg1, arg2, dbname, source):
         if action == sqlite3.SQLITE_SELECT:
@@ -355,7 +346,6 @@ class GraphSql:
             if arg1 is None or arg1 == "":
                 return sqlite3.SQLITE_OK
             if arg1 in WHITELISTED_TABLES or arg1.startswith("sqlite_temp"):
-                self.accessed_tables.add(arg1)
                 return sqlite3.SQLITE_OK
             return sqlite3.SQLITE_DENY
         if action == sqlite3.SQLITE_FUNCTION:
@@ -415,76 +405,43 @@ def graph_sql(store: Store, statement: str, params: Optional[dict] = None) -> To
     return GraphSql(store).execute(statement, params)
 
 
+# The sections of ``search``: title, headers, and per index kind the columns
+# of a hit's base row and the hit's cells but its score, from (doc_id, row)
+_SEARCH_SECTIONS = (
+    ("Entities", ["id", "name", "type", "score"], {
+        "entity": (("entity_name", "entity_type"),
+                   lambda doc_id, row: [Store.entity_alias(doc_id), *row]),
+    }),
+    ("Properties", ["property_name", "dtype", "score"], {
+        "property": (("property_name", "dtype"), lambda doc_id, row: list(row)),
+    }),
+    ("Events and evidence", ["kind", "id", "summary", "score"], {
+        "event": (("event_type", "anchor_datetime"),
+                  lambda doc_id, row: ["event", doc_id, f"{row[0]} @ {row[1]}"]),
+        "evidence": (("quoted_text",), lambda doc_id, row: ["evidence", doc_id, row[0]]),
+    }),
+    ("Turns", ["id", "speaker", "text", "anchor_datetime", "score"], {
+        "turn": (("speaker", "text", "anchor_datetime"), lambda doc_id, row: [doc_id, *row]),
+    }),
+)
+
+
 def search(store: Store, index: VectorIndex, query: str, k: int = 5) -> ToolResult:
-    """Four ranked sections: entities, properties, events/evidence, turns."""
+    """Four ranked sections: entities, properties, events/evidence, turns.
+    A hit whose row the store lacks is left out."""
     if k < 1:
         return ToolResult(ok=False, error="k must be >= 1")
     sections = []
     query_vector = index.embed(query)
-
-    entity_hits = hybrid_search(store, index, ["entity"], query, k,
-                                query_vector=query_vector)
-    rows = []
-    for doc_id, _kind, score in entity_hits:
-        info = store.entity_row(doc_id)
-        rows.append(
-            [Store.entity_alias(doc_id), info["entity_name"], info["entity_type"],
-             f"{score.fused:.4f}"]
-        )
-    sections.append(
-        "Entities:\n" + render_markdown_table(["id", "name", "type", "score"], rows)
-    )
-
-    property_hits = hybrid_search(store, index, ["property"], query, k,
-                                  query_vector=query_vector)
-    rows = []
-    for doc_id, _kind, score in property_hits:
-        name, dtype = store._conn.execute(
-            "SELECT property_name, dtype FROM properties WHERE property_id = ?",
-            (doc_id,),
-        ).fetchone()
-        rows.append([name, dtype, f"{score.fused:.4f}"])
-    sections.append(
-        "Properties:\n"
-        + render_markdown_table(["property_name", "dtype", "score"], rows)
-    )
-
-    ev_hits = hybrid_search(store, index, ["event", "evidence"], query, k,
-                            query_vector=query_vector)
-    rows = []
-    for doc_id, kind, score in ev_hits:
-        if kind == "event":
-            record = store._conn.execute(
-                "SELECT event_type, anchor_datetime FROM events WHERE id = ?",
-                (doc_id,),
-            ).fetchone()
-            rows.append([kind, doc_id, f"{record[0]} @ {record[1]}", f"{score.fused:.4f}"])
-        else:
-            record = store._conn.execute(
-                "SELECT quoted_text FROM evidence WHERE id = ?", (doc_id,)
-            ).fetchone()
-            rows.append([kind, doc_id, record[0], f"{score.fused:.4f}"])
-    sections.append(
-        "Events and evidence:\n"
-        + render_markdown_table(["kind", "id", "summary", "score"], rows)
-    )
-
-    turn_hits = hybrid_search(store, index, ["turn"], query, k,
-                              query_vector=query_vector)
-    rows = []
-    for doc_id, _kind, score in turn_hits:
-        record = store._conn.execute(
-            "SELECT speaker, text, anchor_datetime FROM turns WHERE id = ?",
-            (doc_id,),
-        ).fetchone()
-        rows.append([doc_id, record[0], record[1], record[2], f"{score.fused:.4f}"])
-    sections.append(
-        "Turns:\n"
-        + render_markdown_table(
-            ["id", "speaker", "text", "anchor_datetime", "score"], rows
-        )
-    )
-
+    for title, headers, kinds in _SEARCH_SECTIONS:
+        rows = []
+        for doc_id, kind, score in hybrid_search(store, index, kinds, query, k,
+                                                 query_vector=query_vector):
+            columns, cells = kinds[kind]
+            row = store.kind_row(kind, doc_id, columns)
+            if row is not None:
+                rows.append([*cells(doc_id, row), f"{score.fused:.4f}"])
+        sections.append(f"{title}:\n" + render_markdown_table(headers, rows))
     return ToolResult(ok=True, text=_cap_text("\n\n".join(sections)))
 
 
@@ -492,16 +449,13 @@ def property_search(store: Store, index: VectorIndex, query: str, k: int = 5) ->
     if k < 1:
         return ToolResult(ok=False, error="k must be >= 1")
     hits = hybrid_search(store, index, ["property"], query, k)
+    found = store.property_rows(doc_id for doc_id, _kind, _score in hits)
+    usage = store.property_usage(name for name, _dtype in found.values())
     rows = []
     for doc_id, _kind, score in hits:
-        name, dtype = store._conn.execute(
-            "SELECT property_name, dtype FROM properties WHERE property_id = ?",
-            (doc_id,),
-        ).fetchone()
-        usage = store._conn.execute(
-            "SELECT COUNT(*) FROM facts WHERE property_name = ?", (name,)
-        ).fetchone()[0]
-        rows.append([name, dtype, usage, f"{score.fused:.4f}"])
+        if doc_id in found:
+            name, dtype = found[doc_id]
+            rows.append([name, dtype, usage[name], f"{score.fused:.4f}"])
     return ToolResult(
         ok=True,
         text=render_markdown_table(

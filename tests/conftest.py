@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import sys
 
 import pytest
 
@@ -28,6 +30,25 @@ CASE1_SESSIONS = [
              "2024-03-20T10:00:00Z", 0),
     ],
 ]
+
+
+def load_gen():
+    """perfbench/gen.py, the benchmark's corpus generator."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def corpus_sessions(corpus):
+    """A generated corpus's sessions as lists of uncommitted turns."""
+    return [
+        [Turn(None, t.session_id, t.speaker, t.listener, t.text, t.anchor_datetime,
+              t.ordinal) for t in specs]
+        for specs in corpus.sessions
+    ]
 
 
 def reference_pipeline():

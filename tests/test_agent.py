@@ -233,3 +233,21 @@ def test_unknown_citations_are_dropped(store, index):
     transcript = run_agent(store, index, policy, "q")
     assert transcript.terminated_reason == "answered"
     assert transcript.answer.cited_evidence == ()
+
+
+def test_citations_of_evidence_or_turns_are_kept(store, index):
+    """Case 1 holds evidence 1-3 and turns 1-2: 3 is evidence alone, and
+    after two more turns, 4 is a turn alone."""
+    ingest_case1(store, index)
+
+    def cite(item):
+        policy = ScriptedPolicy([FinalAnswer("x", (item,), None)])
+        return run_agent(store, index, policy, "q").answer.cited_evidence
+
+    assert cite(3) == (3,)
+    store.append_turns([
+        Turn(None, "s3", "Alice", "Assistant", "Hello.", "2024-04-01T10:00:00Z", ordinal)
+        for ordinal in (0, 1)
+    ])
+    assert store.row_counts()["evidence"] == 3
+    assert cite(4) == (4,)

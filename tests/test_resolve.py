@@ -1,10 +1,12 @@
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from apexmem.errors import InvalidDecision, Unnormalizable
 from apexmem.ontology import DType, EntityType, Role
+from apexmem.store import Store
 from apexmem.resolve import (
     Candidate,
     ResolutionDecision,
@@ -139,6 +141,29 @@ def test_resolve_property_exact_match_short_circuits(store, index):
     )
     assert decision.decision == "choose_existing"
     assert decision.normalized_name == "favorite_restaurant"
+
+
+def test_a_chosen_candidate_is_not_read_again(store, index, monkeypatch):
+    """choose_existing of a candidate takes the row its candidate read
+    returned; only an id outside the candidates costs another read."""
+    ingest_case1(store, index)
+    reads = Counter()
+    for name in ("entity_row", "entity_rows", "property_rows"):
+        def counting(self, *args, _name=name, _original=getattr(Store, name)):
+            reads[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Store, name, counting)
+
+    class FirstCandidate:
+        def decide(self, mention, context, candidates):
+            return ResolutionDecision(decision="choose_existing", id=candidates[0].id)
+
+    entity = resolve_entity(store, index, FirstCandidate(), "Alice")
+    prop = resolve_property(store, index, FirstCandidate(), "restaurant favourite")
+    assert reads == {"entity_rows": 1, "property_rows": 1}
+    assert store.entity_row(entity.id) is not None
+    assert prop.normalized_name == store.property_rows([prop.id])[prop.id][0]
 
 
 def test_resolve_property_proposes_normalized_name(store, index):

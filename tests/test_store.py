@@ -1,10 +1,10 @@
-import importlib.util
+import ast
 import os
 import sqlite3
-import sys
 
 import pytest
 
+import apexmem.store
 from apexmem.errors import (
     DanglingReference,
     IoFailure,
@@ -16,7 +16,7 @@ from apexmem.extract import ingest_session
 from apexmem.index import VectorIndex
 from apexmem.ontology import DType, Event, Evidence, Fact, Role, Turn
 from apexmem.store import SCHEMA_VERSION, Store, WHITELISTED_TABLES
-from conftest import reference_pipeline
+from conftest import corpus_sessions, load_gen, reference_pipeline
 
 
 def _turn(session="s1", ordinal=0, text="hello world",
@@ -365,30 +365,38 @@ def test_commit_on_a_locked_store_raises_io_failure(tmp_path):
     store.close()
 
 
-def _load_gen():
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "gen.py")
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_file_backed_ingest_statements_per_turn(tmp_path):
     """A guard on the SQLite round trips of the write path: candidate rows
     are read with one statement per candidate set, not one per candidate."""
-    gen = _load_gen()
-    corpus = gen.make_corpus(1, 8, 3, 6, tag="file")
+    corpus = load_gen().make_corpus(1, 8, 3, 6, tag="file")
     store = Store.open(str(tmp_path / "db.sqlite"))
     statements = []
     store._conn.set_trace_callback(statements.append)
-    sessions = [
-        [Turn(None, t.session_id, t.speaker, t.listener, t.text, t.anchor_datetime,
-              t.ordinal) for t in specs]
-        for specs in corpus.sessions
-    ]
-    _ingest(store, VectorIndex(), sessions)
+    _ingest(store, VectorIndex(), corpus_sessions(corpus))
     store._conn.set_trace_callback(None)
     assert corpus.n_turns == 120
     assert len(statements) / corpus.n_turns <= 40
     store.close()
+
+
+def test_only_the_store_touches_its_connection_and_private_members():
+    """Every other module of the package reads the store through its public
+    methods, so the schema and the connection rule live in store.py."""
+    store = Store.open(":memory:")
+    members = {*vars(Store), *vars(store)}
+    store.close()
+    private = {name for name in members if name.startswith("_") and not name.startswith("__")}
+    package = os.path.dirname(os.path.abspath(apexmem.store.__file__))
+    touched = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py") or filename == "store.py":
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename)
+        touched.extend(
+            f"{filename}:{node.lineno}: .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in private
+        )
+    assert "_conn" in private
+    assert touched == []

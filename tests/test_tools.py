@@ -19,12 +19,14 @@ from apexmem.tools import (
     ToolKit,
     build_entity_document,
     entity_lookup,
+    ToolResult,
     graph_sql,
+    property_search,
     render_markdown_table,
     schema_viewer,
     search,
 )
-from conftest import ingest_case1, reference_pipeline
+from conftest import corpus_sessions, ingest_case1, load_gen, reference_pipeline
 
 
 @pytest.fixture
@@ -185,6 +187,86 @@ def test_property_search(toolkit):
     result = toolkit.dispatch(ToolCall("property_search", {"query": "restaurant"}))
     assert result.ok
     assert "favorite_restaurant" in result.text
+
+
+CASE1_SEARCH_TEXT = """\
+Entities:
+| id | name | type | score |
+| --- | --- | --- | --- |
+| ent:1 | Alice | Person | 1.0000 |
+| ent:2 | Assistant | Person | 0.3066 |
+| ent:4 | Sakura Sushi | Place | 0.1160 |
+| ent:3 | Italian Garden | Place | 0.0000 |
+
+Properties:
+| property_name | dtype | score |
+| --- | --- | --- |
+| favorite_restaurant | str | 1.0000 |
+| closure_date | date | 0.0000 |
+
+Events and evidence:
+| kind | id | summary | score |
+| --- | --- | --- | --- |
+| event | 1 | conversation @ 2024-01-15T10:00:00Z | 1.0000 |
+| event | 2 | conversation @ 2024-03-20T10:00:00Z | 1.0000 |
+| evidence | 2 | I go to Sakura Sushi every week | 1.0000 |
+| evidence | 1 | I love Italian Garden | 0.6416 |
+| evidence | 3 | Italian Garden closed down last month | 0.5000 |
+
+Turns:
+| id | speaker | text | anchor_datetime | score |
+| --- | --- | --- | --- | --- |
+| 2 | Alice | Italian Garden closed down last month. Now I go to Sakura Sushi every week instead. | 2024-03-20T10:00:00Z | 1.0000 |
+| 1 | Alice | I love Italian Garden! Their pasta is the best in town. | 2024-01-15T10:00:00Z | 0.5000 |"""
+
+CASE1_PROPERTY_SEARCH_TEXT = """\
+| property_name | dtype | usage_count | score |
+| --- | --- | --- | --- |
+| favorite_restaurant | str | 2 | 1.0000 |
+| closure_date | date | 1 | 0.0000 |"""
+
+
+def test_search_and_property_search_text_is_pinned(toolkit):
+    assert toolkit.dispatch(ToolCall("search", {"query": "Alice restaurant"})) == ToolResult(
+        ok=True, text=CASE1_SEARCH_TEXT)
+    assert toolkit.dispatch(ToolCall("property_search", {"query": "restaurant"})) == ToolResult(
+        ok=True, text=CASE1_PROPERTY_SEARCH_TEXT)
+
+
+def test_search_leaves_out_hits_the_store_lacks(toolkit, index):
+    """An index can hold ids its store lacks, as when a vector sidecar
+    outlives its store file: both searches answer in-band without them."""
+    for kind in KINDS:
+        assert index.upsert(kind, 9001, "Sakura Sushi favorite restaurant")
+    for tool in ("search", "property_search"):
+        result = toolkit.dispatch(ToolCall(tool, {"query": "Sakura Sushi favorite restaurant"}))
+        assert result.ok, result.error
+        assert "9001" not in result.text
+        assert "favorite_restaurant" in result.text
+
+
+def test_search_reads_one_row_per_hit():
+    """On a store shaped like the benchmark's ``qa_mem``, ``search`` at k=5
+    issues one point read per listed hit plus one read of new rows per index
+    kind (23 statements: that store has 3 properties), and property_search
+    one read of names and one of usage counts."""
+    store = Store.open(":memory:")
+    index = VectorIndex()
+    corpus = load_gen().make_corpus(1, 40, 3, 8, tag="qa")
+    for session in corpus_sessions(corpus):
+        for outcome in ingest_session(store, index, *reference_pipeline(), session):
+            assert outcome.ok, outcome.error
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    for text in sorted(corpus.text_counts)[::25]:
+        statements.clear()
+        assert search(store, index, text, 5).ok
+        assert len(statements) <= 23
+        statements.clear()
+        assert property_search(store, index, text, 5).ok
+        assert len(statements) <= 3
+    store._conn.set_trace_callback(None)
+    store.close()
 
 
 def test_dispatch_validates_args(toolkit):
