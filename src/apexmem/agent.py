@@ -242,13 +242,11 @@ class HeuristicPolicy:
         for entity_id, entity_name in self.store.entity_names():
             if not set(tokenize(entity_name)) & question_tokens:
                 continue
-            for prop in self.store.subject_properties(entity_id):
+            for prop, history in self.store.subject_history(entity_id, as_of).items():
                 overlap = len(set(prop.split("_")) & question_tokens)
-                if overlap == 0:
+                if overlap == 0 or not history:
                     continue
-                fact = self.store.latest_fact(entity_id, prop, as_of)
-                if fact is None:
-                    continue
+                fact = history[-1]
                 key = (overlap, entity_id, prop)
                 if best is None or key > (best[0], best[1], best[2]):
                     best = (overlap, entity_id, prop, fact)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sqlite3
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from urllib.parse import quote
@@ -45,7 +46,17 @@ WHITELISTED_TABLES = (
     "turns",
 )
 
-_DDL = """
+# Derived from the rows, so neither logged nor dumped. They make the question
+# path's reads point reads: a subject's facts, an entity's events, and the
+# entity joined by name in an as-of GraphSQL lookup (without that index SQLite
+# walks facts_subject in full for it).
+_INDEXES = """
+CREATE INDEX IF NOT EXISTS facts_subject ON facts (subject_id, property_name);
+CREATE INDEX IF NOT EXISTS event_participants_entity ON event_participants (entity_id);
+CREATE INDEX IF NOT EXISTS entities_name ON entities (entity_name);
+"""
+
+_DDL = f"""
 CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
 CREATE TABLE append_log (
     sequence INTEGER PRIMARY KEY,
@@ -109,7 +120,8 @@ CREATE TABLE turns (
     anchor_datetime TEXT NOT NULL,
     UNIQUE (session_id, ordinal)
 );
-"""
+INSERT INTO meta (key, value) VALUES ('schema_version', '{SCHEMA_VERSION}');
+{_INDEXES}"""
 
 _EPOCH = "1970-01-01T00:00:00Z"
 
@@ -202,8 +214,11 @@ class Store:
                 raise SchemaMismatch(
                     f"store schema version {version!r}, expected {SCHEMA_VERSION!r}"
                 )
+            # a store written before an index existed gains it here; a
+            # present index costs no write
+            store._create_schema(_INDEXES)
         else:
-            store._create_schema()
+            store._create_schema(_DDL)
         return store
 
     def close(self) -> None:
@@ -220,13 +235,11 @@ class Store:
         ).fetchone()
         return row is not None
 
-    def _create_schema(self) -> None:
+    def _create_schema(self, script: str) -> None:
+        """Run ``script`` in one transaction: each CREATE would otherwise
+        commit, and a file store sync, on its own."""
         with self._conn:
-            self._conn.executescript(_DDL)
-            self._conn.execute(
-                "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                (SCHEMA_VERSION,),
-            )
+            self._conn.executescript("BEGIN;" + script)
 
     def schema_version(self) -> str:
         return self._meta("schema_version")
@@ -508,6 +521,11 @@ class Store:
 
     # -- temporal fact queries -----------------------------------------
 
+    _FACT_COLUMNS = (
+        "id, subject_id, property_name, value_json, dtype,"
+        " valid_from, valid_to, confidence, created_at"
+    )
+
     def fact_history(
         self,
         subject_id: int,
@@ -518,19 +536,40 @@ class Store:
         ``as_of``, only the facts whose valid_from is unset or at or before
         it: the one as-of rule of the engine."""
         rows = self._conn.execute(
-            "SELECT id, subject_id, property_name, value_json, dtype,"
-            " valid_from, valid_to, confidence, created_at"
-            " FROM facts WHERE subject_id = ? AND property_name = ?",
+            f"SELECT {self._FACT_COLUMNS} FROM facts"
+            " WHERE subject_id = ? AND property_name = ?",
             (subject_id, property_name),
-        ).fetchall()
+        )
+        return self._history(rows, as_of)
+
+    def subject_history(
+        self, subject_id: int, as_of: Optional[str] = None
+    ) -> Dict[str, List[Fact]]:
+        """``fact_history`` of each property the subject has a fact of, even
+        if none is in force at ``as_of``, by property name, read in one
+        statement."""
+        rows = self._conn.execute(
+            f"SELECT {self._FACT_COLUMNS} FROM facts"
+            " WHERE subject_id = ? ORDER BY property_name",
+            (subject_id,),
+        )
+        return {
+            prop: self._history(group, as_of)
+            for prop, group in groupby(rows, key=itemgetter(2))
+        }
+
+    @classmethod
+    def _history(cls, rows: Iterable[tuple], as_of: Optional[str]) -> List[Fact]:
+        """The as-of cut and the order of ``fact_history``."""
         if as_of is not None:
             # an unset valid_from keys as "", before every cutoff
             cutoff = temporal_sort_key(as_of)
             rows = [r for r in rows if temporal_sort_key(r[5]) <= cutoff]
-        rows.sort(
-            key=lambda r: (temporal_sort_key(r[5]), temporal_sort_key(r[8]), r[0])
+        rows = sorted(
+            rows,
+            key=lambda r: (temporal_sort_key(r[5]), temporal_sort_key(r[8]), r[0]),
         )
-        return [self._row_to_fact(row) for row in rows]
+        return [cls._row_to_fact(row) for row in rows]
 
     def latest_fact(
         self,
@@ -680,14 +719,6 @@ class Store:
         cursor = self._conn.execute(f"SELECT * FROM {table}")
         columns = [c[0] for c in cursor.description]
         return [dict(zip(columns, row)) for row in cursor.fetchall()]
-
-    def subject_properties(self, subject_id: int) -> list:
-        rows = self._conn.execute(
-            "SELECT DISTINCT property_name FROM facts WHERE subject_id = ?"
-            " ORDER BY property_name",
-            (subject_id,),
-        ).fetchall()
-        return [row[0] for row in rows]
 
     def max_anchor_datetime(self) -> Optional[str]:
         anchors = [

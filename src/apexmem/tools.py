@@ -248,8 +248,7 @@ def build_entity_document(
         return None
     latest_rows = []
     history_rows = []
-    for prop in store.subject_properties(entity_id):
-        history = store.fact_history(entity_id, prop, as_of)
+    for prop, history in store.subject_history(entity_id, as_of).items():
         if history:
             latest = history[-1]
             latest_rows.append(

@@ -1,10 +1,13 @@
 import ast
 import os
+import re
 import sqlite3
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import apexmem.store
+from apexmem.agent import AgentConfig, HeuristicPolicy, run_agent
 from apexmem.errors import (
     DanglingReference,
     IoFailure,
@@ -16,7 +19,8 @@ from apexmem.extract import ingest_session
 from apexmem.index import VectorIndex
 from apexmem.ontology import DType, Event, Evidence, Fact, Role, Turn
 from apexmem.store import SCHEMA_VERSION, Store, WHITELISTED_TABLES
-from conftest import corpus_sessions, load_gen, reference_pipeline
+from apexmem.tools import graph_sql
+from conftest import corpus_sessions, ingest_case1, load_gen, reference_pipeline
 
 
 def _turn(session="s1", ordinal=0, text="hello world",
@@ -181,6 +185,46 @@ def test_fact_history_as_of_includes_the_cutoff_day(store):
     assert store.latest_fact(subject, "favorite_color", "2024-01-01").value == "blue"
 
 
+_PROPERTIES = ("favorite_color", "favorite_food", "hometown")
+# instants that differ, coincide, or only compare right as UTC instants
+_STAMPS = st.builds(
+    lambda day, hour, zone: f"2024-01-{day:02d}T{hour:02d}:00:00{zone}",
+    st.integers(1, 4), st.sampled_from([0, 3, 22]), st.sampled_from(["Z", "+05:00", "-03:00"]),
+) | st.sampled_from(["2024-01-02", "2024-01-03"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    facts=st.lists(
+        st.tuples(
+            st.integers(0, 1),
+            st.sampled_from(_PROPERTIES),
+            st.none() | _STAMPS,
+            st.sampled_from(["2024-01-02T00:00:00Z", "2024-01-03T00:00:00Z",
+                             "2024-01-02T05:00:00+05:00"]),
+        ),
+        max_size=12,
+    ),
+    cutoffs=st.lists(st.none() | _STAMPS, min_size=1, max_size=4),
+)
+def test_subject_history_is_the_fact_history_of_each_property(facts, cutoffs):
+    """Facts of two subjects, made in list order: valid_from unset or with
+    offsets, created_at often tied."""
+    store = Store.open(":memory:")
+    subjects = [store.append_entity(name, "Person", Role.Speaker) for name in ("A", "B")]
+    for number, (who, prop, valid_from, created_at) in enumerate(facts):
+        fact = Fact(None, subjects[who], prop, f"v{number}", DType.str,
+                    valid_from, None, 1.0, created_at)
+        store.append_event_bundle(_event(created_at), [fact], [], [])
+    for subject in subjects:
+        props = sorted({prop for who, prop, *_ in facts if subjects[who] == subject})
+        for as_of in cutoffs:
+            history = store.subject_history(subject, as_of)
+            assert list(history) == props
+            assert history == {p: store.fact_history(subject, p, as_of) for p in props}
+    store.close()
+
+
 def test_replay_reconstructs_store(store, tmp_path):
     subject = store.append_entity("Alice", "Person", Role.Speaker, [],
                                   created_at="2024-01-01T00:00:00Z")
@@ -258,6 +302,80 @@ def test_open_rejects_version_1_store(tmp_path):
 
 def test_schema_version_recorded(store):
     assert store.schema_version() == SCHEMA_VERSION
+
+
+def _index_names(store):
+    return {
+        row[0] for row in store._conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'index' AND sql IS NOT NULL")
+    }
+
+
+def test_a_store_without_its_indexes_gains_them_when_opened(tmp_path):
+    """Indexes are derived: a store that lacks them, as one written before
+    they existed does, gets them on open with its rows unchanged."""
+    path = str(tmp_path / "db.sqlite")
+    store = Store.open(path)
+    index = VectorIndex(path=VectorIndex.sidecar_path(path))
+    ingest_case1(store, index)
+    index.save()
+    indexes = _index_names(store)
+    before = store.canonical_dump()
+    store.close()
+    assert indexes == {"facts_subject", "event_participants_entity", "entities_name"}
+
+    raw = sqlite3.connect(path)
+    for name in sorted(indexes):
+        raw.execute(f"DROP INDEX {name}")
+    raw.commit()
+    raw.close()
+
+    again = Store.open(path, create_if_missing=False)
+    assert _index_names(again) == indexes
+    assert again.canonical_dump() == before
+    transcript = run_agent(
+        again, VectorIndex(path=VectorIndex.sidecar_path(path)), HeuristicPolicy(again),
+        "What is Alice's favorite restaurant?",
+        AgentConfig(question_date="2024-02-01T00:00:00Z"),
+    )
+    assert transcript.answer.text == "Italian Garden"
+    again.close()
+
+
+# a full read of a table that grows with the history: facts, event
+# participants, or either under the aliases the statements give them
+_TABLE_SCAN = re.compile(r"^SCAN (facts|f|p|event_participants)\b")
+
+
+def test_question_path_reads_are_point_reads(case1_store):
+    """A scaling guard: the reads a question makes of one subject, and the
+    benchmark's as-of GraphSQL lookup, search an index instead of reading
+    the whole table, so their cost does not grow with the store."""
+    store = case1_store
+    alice = store.find_entity_by_name("Alice")["entity_id"]
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    store.fact_history(alice, "favorite_restaurant", "2024-02-01T00:00:00Z")
+    store.subject_history(alice, "2024-02-01T00:00:00Z")
+    store.entity_anchors(alice)
+    looked_up = graph_sql(
+        store,
+        "SELECT f.value_json FROM facts f JOIN entities e ON e.entity_id = f.subject_id"
+        " WHERE e.entity_name = :name AND f.property_name = :prop"
+        " AND f.valid_from <= :day ORDER BY f.valid_from DESC, f.id DESC LIMIT 1",
+        {"name": "Alice", "prop": "favorite_restaurant", "day": "2024-02-01"},
+    )
+    store._conn.set_trace_callback(None)
+    assert looked_up.ok and "Italian Garden" in looked_up.text
+    reads = [sql for sql in statements if sql.lstrip().upper().startswith("SELECT")]
+    assert len(reads) == 4
+    plans = {
+        sql: [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + sql)]
+        for sql in reads
+    }
+    scans = {sql: steps for sql, steps in plans.items()
+             if any(_TABLE_SCAN.match(step) for step in steps)}
+    assert scans == {}
 
 
 def _ingest(store, index, sessions):
