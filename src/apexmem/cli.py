@@ -20,10 +20,8 @@ from . import online as online_mod
 from . import synth as synth_mod
 from .agent import (
     AgentConfig,
-    FinalAnswer,
     HeuristicPolicy,
     ScriptedPolicy,
-    ToolAction,
     render_transcript,
     run_agent,
 )
@@ -36,10 +34,11 @@ from .providers import (
     SubprocessEmbedder,
     SubprocessExtractor,
     SubprocessPolicy,
+    policy_from_response,
 )
 from .resolve import RuleBasedProvider
 from .store import Store
-from .tools import ToolCall, schema_viewer
+from .tools import schema_viewer
 
 CONFIG_ENV = "APEXMEM_CONFIG"
 
@@ -204,22 +203,7 @@ def _load_policy(spec: Optional[str], store: Store):
         path = spec[len("script:"):]
         with open(path, "r", encoding="utf-8") as handle:
             raw_steps = json.load(handle)
-        outputs = []
-        for raw in raw_steps:
-            if "answer" in raw:
-                outputs.append(
-                    FinalAnswer(
-                        raw["answer"],
-                        tuple(raw.get("cited_evidence", ())),
-                        raw.get("confidence"),
-                    )
-                )
-            else:
-                outputs.append(
-                    ToolAction(raw.get("reasoning", ""),
-                               ToolCall(raw["tool"], raw.get("args", {})))
-                )
-        return ScriptedPolicy(outputs)
+        return ScriptedPolicy([policy_from_response(raw) for raw in raw_steps])
     return SubprocessPolicy(shlex.split(spec))
 
 
@@ -256,12 +240,12 @@ def qa(config, question, store_path, question_date, max_tool_calls, trace,
             corpus, question, online_mod.OnlineConfig(theta_rel=theta_rel),
         )
 
-    policy = _load_policy(policy_spec or config.get("policy"), store)
     agent_config = AgentConfig(
         max_tool_calls=max_tool_calls,
         question_date=question_date,
     )
     try:
+        policy = _load_policy(policy_spec or config.get("policy"), store)
         transcript = run_agent(store, index, policy, question, agent_config)
     except ProviderFailure as exc:
         click.echo(f"provider failure: {exc}", err=True)

@@ -33,10 +33,6 @@ class ValidationFailure(ApexMemError):
     pass
 
 
-class UnknownEntity(ApexMemError):
-    pass
-
-
 # --- resolution ---
 
 class InvalidDecision(ApexMemError):

@@ -339,9 +339,6 @@ class Event:
     event_type: str
     anchor_datetime: str
     location: Optional[str] = None
-    participant_ids: tuple = ()
-    fact_ids: tuple = ()
-    evidence_ids: tuple = ()
 
     def __post_init__(self):
         if "T" in self.anchor_datetime:
@@ -362,7 +359,7 @@ class Evidence:
     turn_id: int
     text_span: tuple
     quoted_text: str
-    fact_id: Optional[int] = None
+    fact_id: Optional[int] = None  # a position in its bundle's facts
 
     def __post_init__(self):
         start, end = self.text_span

@@ -3,7 +3,9 @@
 Validation parses the statement structurally (comments and string literals
 are stripped by a real tokenizer, so they cannot smuggle keywords); a
 keyword blacklist is kept as a second defense layer, and execution adds a
-third (SQLite authorizer + query_only).
+third: a SQLite authorizer that allows only reads of the whitelisted tables,
+on the store's ``mode=ro`` connection for a file store and on the writer for
+a ``:memory:`` store.
 """
 from __future__ import annotations
 
@@ -38,11 +40,11 @@ FORBIDDEN_KEYWORDS = frozenset(
     }
 )
 
-# keywords that end a FROM list
+# keywords that end a FROM list; the join words (LEFT, INNER, ...) do not,
+# since the table after their JOIN belongs to it
 _FROM_LIST_BREAKERS = {
     "where", "group", "order", "limit", "having", "union", "intersect",
-    "except", "select", "on", "using", "join", "left", "right", "inner",
-    "outer", "cross", "natural", "as", "window",
+    "except", "select", "on", "using", "as", "window",
 }
 
 _JOIN_INTRODUCERS = {"from", "join"}
@@ -63,70 +65,61 @@ class _Token:
     text: str
 
 
+# One alternative per token form, tried in order at each position; every
+# position matches one (the last takes any character). A match with no named
+# group (whitespace, where \s is exactly str.isspace, or a comment) is
+# skipped. A string ends at its first quote that is not doubled; a quoted
+# identifier's inner text is a word.
+_TOKEN_PATTERN = re.compile(
+    r"""
+      \s+ | --[^\n]* | /\*.*?\*/
+    | (?P<string> '[^']*(?:''[^']*)*'(?!') )
+    | "(?P<dquoted>[^"]*)" | `(?P<bquoted>[^`]*)` | \[(?P<bracketed>[^\]]*)\]
+    | :(?P<param>[A-Za-z_]\w*)
+    | (?P<word>[A-Za-z_]\w*)
+    | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<open_comment>/\*) | (?P<open_string>') | (?P<open_identifier>["`\[])
+    | (?P<punct>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_TOKEN_KINDS = {
+    "string": "string", "dquoted": "word", "bquoted": "word", "bracketed": "word",
+    "param": "param", "word": "word", "number": "number", "punct": "punct",
+}
+_UNCLOSED = {
+    "open_comment": "unterminated block comment",
+    "open_string": "unterminated string literal",
+    "open_identifier": "unterminated quoted identifier",
+}
+
+
 def _tokenize(statement: str) -> Tuple[Optional[List[_Token]], str]:
     """Tokenize, stripping comments; returns (tokens, error)."""
     tokens: List[_Token] = []
-    i = 0
-    n = len(statement)
-    while i < n:
-        ch = statement[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if statement.startswith("--", i):
-            end = statement.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if statement.startswith("/*", i):
-            end = statement.find("*/", i + 2)
-            if end == -1:
-                return None, "unterminated block comment"
-            i = end + 2
-            continue
-        if ch == "'":
-            j = i + 1
-            while j < n:
-                if statement[j] == "'":
-                    if j + 1 < n and statement[j + 1] == "'":
-                        j += 2
-                        continue
-                    break
-                j += 1
-            if j >= n:
-                return None, "unterminated string literal"
-            tokens.append(_Token("string", statement[i : j + 1]))
-            i = j + 1
-            continue
-        if ch in ('"', "`", "["):
-            closer = {'"': '"', "`": "`", "[": "]"}[ch]
-            j = statement.find(closer, i + 1)
-            if j == -1:
-                return None, "unterminated quoted identifier"
-            tokens.append(_Token("word", statement[i + 1 : j]))
-            i = j + 1
-            continue
-        if ch == ":":
-            match = re.match(r":[A-Za-z_]\w*", statement[i:])
-            if match:
-                tokens.append(_Token("param", match.group(0)[1:]))
-                i += match.end()
-                continue
-            tokens.append(_Token("punct", ch))
-            i += 1
-            continue
-        match = re.match(r"[A-Za-z_]\w*", statement[i:])
-        if match:
-            tokens.append(_Token("word", match.group(0)))
-            i += match.end()
-            continue
-        match = re.match(r"\d+(\.\d+)?([eE][+-]?\d+)?", statement[i:])
-        if match:
-            tokens.append(_Token("number", match.group(0)))
-            i += match.end()
-            continue
-        tokens.append(_Token("punct", ch))
-        i += 1
+    for match in _TOKEN_PATTERN.finditer(statement):
+        group = match.lastgroup
+        if group in _TOKEN_KINDS:
+            tokens.append(_Token(_TOKEN_KINDS[group], match[group]))
+        elif group is not None:
+            return None, _UNCLOSED[group]
     return tokens, ""
+
+
+def _past_group(tokens: List[_Token], j: int) -> int:
+    """The index after the parenthesised group that opens at ``j``, or ``j``
+    if none opens there; an unclosed group runs to the end."""
+    if j >= len(tokens) or tokens[j].text != "(":
+        return j
+    depth = 0
+    for k in range(j, len(tokens)):
+        if tokens[k].text == "(":
+            depth += 1
+        elif tokens[k].text == ")":
+            depth -= 1
+            if depth == 0:
+                return k + 1
+    return len(tokens)
 
 
 def _collect_cte_names(tokens: List[_Token]) -> Set[str]:
@@ -138,40 +131,15 @@ def _collect_cte_names(tokens: List[_Token]) -> Set[str]:
             # WITH [RECURSIVE] name [(cols)] AS (...) [, name AS (...)]*
             if j < len(tokens) and tokens[j].text.lower() == "recursive":
                 j += 1
-            depth_guard = 0
-            while j < len(tokens) and depth_guard < 10000:
-                depth_guard += 1
-                if tokens[j].kind != "word":
+            for _ in range(10000):
+                if j >= len(tokens) or tokens[j].kind != "word":
                     break
                 names.add(tokens[j].text.lower())
-                j += 1
-                # optional column list
-                if j < len(tokens) and tokens[j].text == "(":
-                    depth = 0
-                    while j < len(tokens):
-                        if tokens[j].text == "(":
-                            depth += 1
-                        elif tokens[j].text == ")":
-                            depth -= 1
-                            if depth == 0:
-                                j += 1
-                                break
-                        j += 1
+                j = _past_group(tokens, j + 1)  # optional column list
                 if j < len(tokens) and tokens[j].kind == "word" and tokens[j].text.lower() == "as":
-                    j += 1
+                    j = _past_group(tokens, j + 1)
                 else:
                     break
-                if j < len(tokens) and tokens[j].text == "(":
-                    depth = 0
-                    while j < len(tokens):
-                        if tokens[j].text == "(":
-                            depth += 1
-                        elif tokens[j].text == ")":
-                            depth -= 1
-                            if depth == 0:
-                                j += 1
-                                break
-                        j += 1
                 if j < len(tokens) and tokens[j].text == ",":
                     j += 1
                     continue
@@ -186,9 +154,7 @@ def _collect_tables(tokens: List[_Token]) -> Set[str]:
     depth = 0
     expect_table = False
     from_list_depth: Optional[int] = None
-    i = 0
-    while i < len(tokens):
-        token = tokens[i]
+    for i, token in enumerate(tokens):
         if token.text == "(":
             depth += 1
             if expect_table:
@@ -210,7 +176,6 @@ def _collect_tables(tokens: List[_Token]) -> Set[str]:
                 from_list_depth is not None
                 and lowered in _FROM_LIST_BREAKERS
                 and depth == from_list_depth
-                and lowered not in ("join", "left", "right", "inner", "outer", "cross", "natural")
             ):
                 from_list_depth = None
         elif token.text == "," and from_list_depth is not None and depth == from_list_depth:
@@ -220,7 +185,6 @@ def _collect_tables(tokens: List[_Token]) -> Set[str]:
             prev = tokens[i - 1]
             if prev.kind == "word" or prev.text == ")":
                 expect_table = True
-        i += 1
     return tables
 
 

@@ -310,6 +310,8 @@ class Store:
     ) -> int:
         if isinstance(etype, str):
             etype = ontology.validate_entity_type(etype)
+        # read as an instant by entity_lookup's as-of cut
+        ontology.parse_iso_datetime(created_at)
         entity = Entity(None, name, etype, role, frozenset(aliases), external_id)
         entity_id = self.peek_next_entity_id()
         payload = {
@@ -473,14 +475,13 @@ class Store:
                 )
             fact_ref = None
             if item.fact_id is not None:
-                # fact_id is an index into this bundle's facts when committing
-                # together, or an existing fact id otherwise.
-                if 0 <= item.fact_id < len(facts):
-                    fact_ref = fact_ids[item.fact_id]
-                elif self._fact_exists(item.fact_id):
-                    fact_ref = item.fact_id
-                else:
-                    raise DanglingReference(f"unknown fact id {item.fact_id}")
+                # fact_id is a position in this bundle's facts
+                if not 0 <= item.fact_id < len(facts):
+                    raise DanglingReference(
+                        f"evidence fact index {item.fact_id} is outside the "
+                        f"bundle's {len(facts)} facts"
+                    )
+                fact_ref = fact_ids[item.fact_id]
             rows["evidence"].append(
                 {
                     "id": evidence_id,
@@ -501,14 +502,6 @@ class Store:
         return (
             self._conn.execute(
                 "SELECT 1 FROM entities WHERE entity_id = ?", (entity_id,)
-            ).fetchone()
-            is not None
-        )
-
-    def _fact_exists(self, fact_id: int) -> bool:
-        return (
-            self._conn.execute(
-                "SELECT 1 FROM facts WHERE id = ?", (fact_id,)
             ).fetchone()
             is not None
         )

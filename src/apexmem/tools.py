@@ -242,9 +242,13 @@ def build_entity_document(
     store: Store, entity_id: int, as_of: Optional[str] = None
 ) -> Optional[EntityDocument]:
     """The entity as known at ``as_of`` (a question date): its facts in force
-    then, and the anchors of its events on or before that day."""
+    then, and the anchors of its events on or before that day. None for an
+    entity the store lacks, or one first created after that day."""
     row = store.entity_row(entity_id)
     if row is None:
+        return None
+    day = None if as_of is None else temporal_sort_key(as_of)[:10]
+    if day is not None and temporal_sort_key(row["created_at"])[:10] > day:
         return None
     latest_rows = []
     history_rows = []
@@ -265,8 +269,7 @@ def build_entity_document(
                 ]
             )
     anchors = store.entity_anchors(entity_id)
-    if as_of is not None:
-        day = temporal_sort_key(as_of)[:10]
+    if day is not None:
         anchors = tuple(a for a in anchors if temporal_sort_key(a)[:10] <= day)
     last_anchor = max(anchors, key=temporal_sort_key) if anchors else None
     return EntityDocument(
@@ -358,25 +361,21 @@ class GraphSql:
         if not report.accepted:
             return ToolResult(ok=False, error=f"SqlRejected: {report.reason}")
 
+        params = params or {}
+        missing = report.params - set(params)
+        if missing:
+            return ToolResult(
+                ok=False,
+                error=(
+                    "SqlRuntimeError: missing named parameter(s): "
+                    + ", ".join(sorted(missing))
+                ),
+            )
+        bound = {name: params[name] for name in report.params}
+
         conn = self.store.readonly_connection()
         try:
             conn.set_authorizer(self._authorizer)
-            bound = {
-                name: params.get(name) if params else None
-                for name in report.params
-            }
-            if params:
-                missing = report.params - set(params)
-            else:
-                missing = set(report.params)
-            if missing:
-                return ToolResult(
-                    ok=False,
-                    error=(
-                        "SqlRuntimeError: missing named parameter(s): "
-                        + ", ".join(sorted(missing))
-                    ),
-                )
             cursor = conn.cursor()
             try:
                 cursor.execute(statement, bound)

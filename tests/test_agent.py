@@ -175,6 +175,8 @@ def test_heuristic_policy_answers_at_the_question_date(store, index):
     assert "Sakura Sushi" not in alice
     assert "2024-03-20" not in alice
     assert "last_anchor: 2024-01-15T10:00:00Z" in alice
+    # Sakura Sushi is first mentioned on 2024-03-20, after the question
+    assert not any(doc.startswith("Sakura Sushi ") for doc in documents)
 
 
 _COLORS = ("blue", "green", "red", "amber", "teal")

@@ -162,6 +162,17 @@ def test_qa_provider_failure_exit_code(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_qa_script_step_without_tool_or_answer_is_a_provider_failure(runner, tmp_path):
+    store_path = _ingest_case1(runner, tmp_path)
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([{"reasoning": "neither"}]))
+    result = runner.invoke(main, [
+        "qa", "q", "--store", store_path, "--policy", f"script:{script}",
+    ])
+    assert result.exit_code == 3, result.output
+    assert "provider failure: policy response has neither tool nor answer" in result.output
+
+
 def test_qa_online_builds_from_corpus(runner, tmp_path):
     store_path = str(tmp_path / "online.sqlite")
     result = runner.invoke(main, [

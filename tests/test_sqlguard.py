@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apexmem.sqlguard import WHITELISTED_TABLES, validate_sql
+from apexmem.sqlguard import WHITELISTED_TABLES, _tokenize, validate_sql
 
 ACCEPTED = [
     "SELECT * FROM facts",
@@ -56,6 +56,36 @@ def test_accepts(statement):
 def test_rejects(statement):
     report = validate_sql(statement)
     assert not report.accepted
+
+
+# (statement, its (kind, text) tokens or None, the tokenizer's error)
+TOKENIZED = [
+    ("'it''s'", [("string", "'it''s'")], ""),
+    ('"q id" `b` [t]', [("word", "q id"), ("word", "b"), ("word", "t")], ""),
+    (":d:", [("param", "d"), ("punct", ":")], ""),
+    (":1", [("punct", ":"), ("number", "1")], ""),
+    ("1.5e-3 x2é", [("number", "1.5e-3"), ("word", "x2é")], ""),
+    ("SELECT 1 -- c", [("word", "SELECT"), ("number", "1")], ""),
+    ("SELECT /* c */ 1", [("word", "SELECT"), ("number", "1")], ""),
+    ("SELECT /* a\nb */ 1", [("word", "SELECT"), ("number", "1")], ""),
+    ("SELECT\t1\n\u3000", [("word", "SELECT"), ("number", "1")], ""),
+    ("[a\nb]", [("word", "a\nb")], ""),
+    ("SELECT 1;;",
+     [("word", "SELECT"), ("number", "1"), ("punct", ";"), ("punct", ";")], ""),
+    ("SELECT 'abc''", None, "unterminated string literal"),
+    ("SELECT /* x", None, "unterminated block comment"),
+    ("SELECT [x", None, "unterminated quoted identifier"),
+]
+
+
+@pytest.mark.parametrize("statement, expected, error", TOKENIZED)
+def test_tokenize(statement, expected, error):
+    tokens, found_error = _tokenize(statement)
+    if expected is None:
+        assert tokens is None
+    else:
+        assert [(t.kind, t.text) for t in tokens] == expected
+    assert found_error == error
 
 
 def test_tables_touched_reported():

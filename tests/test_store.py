@@ -134,6 +134,31 @@ def test_event_bundle_rejects_dangling_subject(store):
     assert store.canonical_dump() == before  # nothing partially committed
 
 
+def test_evidence_fact_index_outside_the_bundle_is_dangling(store):
+    subject = store.append_entity("Alice", "Person", Role.Speaker, [],
+                                  created_at="2024-01-01T00:00:00Z")
+    [turn_id] = store.append_turns([_turn(text="my favorite color is blue")])
+
+    def fact(value):
+        return Fact(None, subject, "favorite_color", value, DType.str,
+                    "2024-01-01", None, 1.0, "2024-01-01T00:00:00Z")
+
+    store.append_event_bundle(_event(), [fact("blue"), fact("red")], [], [])
+    # index 1 names no fact of a one-fact bundle, though fact id 1 exists
+    ev = Evidence(None, None, turn_id, (3, 25), "favorite color is blue", 1)
+    before = store.canonical_dump()
+    with pytest.raises(DanglingReference, match="index 1"):
+        store.append_event_bundle(_event(), [fact("green")], [ev], [])
+    assert store.canonical_dump() == before
+
+
+def test_entity_created_at_must_be_iso(store):
+    before = store.canonical_dump()
+    with pytest.raises(ValidationFailure):
+        store.append_entity("Zed", "Person", created_at="soon")
+    assert store.canonical_dump() == before
+
+
 def test_evidence_quote_must_match_span(store):
     subject = store.append_entity("Alice", "Person", Role.Speaker, [],
                                   created_at="2024-01-01T00:00:00Z")

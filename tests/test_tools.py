@@ -111,11 +111,16 @@ def test_graph_sql_runtime_error_is_in_band(toolkit):
     assert "SqlRuntimeError" in result.error
 
 
-def test_graph_sql_missing_param_is_in_band(toolkit):
+def test_graph_sql_missing_param_is_in_band(toolkit, store, monkeypatch):
+    # the parameters are checked before the connection is taken, so the
+    # authorizer is installed only for a statement that runs
+    monkeypatch.setattr(store, "readonly_connection",
+                        lambda: pytest.fail("connection taken"))
     result = toolkit.dispatch(ToolCall("graph_sql", {
         "sql": "SELECT * FROM facts WHERE valid_from <= :question_date",
     }))
     assert not result.ok
+    assert result.error == "SqlRuntimeError: missing named parameter(s): question_date"
 
 
 def test_graph_sql_binds_default_params(toolkit):
