@@ -13,9 +13,10 @@ from .errors import ProviderFailure, UnparseableTemporal, ValidationFailure
 from .index import VectorIndex, tokenize
 from .ontology import parse_iso_datetime
 from .store import Store
-from .tools import ToolCall, ToolKit, ToolResult
+from .tools import ToolCall, ToolKit, ToolResult, read_latest_values
 
 DEFAULT_MAX_TOOL_CALLS = 40
+TRANSCRIPT_RESULT_CHARS = 600
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,9 @@ def run_agent(
     return transcript
 
 
-def render_transcript(transcript: AgentTranscript, result_chars: int = 600) -> str:
-    """Deterministic, human-readable trace."""
+def render_transcript(transcript: AgentTranscript) -> str:
+    """Deterministic, human-readable trace; each tool result is cut to
+    ``TRANSCRIPT_RESULT_CHARS``."""
     lines = [f"question: {transcript.question}"]
     for number, step in enumerate(transcript.steps, start=1):
         lines.append(f"== step {number} ==")
@@ -187,8 +189,8 @@ def render_transcript(transcript: AgentTranscript, result_chars: int = 600) -> s
             f"tool: {step.call.tool} args: {json.dumps(step.call.args, sort_keys=True)}"
         )
         body = step.result.text if step.result.ok else f"ERROR: {step.result.error}"
-        if len(body) > result_chars:
-            body = body[:result_chars] + "..."
+        if len(body) > TRANSCRIPT_RESULT_CHARS:
+            body = body[:TRANSCRIPT_RESULT_CHARS] + "..."
         lines.append(f"result: {body}")
     lines.append(f"terminated: {transcript.terminated_reason}")
     if transcript.answer is not None:
@@ -221,39 +223,34 @@ _STOPWORDS = frozenset(
 
 
 class HeuristicPolicy:
-    """Deterministic reference policy: look up the best-matching entity,
-    then answer with the value in force at the question date of the
-    property whose name best overlaps the question."""
+    """Deterministic reference policy that reads nothing but its ``step``
+    arguments: look up the question's subject, then answer with the latest
+    value, in that lookup's result, of the property whose name best overlaps
+    the question. The lookup already cuts each document to the question
+    date."""
 
-    def __init__(self, store: Store):
-        self.store = store
-        self._looked_up = False
+    def __init__(self, _unused=None):
+        pass  # perfbench/workloads.py still passes the store
 
     def step(self, question, history, named_params):
-        if not self._looked_up:
-            self._looked_up = True
+        lookup = next(
+            (step for step in reversed(history) if step.call.tool == "entity_lookup"), None
+        )
+        if lookup is None:
             return ToolAction(
                 reasoning="canonicalize the subject of the question",
                 call=ToolCall("entity_lookup", {"query": question, "k": 3}),
             )
         question_tokens = set(tokenize(question)) - _STOPWORDS
-        as_of = named_params["question_date"]
         best = None
-        for entity_id, entity_name in self.store.entity_names():
-            if not set(tokenize(entity_name)) & question_tokens:
+        for entity_id, name, prop, value, _valid_from in read_latest_values(lookup.result.text):
+            overlap = len(set(prop.split("_")) & question_tokens)
+            if overlap == 0 or not set(tokenize(name)) & question_tokens:
                 continue
-            for prop, history in self.store.subject_history(entity_id, as_of).items():
-                overlap = len(set(prop.split("_")) & question_tokens)
-                if overlap == 0 or not history:
-                    continue
-                fact = history[-1]
-                key = (overlap, entity_id, prop)
-                if best is None or key > (best[0], best[1], best[2]):
-                    best = (overlap, entity_id, prop, fact)
+            key = (overlap, entity_id, prop)
+            if best is None or key > best[0]:
+                best = (key, value)
         if best is None:
             return FinalAnswer("I could not find an answer in memory.")
-        fact = best[3]
-        value = fact.value
-        if not isinstance(value, str):
-            value = json.dumps(value)
-        return FinalAnswer(str(value))
+        value = best[1]
+        return FinalAnswer(value if isinstance(value, str) else json.dumps(value))

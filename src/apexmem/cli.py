@@ -196,9 +196,9 @@ def ingest(config, transcript, store_path, as_json):
     store.close()
 
 
-def _load_policy(spec: Optional[str], store: Store):
+def _load_policy(spec: Optional[str]):
     if not spec or spec == "reference":
-        return HeuristicPolicy(store)
+        return HeuristicPolicy()
     if spec.startswith("script:"):
         path = spec[len("script:"):]
         with open(path, "r", encoding="utf-8") as handle:
@@ -245,7 +245,7 @@ def qa(config, question, store_path, question_date, max_tool_calls, trace,
         question_date=question_date,
     )
     try:
-        policy = _load_policy(policy_spec or config.get("policy"), store)
+        policy = _load_policy(policy_spec or config.get("policy"))
         transcript = run_agent(store, index, policy, question, agent_config)
     except ProviderFailure as exc:
         click.echo(f"provider failure: {exc}", err=True)

@@ -24,7 +24,7 @@ from .index import VectorIndex
 from .ontology import DType, EntityType, Event, Evidence, Fact, Role, Turn
 from .store import Store
 
-DEFAULT_CONTEXT_WINDOW = 5
+CONTEXT_WINDOW = 5
 
 _WEEKDAYS = {
     name.lower(): number
@@ -446,7 +446,6 @@ def ingest_session(
     entity_provider,
     property_provider,
     session: List[Turn],
-    context_window: int = DEFAULT_CONTEXT_WINDOW,
 ) -> List[TurnOutcome]:
     """Commit the session's turns, then extract each in ordinal order with a
     sliding context window. Per-turn failures are recorded, not raised."""
@@ -472,7 +471,7 @@ def ingest_session(
     outcomes = []
     for position, turn in enumerate(committed_turns):
         context = tuple(
-            reversed(committed_turns[max(0, position - context_window) : position])
+            reversed(committed_turns[max(0, position - CONTEXT_WINDOW) : position])
         )
         try:
             committed = extract_turn(

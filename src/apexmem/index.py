@@ -470,7 +470,6 @@ def hybrid_search(
     kinds: Iterable[str],
     query: str,
     k: int,
-    alpha: float = FUSION_ALPHA,
     query_vector: Optional[np.ndarray] = None,
 ) -> List[Tuple[int, str, HybridScore]]:
     """Fused ranking over the union of dense and lexical candidate pools.
@@ -494,7 +493,8 @@ def hybrid_search(
         dense_norm = minmax_normalize(dense_raw)
         lexical_norm = minmax_normalize(lexical_raw)
         for doc_id in candidates:
-            fused = alpha * dense_norm[doc_id] + (1.0 - alpha) * lexical_norm[doc_id]
+            fused = (FUSION_ALPHA * dense_norm[doc_id]
+                     + (1.0 - FUSION_ALPHA) * lexical_norm[doc_id])
             results.append(
                 (
                     doc_id,

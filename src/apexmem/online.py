@@ -65,7 +65,6 @@ def score_relevance(
     corpus: List[Document],
     question: str,
     index: Optional[VectorIndex] = None,
-    alpha: float = FUSION_ALPHA,
 ) -> List[RelevanceScore]:
     """Per-document fused hybrid score, min-max normalized to [0,1] over the
     corpus. A single document (or all-equal raw scores) normalizes to 1.0."""
@@ -82,7 +81,8 @@ def score_relevance(
     dense_norm = minmax_normalize(dense_raw)
     lexical_norm = minmax_normalize(lexical_full)
     fused = {
-        i: alpha * dense_norm[i] + (1.0 - alpha) * lexical_norm[i] for i, _ in keyed
+        i: FUSION_ALPHA * dense_norm[i] + (1.0 - FUSION_ALPHA) * lexical_norm[i]
+        for i, _ in keyed
     }
     normalized = minmax_normalize(fused)
     return [RelevanceScore(doc.doc_id, normalized[i]) for i, doc in keyed]

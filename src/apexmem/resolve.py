@@ -170,9 +170,6 @@ class RuleBasedProvider:
     in the ambiguous band.
     """
 
-    def __init__(self, default_etype: Optional[EntityType] = None):
-        self.default_etype = default_etype
-
     def decide(
         self, mention: str, context: str, candidates: List[Candidate]
     ) -> ResolutionDecision:
@@ -199,7 +196,6 @@ class RuleBasedProvider:
             return ResolutionDecision(
                 decision="propose_new",
                 normalized_name=normalized,
-                etype=self.default_etype,
                 confidence=0.5,
                 rationale="no sufficiently similar candidate",
             )
@@ -216,11 +212,10 @@ def resolve_entity(
     provider: DecisionProvider,
     mention: str,
     context: str = "",
-    k: int = DEFAULT_K,
     etype: Optional[EntityType] = None,
 ) -> ResolutionDecision:
     """Resolve a mention to an existing entity or a proposal for a new one."""
-    candidates = retrieve_entity_candidates(store, index, mention, k)
+    candidates = retrieve_entity_candidates(store, index, mention)
     try:
         decision = provider.decide(mention, context, candidates)
     except InvalidDecision:
@@ -260,7 +255,6 @@ def resolve_property(
     provider: DecisionProvider,
     raw_name: str,
     example_value: Any = None,
-    k: int = DEFAULT_K,
 ) -> ResolutionDecision:
     """Resolve a raw property name to a canonical snake_case property."""
     if not raw_name:
@@ -274,7 +268,7 @@ def resolve_property(
     if example_value is not None:
         dtype = ontology.infer_dtype(example_value)
 
-    candidates = retrieve_property_candidates(store, index, normalized, k)
+    candidates = retrieve_property_candidates(store, index, normalized)
     for candidate in candidates:
         if candidate.name == normalized:
             return ResolutionDecision(

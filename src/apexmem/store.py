@@ -341,6 +341,7 @@ class Store:
         created_at: str = _EPOCH,
     ) -> int:
         ontology.validate_property_name(property_name)
+        ontology.parse_iso_datetime(created_at)
         existing = self._conn.execute(
             "SELECT property_id FROM properties WHERE property_name = ?",
             (property_name,),
@@ -408,6 +409,11 @@ class Store:
         facts = list(facts)
         evidence = list(evidence)
         participants = list(participants)
+        # checked here, not in Fact, which every fact read builds
+        for stamp in [created_at, *(stamp for fact in facts for stamp in
+                                    (fact.created_at, fact.valid_from, fact.valid_to))]:
+            if stamp is not None:
+                ontology.parse_iso_datetime(stamp)
         created_at = created_at or event.anchor_datetime
 
         for entity_id, _role in participants:
@@ -675,12 +681,6 @@ class Store:
             (json.dumps(list(names)),),
         )
         return dict(rows.fetchall())
-
-    def entity_names(self) -> List[Tuple[int, str]]:
-        """(entity_id, entity_name) of every entity, ascending by id."""
-        return self._conn.execute(
-            "SELECT entity_id, entity_name FROM entities ORDER BY entity_id"
-        ).fetchall()
 
     def entity_anchors(self, entity_id: int) -> Tuple[str, ...]:
         """The distinct anchors of the events the entity takes part in,

@@ -10,6 +10,7 @@ from datetime import date, timedelta
 from typing import Dict, List, Tuple
 
 from . import extract
+from .agent import AgentConfig, HeuristicPolicy, run_agent
 from .extract import ReferenceExtractor
 from .index import VectorIndex
 from .ontology import Turn
@@ -27,6 +28,8 @@ _VALUES = {
     "favorite city": ("Lisbon", "Kyoto", "Oslo", "Quito", "Perth", "Tunis"),
     "favorite drink": ("coffee", "matcha", "cocoa", "chai", "cider", "mate"),
 }
+# what an append-only probe asks the agent, on the probe's date
+QUESTION = "What is {subject}'s {property}?"
 
 
 @dataclass(frozen=True)
@@ -129,9 +132,10 @@ class SynthReport:
 def run_synth_eval(
     seed: int, n_sessions: int, revisions_per_subject: int = 3, mode: str = "append_only"
 ) -> SynthReport:
-    """Ingest the generated corpus and score the probes with a scripted
-    resolution policy. mode "eager_update" simulates overwrite-on-revision
-    storage: only the newest value per (subject, property) survives."""
+    """Ingest the generated corpus and ask each probe's ``QUESTION`` through
+    ``run_agent`` and the reference policy, on the probe's date. mode
+    "eager_update" simulates overwrite-on-revision storage: only the newest
+    value per (subject, property) survives."""
     corpus = generate_corpus(seed, n_sessions, revisions_per_subject)
     report = SynthReport(seed=seed, n_sessions=n_sessions, mode=mode)
 
@@ -149,13 +153,15 @@ def run_synth_eval(
             extract.ingest_session(
                 store, index, extractor, entity_provider, property_provider, session
             )
+        policy = HeuristicPolicy()
         answers = []
         for probe in corpus.probes:
-            row = store.find_entity_by_name(probe.subject)
-            fact = row and store.latest_fact(
-                row["entity_id"], probe.property_name, probe.as_of
+            question = QUESTION.format(
+                subject=probe.subject, property=probe.property_name.replace("_", " ")
             )
-            answers.append(str(fact.value) if fact else None)
+            transcript = run_agent(store, index, policy, question,
+                                   AgentConfig(question_date=probe.as_of))
+            answers.append(transcript.answer.text if transcript.answer else None)
         store.close()
 
     for probe, answer in zip(corpus.probes, answers):

@@ -5,9 +5,10 @@ failures are returned in-band so the agent loop can recover.
 from __future__ import annotations
 
 import json
+import re
 import sqlite3
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .index import VectorIndex, hybrid_search
 from .ontology import temporal_sort_key
@@ -307,6 +308,36 @@ def render_entity_document(doc: EntityDocument) -> str:
         doc.facts,
     ]
     return "\n".join(lines)
+
+
+_DOCUMENT_HEADER = re.compile(r"### (.*) \((\w+)\) — ent:(\d+)")
+
+
+def read_latest_values(text: str) -> List[Tuple[int, str, str, Any, str]]:
+    """The "Latest property values" rows of the entity documents in ``text``
+    (an ``entity_lookup`` result), as (entity_id, entity_name, property,
+    value, valid_from), with each value as ``build_entity_document`` wrote
+    it: a date is its ISO text. A row cut by the character cap is left out."""
+    rows = []
+    entity = None
+    lines = iter(text.split("\n"))
+    for line in lines:
+        header = _DOCUMENT_HEADER.fullmatch(line)
+        if header:
+            entity = (int(header[3]), header[1])
+        if line != "Latest property values:" or entity is None:
+            continue
+        next(lines, None)  # the table's headers
+        next(lines, None)  # and its rule
+        for row in lines:
+            # a cell's own "|" is escaped, so only separators follow a space
+            cells = row[2:-2].split(" | ")
+            if not (row.startswith("| ") and row.endswith(" |") and len(cells) == 3):
+                break
+            prop, value, valid_from = cells
+            rows.append((*entity, prop, json.loads(value.replace("\\|", "|")), valid_from))
+        entity = None
+    return rows
 
 
 def entity_lookup(

@@ -55,7 +55,7 @@ def test_acceptance_1_case1_temporal_resolution():
         alice, "favorite_restaurant", "2024-02-01T00:00:00Z").value == "Italian Garden"
 
     transcript = run_agent(
-        store, index, HeuristicPolicy(store),
+        store, index, HeuristicPolicy(),
         "What is Alice's favorite restaurant?",
         AgentConfig(question_date="2024-04-01T00:00:00Z"),
     )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from apexmem.agent import (
     DEFAULT_MAX_TOOL_CALLS,
     AgentConfig,
+    AgentStep,
     FinalAnswer,
     HeuristicPolicy,
     ScriptedPolicy,
@@ -20,7 +21,7 @@ from apexmem.extract import ingest_session
 from apexmem.index import VectorIndex
 from apexmem.ontology import Turn
 from apexmem.store import Store
-from apexmem.tools import ToolCall
+from apexmem.tools import ToolCall, ToolResult
 from conftest import ingest_case1, reference_pipeline
 
 NOT_FOUND = "I could not find an answer in memory."
@@ -151,7 +152,7 @@ def test_store_untouched_by_agent_run(store, index):
 def test_heuristic_policy_answers_case1(store, index):
     ingest_case1(store, index)
     transcript = run_agent(
-        store, index, HeuristicPolicy(store),
+        store, index, HeuristicPolicy(),
         "What is Alice's favorite restaurant?",
         AgentConfig(question_date="2024-04-01T00:00:00Z"),
     )
@@ -162,7 +163,7 @@ def test_heuristic_policy_answers_case1(store, index):
 def test_heuristic_policy_answers_at_the_question_date(store, index):
     ingest_case1(store, index)
     transcript = run_agent(
-        store, index, HeuristicPolicy(store),
+        store, index, HeuristicPolicy(),
         "What is Alice's favorite restaurant?",
         AgentConfig(question_date="2024-02-01"),
     )
@@ -209,7 +210,7 @@ def test_heuristic_answer_is_the_last_value_stated_by_the_question_date(
     for outcome in ingest_session(store, index, *reference_pipeline(), turns):
         assert outcome.ok, outcome.error
     transcript = run_agent(
-        store, index, HeuristicPolicy(store), "What is Alice's favorite color?",
+        store, index, HeuristicPolicy(), "What is Alice's favorite color?",
         AgentConfig(question_date=str(start + timedelta(asked))),
     )
     store.close()
@@ -253,3 +254,69 @@ def test_citations_of_evidence_or_turns_are_kept(store, index):
     ])
     assert store.row_counts()["evidence"] == 3
     assert cite(4) == (4,)
+
+
+def test_one_heuristic_policy_answers_each_question_after_its_own_lookup(store, index):
+    ingest_case1(store, index)
+    policy = HeuristicPolicy()
+    config = AgentConfig(question_date="2024-04-01T00:00:00Z")
+    for question, answer in [("What is Alice's favorite restaurant?", "Sakura Sushi"),
+                             ("What is Italian Garden's closure date?", "2024-02-01")]:
+        transcript = run_agent(store, index, policy, question, config)
+        assert [step.call.tool for step in transcript.steps] == ["entity_lookup"]
+        assert transcript.steps[0].call.args["query"] == question
+        assert transcript.answer.text == answer
+
+
+def test_heuristic_policy_answers_a_date_as_its_iso_text(store, index):
+    ingest_case1(store, index)
+    transcript = run_agent(store, index, HeuristicPolicy(),
+                           "What is Italian Garden's closure date?")
+    assert transcript.terminated_reason == "answered"
+    assert transcript.answer.text == "2024-02-01"
+
+
+LOOKUP_TEXT = """\
+### Alice Smith (Person) — ent:1
+last_anchor: 2024-01-15T10:00:00Z
+anchors: 2024-01-15T10:00:00Z
+
+Latest property values:
+| property | value | valid_from |
+| --- | --- | --- |
+| favorite_color | "blue \\| green" | 2024-01-15 |
+| favorite_restaurant_city | "Rome" |  |
+| shoe_size | 42 | 2024-01-15 |
+
+Full fact history:
+| property | value | valid_from | valid_to | created_at |
+| --- | --- | --- | --- | --- |
+| favorite_color | "red" | 2024-01-01 |  | 2024-01-01T10:00:00Z |
+
+### Bob (Person) — ent:2
+last_anchor: n/a
+anchors: n/a
+
+Latest property values:
+| property | value | valid_from |
+| --- | --- | --- |
+| favorite_color | "teal" | 2024-01-15 |"""
+
+
+@pytest.mark.parametrize("question, answer", [
+    ("What is Alice's favorite color?", "blue | green"),
+    ("What is Alice's shoe size?", "42"),
+    # two words of favorite_restaurant_city overlap, one of favorite_color
+    ("Which favorite city does Alice have?", "Rome"),
+    # Bob's document is in the result, but no word of the name Bob is asked
+    ("What is Carol's favorite color?", NOT_FOUND),
+])
+def test_heuristic_policy_answers_from_the_lookup_result_alone(question, answer):
+    policy = HeuristicPolicy()
+    named_params = {"question_date": "2024-02-01"}
+    action = policy.step(question, [], named_params)
+    assert action.call == ToolCall("entity_lookup", {"query": question, "k": 3})
+    history = [AgentStep("", action.call, ToolResult(ok=True, text=LOOKUP_TEXT))]
+    assert policy.step(question, history, named_params) == FinalAnswer(answer)
+    failed = [AgentStep("", action.call, ToolResult(ok=False, error="boom"))]
+    assert policy.step(question, failed, named_params) == FinalAnswer(NOT_FOUND)

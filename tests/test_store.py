@@ -159,6 +159,32 @@ def test_entity_created_at_must_be_iso(store):
     assert store.canonical_dump() == before
 
 
+@pytest.mark.parametrize("stamps", [
+    {"created_at": "soon"},
+    {"valid_from": "soon"},
+    {"valid_to": "soon"},
+    {"bundle_created_at": "soon"},
+])
+def test_event_bundle_timestamps_must_be_iso(store, stamps):
+    subject = store.append_entity("Alice", "Person", Role.Speaker, [],
+                                  created_at="2024-01-01T00:00:00Z")
+    stamps = {"created_at": "2024-01-01T00:00:00Z", "valid_from": None,
+              "valid_to": None, "bundle_created_at": None, **stamps}
+    fact = Fact(None, subject, "favorite_color", "blue", DType.str, stamps["valid_from"],
+                stamps["valid_to"], 1.0, stamps["created_at"])
+    counts = store.row_counts()
+    with pytest.raises(ValidationFailure):
+        store.append_event_bundle(_event(), [fact], [], [], stamps["bundle_created_at"])
+    assert store.row_counts() == counts
+
+
+def test_property_created_at_must_be_iso(store):
+    counts = store.row_counts()
+    with pytest.raises(ValidationFailure):
+        store.append_property("favorite_color", DType.str, created_at="soon")
+    assert store.row_counts() == counts
+
+
 def test_evidence_quote_must_match_span(store):
     subject = store.append_entity("Alice", "Person", Role.Speaker, [],
                                   created_at="2024-01-01T00:00:00Z")
@@ -359,7 +385,7 @@ def test_a_store_without_its_indexes_gains_them_when_opened(tmp_path):
     assert _index_names(again) == indexes
     assert again.canonical_dump() == before
     transcript = run_agent(
-        again, VectorIndex(path=VectorIndex.sidecar_path(path)), HeuristicPolicy(again),
+        again, VectorIndex(path=VectorIndex.sidecar_path(path)), HeuristicPolicy(),
         "What is Alice's favorite restaurant?",
         AgentConfig(question_date="2024-02-01T00:00:00Z"),
     )

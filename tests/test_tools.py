@@ -1,11 +1,12 @@
 import json
 from collections import Counter
+from datetime import date
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from apexmem.extract import ingest_session
-from apexmem.index import KINDS, VectorIndex
+from apexmem.index import KINDS, VectorIndex, upsert_embeddings
 from apexmem.ontology import DType, Event, Fact, Role, Turn
 from apexmem.store import WHITELISTED_TABLES, Store
 from apexmem.tools import (
@@ -22,6 +23,8 @@ from apexmem.tools import (
     ToolResult,
     graph_sql,
     property_search,
+    read_latest_values,
+    render_entity_document,
     render_markdown_table,
     schema_viewer,
     search,
@@ -372,3 +375,79 @@ def test_search_reads_each_row_once(monkeypatch):
 
 def test_arg_schemas_are_json_serializable():
     json.dumps(TOOL_ARG_SCHEMAS)
+
+
+_TEXT = st.text(st.sampled_from(list("ab |\\\"'\n\té雪—()")), max_size=12)
+_VALUES = st.one_of(
+    st.tuples(st.just(DType.str), _TEXT),
+    st.tuples(st.just(DType.bool), st.booleans()),
+    st.tuples(st.just(DType.int), st.integers()),
+    st.tuples(st.just(DType.float), st.floats(allow_nan=False, allow_infinity=False)),
+    st.tuples(st.just(DType.date), st.dates()),
+)
+_ENTITY_NAMES = st.text(st.sampled_from(list("ab (é)—|")), min_size=1, max_size=10).filter(
+    lambda name: name.strip())
+
+
+def _latest_line(prop, value, valid_from):
+    """A "Latest property values" row as build_entity_document renders it."""
+    return render_markdown_table(["property", "value", "valid_from"],
+                                 [[prop, json.dumps(value), valid_from]]).split("\n")[2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entities=st.lists(
+        st.tuples(_ENTITY_NAMES, st.lists(
+            st.tuples(st.sampled_from(["favorite_color", "shoe_size", "hometown"]),
+                      _VALUES, st.none() | st.sampled_from(["2024-01-02", "2024-01-09"])),
+            max_size=5)),
+        min_size=1, max_size=3),
+)
+def test_read_latest_values_returns_the_rendered_latest_rows(entities):
+    """The reader inverts the "Latest property values" table, and a text cut
+    inside or after any of its rows, as the character cap cuts it, yields
+    only its whole rows."""
+    store = Store.open(":memory:")
+    expected = []
+    for name, facts in entities:
+        entity_id = store.append_entity(name, "Place", Role.Mentioned)
+        for prop, (dtype, value), valid_from in facts:
+            fact = Fact(None, entity_id, prop, value, dtype, valid_from, None, 1.0,
+                        "2024-01-05T00:00:00Z")
+            store.append_event_bundle(Event(None, "conversation", "2024-01-05T00:00:00Z"),
+                                      [fact])
+        for prop, history in store.subject_history(entity_id).items():
+            latest = history[-1]
+            value = latest.value
+            value = value.isoformat() if isinstance(value, date) else value
+            expected.append((entity_id, store.entity_row(entity_id)["entity_name"], prop,
+                             value, latest.valid_from or ""))
+    text = "\n\n".join(render_entity_document(build_entity_document(store, entity_id))
+                       for entity_id in range(1, len(entities) + 1))
+    store.close()
+    assert read_latest_values(text) == expected
+
+    position = 0
+    for whole, (_id, _name, prop, value, valid_from) in enumerate(expected):
+        line = _latest_line(prop, value, valid_from)
+        start = text.index(f"\n{line}\n", position) + 1
+        position = start + len(line)
+        for end in range(start, position + 1):
+            cut = read_latest_values(text[:end] + "\n... truncated")
+            assert cut == expected[:whole + (end == position)]
+
+
+def test_read_latest_values_of_a_lookup_cut_by_the_character_cap(store, index):
+    entity_id = store.append_entity("Long Notes (draft)", "Product", Role.Mentioned)
+    facts = [Fact(None, entity_id, f"note_{number:02d}", f"{number} | " + "x" * 900,
+                  DType.str, None, None, 1.0, "2024-01-05T00:00:00Z")
+             for number in range(40)]
+    store.append_event_bundle(Event(None, "conversation", "2024-01-05T00:00:00Z"), facts)
+    upsert_embeddings(store, index)
+    full = read_latest_values(render_entity_document(build_entity_document(store, entity_id)))
+    assert [row[2] for row in full] == [f"note_{number:02d}" for number in range(40)]
+    result = entity_lookup(store, index, "Long Notes", k=1)
+    assert result.text.endswith(f"truncated at {CHAR_CAP} characters")
+    rows = read_latest_values(result.text)
+    assert 0 < len(rows) < 40 and rows == full[:len(rows)]
