@@ -424,8 +424,15 @@ class VectorIndex:
         postings = self._postings.get(kind)
         if postings is None:
             postings = self._postings[kind] = _Postings()
-        postings.extend(store.lexical_documents(kind, postings.high_water))
+        if _has_rows_above(store.last_ids(), kind, postings.high_water):
+            postings.extend(store.lexical_documents(kind, postings.high_water))
         return postings.scores(query)
+
+
+def _has_rows_above(last_ids: Dict[str, int], kind: str, high_water: int) -> bool:
+    """Whether the store holds a row of ``kind`` above ``high_water``: ids
+    only grow, so a table whose last id is not above it has nothing new."""
+    return last_ids[SEARCH_TEXT[kind][0]] > high_water
 
 
 def upsert_embeddings(store: Store, index: VectorIndex) -> int:
@@ -433,9 +440,12 @@ def upsert_embeddings(store: Store, index: VectorIndex) -> int:
     are read in ascending id order, so this is idempotent and resumable:
     partial progress is saved before an embedder failure propagates."""
     indexed = 0
+    last_ids = store.last_ids()
     try:
         for kind in KINDS:
             after_id = index.high_water.get(kind, 0)
+            if not _has_rows_above(last_ids, kind, after_id):
+                continue
             for doc_id, text in kind_documents(store, kind, after_id):
                 if index.upsert(kind, doc_id, text):
                     indexed += 1

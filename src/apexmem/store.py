@@ -47,14 +47,31 @@ WHITELISTED_TABLES = (
 )
 
 # Derived from the rows, so neither logged nor dumped. They make the question
-# path's reads point reads: a subject's facts, an entity's events, and the
-# entity joined by name in an as-of GraphSQL lookup (without that index SQLite
-# walks facts_subject in full for it).
+# path's reads point reads: a subject's facts, an entity's events, the entity
+# joined by name in an as-of GraphSQL lookup (without that index SQLite walks
+# facts_subject in full for it), and the facts of each name property_usage
+# counts. facts_property sorts by NOCASE so that only a statement asking for
+# that collation can use it: on a plain (property_name) index the planner,
+# which has no statistics, reads the as-of lookup's facts by property name,
+# every subject's, instead of through entities_name and facts_subject.
 _INDEXES = """
 CREATE INDEX IF NOT EXISTS facts_subject ON facts (subject_id, property_name);
 CREATE INDEX IF NOT EXISTS event_participants_entity ON event_participants (entity_id);
 CREATE INDEX IF NOT EXISTS entities_name ON entities (entity_name);
+CREATE INDEX IF NOT EXISTS facts_property ON facts (property_name COLLATE NOCASE);
 """
+
+# The column each id-bearing table allocates its ids by; the append log's
+# sequence is allocated the same way.
+_ID_COLUMNS = {
+    "entities": "entity_id",
+    "properties": "property_id",
+    "facts": "id",
+    "events": "id",
+    "evidence": "id",
+    "turns": "id",
+    "append_log": "sequence",
+}
 
 _DDL = f"""
 CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
@@ -181,6 +198,14 @@ class Store:
         self._conn = conn
         self.path = path
         self._reader: Optional[sqlite3.Connection] = None
+        # the highest committed id of each table in _ID_COLUMNS, and the
+        # PRAGMA data_version they were read at
+        self._last_ids: Dict[str, int] = {}
+        self._data_version: Optional[int] = None
+        # base rows are never updated, so each entities and properties row
+        # is read from SQLite once per store and kept as its raw tuple
+        self._entity_memo: Dict[int, tuple] = {}
+        self._property_memo: Dict[int, tuple] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -219,6 +244,7 @@ class Store:
             store._create_schema(_INDEXES)
         else:
             store._create_schema(_DDL)
+        store._load_ids()
         return store
 
     def close(self) -> None:
@@ -252,12 +278,34 @@ class Store:
 
     # -- id allocation -------------------------------------------------
 
-    def _next_id(self, table: str, column: str) -> int:
-        row = self._conn.execute(f"SELECT MAX({column}) FROM {table}").fetchone()
-        return (row[0] or 0) + 1
+    def _load_ids(self) -> None:
+        """Read the highest id of each table, and the data version they are
+        current at, in one statement and so from one snapshot."""
+        row = self._conn.execute(
+            "SELECT (SELECT data_version FROM pragma_data_version), "
+            + ", ".join(f"(SELECT MAX({column}) FROM {table})"
+                        for table, column in _ID_COLUMNS.items())
+        ).fetchone()
+        self._data_version = row[0]
+        self._last_ids = {table: last or 0 for table, last in zip(_ID_COLUMNS, row[1:])}
+
+    def _sync_ids(self) -> None:
+        """Reload the ids if another connection has committed since they
+        were read; a commit on this connection leaves data_version as it is.
+        A ``:memory:`` store has no other connection, so it reads nothing."""
+        if self.path == ":memory:":
+            return
+        if self._conn.execute("PRAGMA data_version").fetchone()[0] != self._data_version:
+            self._load_ids()
+
+    def last_ids(self) -> Dict[str, int]:
+        """The highest committed id of each id-bearing table, by table name,
+        with the append log's last sequence under ``append_log``."""
+        self._sync_ids()
+        return dict(self._last_ids)
 
     def peek_next_entity_id(self) -> int:
-        return self._next_id("entities", "entity_id")
+        return self.last_ids()["entities"] + 1
 
     @staticmethod
     def entity_alias(entity_id: int) -> str:
@@ -265,18 +313,20 @@ class Store:
 
     @property
     def sequence(self) -> int:
-        row = self._conn.execute("SELECT MAX(sequence) FROM append_log").fetchone()
-        return row[0] or 0
+        return self.last_ids()["append_log"]
 
     # -- commits -------------------------------------------------------
 
     def _commit(self, payload: dict) -> None:
-        """Apply one logged batch of row inserts atomically."""
+        """Apply one logged batch of row inserts atomically. The caller has
+        synced the ids and numbered the rows from them; the ids advance only
+        once the commit has succeeded."""
+        sequence = self._last_ids["append_log"] + 1
         try:
             self._apply(payload)
             self._conn.execute(
                 "INSERT INTO append_log (sequence, payload) VALUES (?, ?)",
-                (self.sequence + 1, json.dumps(payload, sort_keys=True)),
+                (sequence, json.dumps(payload, sort_keys=True)),
             )
             self._conn.commit()
         except Exception as exc:
@@ -287,6 +337,13 @@ class Store:
                     f" {payload['op']} commit rolled back: {exc}"
                 ) from exc
             raise
+        self._last_ids["append_log"] = sequence
+        for table, rows in payload["rows"].items():
+            column = _ID_COLUMNS.get(table)
+            if column is not None and rows:
+                self._last_ids[table] = max(
+                    self._last_ids[table], *(row[column] for row in rows)
+                )
 
     def _apply(self, payload: dict) -> None:
         for table, rows in payload["rows"].items():
@@ -348,7 +405,7 @@ class Store:
         ).fetchone()
         if existing:
             return existing[0]
-        property_id = self._next_id("properties", "property_id")
+        property_id = self.last_ids()["properties"] + 1
         payload = {
             "op": "property",
             "rows": {
@@ -368,7 +425,7 @@ class Store:
 
     def append_turns(self, turns: Iterable[Turn]) -> list:
         turns = list(turns)
-        next_id = self._next_id("turns", "id")
+        next_id = self.last_ids()["turns"] + 1
         rows, ids = [], []
         for offset, turn in enumerate(turns):
             turn_id = next_id + offset
@@ -416,17 +473,22 @@ class Store:
                 ontology.parse_iso_datetime(stamp)
         created_at = created_at or event.anchor_datetime
 
+        known = self._entity_tuples(
+            [entity_id for entity_id, _role in participants]
+            + [fact.subject_id for fact in facts]
+        )
         for entity_id, _role in participants:
-            if not self._entity_exists(entity_id):
+            if entity_id not in known:
                 raise DanglingReference(f"unknown entity id {entity_id}")
         for fact in facts:
-            if not self._entity_exists(fact.subject_id):
+            if fact.subject_id not in known:
                 raise DanglingReference(f"unknown subject id {fact.subject_id}")
 
-        event_id = self._next_id("events", "id")
-        fact_base = self._next_id("facts", "id")
+        last_ids = self.last_ids()
+        event_id = last_ids["events"] + 1
+        fact_base = last_ids["facts"] + 1
         fact_ids = list(range(fact_base, fact_base + len(facts)))
-        evidence_base = self._next_id("evidence", "id")
+        evidence_base = last_ids["evidence"] + 1
 
         rows: dict = {
             "events": [
@@ -503,14 +565,6 @@ class Store:
 
         self._commit({"op": "event_bundle", "rows": rows})
         return CommittedBundle(event_id, fact_ids, evidence_ids)
-
-    def _entity_exists(self, entity_id: int) -> bool:
-        return (
-            self._conn.execute(
-                "SELECT 1 FROM entities WHERE entity_id = ?", (entity_id,)
-            ).fetchone()
-            is not None
-        )
 
     def turn_text(self, turn_id: int) -> Optional[str]:
         row = self._conn.execute(
@@ -642,42 +696,59 @@ class Store:
         }
 
     def entity_row(self, entity_id: int) -> Optional[dict]:
-        row = self._conn.execute(
-            f"SELECT {self._ENTITY_COLUMNS} FROM entities WHERE entity_id = ?",
-            (entity_id,),
-        ).fetchone()
+        row = next(iter(self._entity_tuples([entity_id]).values()), None)
         return None if row is None else self._entity_dict(row)
 
-    def _rows_by_id(self, table: str, key: str, columns: str, ids) -> dict:
-        ids = list(ids)
-        if not ids:
-            return {}
-        # the ids go in as one JSON array, so the statement text is the same
-        # for any number of them and each connection prepares it once
-        rows = self._conn.execute(
-            f"SELECT {columns} FROM json_each(?) AS ids"
-            f" CROSS JOIN {table} ON {table}.{key} = ids.value",
-            (json.dumps(ids),),
+    def _memo_rows(self, memo: Dict[int, tuple], table: str, key: str,
+                   columns: str, ids: Iterable[int]) -> Dict[int, tuple]:
+        """The row of each id that exists, by id. A row in ``memo`` is not
+        read again; the others are read in one statement and kept there. An
+        id found missing is not kept, since another connection may add it."""
+        found, missing = {}, []
+        for row_id in ids:
+            row = memo.get(row_id)
+            if row is None:
+                missing.append(row_id)
+            else:
+                found[row_id] = row
+        if missing:
+            # the ids go in as one JSON array, so the statement text is the
+            # same for any number of them and each connection prepares it once
+            for row in self._conn.execute(
+                f"SELECT {columns} FROM json_each(?) AS ids"
+                f" CROSS JOIN {table} ON {table}.{key} = ids.value",
+                (json.dumps(missing),),
+            ):
+                memo[row[0]] = found[row[0]] = row
+        return found
+
+    def _entity_tuples(self, entity_ids: Iterable[int]) -> Dict[int, tuple]:
+        return self._memo_rows(
+            self._entity_memo, "entities", "entity_id", self._ENTITY_COLUMNS, entity_ids
         )
-        return {row[0]: row for row in rows}
 
     def entity_rows(self, entity_ids: Iterable[int]) -> Dict[int, dict]:
-        """``entity_row`` of each id that exists, in one statement."""
-        rows = self._rows_by_id("entities", "entity_id", self._ENTITY_COLUMNS, entity_ids)
-        return {entity_id: self._entity_dict(row) for entity_id, row in rows.items()}
+        """``entity_row`` of each id that exists, in at most one statement."""
+        return {entity_id: self._entity_dict(row)
+                for entity_id, row in self._entity_tuples(entity_ids).items()}
 
     def property_rows(self, property_ids: Iterable[int]) -> Dict[int, Tuple[str, str]]:
-        """(property_name, dtype) of each id that exists, in one statement."""
-        rows = self._rows_by_id(
-            "properties", "property_id", "property_id, property_name, dtype", property_ids
+        """(property_name, dtype) of each id that exists, in at most one
+        statement."""
+        rows = self._memo_rows(
+            self._property_memo, "properties", "property_id",
+            "property_id, property_name, dtype", property_ids,
         )
         return {property_id: row[1:] for property_id, row in rows.items()}
 
     def property_usage(self, names: Iterable[str]) -> Dict[str, int]:
-        """Number of facts of each property name, in one statement."""
+        """Number of facts of each property name, in one statement. The
+        NOCASE term selects the names' range of facts_property; the exact
+        term keeps the count case-sensitive."""
         rows = self._conn.execute(
             "SELECT names.value, (SELECT COUNT(*) FROM facts"
-            " WHERE property_name = names.value) FROM json_each(?) AS names",
+            " WHERE property_name = names.value COLLATE NOCASE"
+            " AND property_name = names.value) FROM json_each(?) AS names",
             (json.dumps(list(names)),),
         )
         return dict(rows.fetchall())
@@ -746,6 +817,7 @@ class Store:
                 (sequence, json.dumps(payload, sort_keys=True)),
             )
         store._conn.commit()
+        store._load_ids()
         return store
 
     def canonical_dump(self) -> bytes:

@@ -2,6 +2,7 @@ import ast
 import os
 import re
 import sqlite3
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from apexmem.errors import (
     ValidationFailure,
 )
 from apexmem.extract import ingest_session
-from apexmem.index import VectorIndex
+from apexmem.index import VectorIndex, upsert_embeddings
 from apexmem.ontology import DType, Event, Evidence, Fact, Role, Turn
 from apexmem.store import SCHEMA_VERSION, Store, WHITELISTED_TABLES
 from apexmem.tools import graph_sql
@@ -373,7 +374,8 @@ def test_a_store_without_its_indexes_gains_them_when_opened(tmp_path):
     indexes = _index_names(store)
     before = store.canonical_dump()
     store.close()
-    assert indexes == {"facts_subject", "event_participants_entity", "entities_name"}
+    assert indexes == {"facts_subject", "event_participants_entity", "entities_name",
+                       "facts_property"}
 
     raw = sqlite3.connect(path)
     for name in sorted(indexes):
@@ -399,9 +401,10 @@ _TABLE_SCAN = re.compile(r"^SCAN (facts|f|p|event_participants)\b")
 
 
 def test_question_path_reads_are_point_reads(case1_store):
-    """A scaling guard: the reads a question makes of one subject, and the
-    benchmark's as-of GraphSQL lookup, search an index instead of reading
-    the whole table, so their cost does not grow with the store."""
+    """A scaling guard: the reads a question makes of one subject, the
+    benchmark's as-of GraphSQL lookup and property_search's usage count
+    search an index instead of reading the whole table, so their cost does
+    not grow with the store."""
     store = case1_store
     alice = store.find_entity_by_name("Alice")["entity_id"]
     statements = []
@@ -409,17 +412,21 @@ def test_question_path_reads_are_point_reads(case1_store):
     store.fact_history(alice, "favorite_restaurant", "2024-02-01T00:00:00Z")
     store.subject_history(alice, "2024-02-01T00:00:00Z")
     store.entity_anchors(alice)
-    looked_up = graph_sql(
-        store,
+    as_of = (
         "SELECT f.value_json FROM facts f JOIN entities e ON e.entity_id = f.subject_id"
         " WHERE e.entity_name = :name AND f.property_name = :prop"
-        " AND f.valid_from <= :day ORDER BY f.valid_from DESC, f.id DESC LIMIT 1",
+        " AND f.valid_from <= :day ORDER BY f.valid_from DESC, f.id DESC LIMIT 1"
+    )
+    looked_up = graph_sql(
+        store, as_of,
         {"name": "Alice", "prop": "favorite_restaurant", "day": "2024-02-01"},
     )
+    usage = store.property_usage(["favorite_restaurant", "Favorite_Restaurant"])
     store._conn.set_trace_callback(None)
     assert looked_up.ok and "Italian Garden" in looked_up.text
+    assert usage == {"favorite_restaurant": 2, "Favorite_Restaurant": 0}
     reads = [sql for sql in statements if sql.lstrip().upper().startswith("SELECT")]
-    assert len(reads) == 4
+    assert len(reads) == 5
     plans = {
         sql: [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + sql)]
         for sql in reads
@@ -427,6 +434,9 @@ def test_question_path_reads_are_point_reads(case1_store):
     scans = {sql: steps for sql, steps in plans.items()
              if any(_TABLE_SCAN.match(step) for step in steps)}
     assert scans == {}
+    # the lookup reads the one subject's facts, not every fact of the property
+    assert "SEARCH f USING INDEX facts_subject (subject_id=? AND property_name=?)" in next(
+        steps for sql, steps in plans.items() if "JOIN entities" in sql)
 
 
 def _ingest(store, index, sessions):
@@ -534,9 +544,150 @@ def test_commit_on_a_locked_store_raises_io_failure(tmp_path):
     store.close()
 
 
+def _fact(subject, value="blue"):
+    return Fact(None, subject, "favorite_color", value, DType.str,
+                "2024-01-01", None, 1.0, "2024-01-01T00:00:00Z")
+
+
+def test_two_handles_on_one_file_keep_ids_without_gaps(tmp_path):
+    """Each handle allocates from the ids it holds in memory and reloads
+    them when PRAGMA data_version shows a commit by the other, so ids and
+    log sequences stay 1..n, and each handle's index catch-up sees the
+    other's rows."""
+    path = str(tmp_path / "db.sqlite")
+    handles = [Store.open(path), Store.open(path)]
+    indexes = [VectorIndex(), VectorIndex()]
+    handles[0].append_turns([_turn(ordinal=0)])
+    entity_ids, event_ids, fact_ids = [], [], []
+    for step in range(6):
+        writer, other = handles[step % 2], handles[1 - step % 2]
+        entity_ids.append(writer.append_entity(
+            f"Person{step}", "Person", Role.Mentioned, created_at="2024-01-01T00:00:00Z"))
+        committed = other.append_event_bundle(
+            _event(), [_fact(entity_ids[-1])], [], [(entity_ids[-1], Role.Mentioned)])
+        event_ids.append(committed.event_id)
+        fact_ids.extend(committed.fact_ids)
+        for handle, index in zip(handles, indexes):
+            upsert_embeddings(handle, index)
+            assert ("entity", entity_ids[-1]) in index.entries
+            assert ("event", committed.event_id) in index.entries
+    handles[1].append_turns([_turn(ordinal=1)])
+    assert entity_ids == event_ids == fact_ids == list(range(1, 7))
+    for handle, index in zip(handles, indexes):
+        assert [sequence for sequence, _ in handle.append_log()] == list(range(1, 15))
+        assert handle.sequence == 14
+        assert handle.last_ids() == {
+            "entities": 6, "properties": 0, "facts": 6, "events": 6,
+            "evidence": 0, "turns": 2, "append_log": 14,
+        }
+        assert upsert_embeddings(handle, index) == 1  # the last turn
+        handle.close()
+
+
+def test_replay_loads_the_ids_of_the_log(store):
+    subject = store.append_entity("Alice", "Person", Role.Speaker, [],
+                                  created_at="2024-01-01T00:00:00Z")
+    store.append_turns([_turn()])
+    store.append_event_bundle(_event(), [_fact(subject)], [], [(subject, Role.Speaker)])
+    replica = Store.replay(store.append_log())
+    assert replica.append_entity("Bob", "Person", created_at="2024-01-01T00:00:00Z") == 2
+    assert replica.append_event_bundle(_event(), [_fact(2)]).fact_ids == [2]
+    assert [sequence for sequence, _ in replica.append_log()] == [1, 2, 3, 4, 5]
+    replica.close()
+
+
+def test_a_failed_commit_leaves_the_ids_unchanged(tmp_path):
+    """A bundle refused for a dangling reference, or rolled back on a
+    locked store, takes no id: the next commit gets the one it would have."""
+    path = str(tmp_path / "db.sqlite")
+    store = Store.open(path)
+    alice = store.append_entity("Alice", "Person", Role.Speaker, [],
+                                created_at="2024-01-01T00:00:00Z")
+    [turn_id] = store.append_turns([_turn(text="my favorite color is blue")])
+
+    def bundle(quoted_turn=turn_id):
+        ev = Evidence(None, None, quoted_turn, (3, 25), "favorite color is blue", 0)
+        return store.append_event_bundle(_event(), [_fact(alice)], [ev],
+                                         [(alice, Role.Speaker)])
+
+    with pytest.raises(DanglingReference):
+        bundle(quoted_turn=turn_id + 1)
+    store._conn.execute("PRAGMA busy_timeout = 50")
+    other = sqlite3.connect(path, isolation_level=None)
+    other.execute("BEGIN IMMEDIATE")
+    with pytest.raises(IoFailure):
+        bundle()
+    with pytest.raises(IoFailure):
+        store.append_entity("Bob", "Person", created_at="2024-01-01T00:00:00Z")
+    other.execute("ROLLBACK")
+    other.close()
+    committed = bundle()
+    assert (committed.event_id, committed.fact_ids, committed.evidence_ids) == (1, [1], [1])
+    assert store.append_entity("Bob", "Person", created_at="2024-01-01T00:00:00Z") == 2
+    assert [sequence for sequence, _ in store.append_log()] == [1, 2, 3, 4]
+    store.close()
+
+
+_MEMO_OPS = st.lists(
+    st.tuples(
+        st.integers(0, 1),
+        st.sampled_from(["entity", "property", "read"]),
+        st.sampled_from(["ada", "bo", "cy"]),
+        st.lists(st.sampled_from(["x", "y"]), max_size=2, unique=True),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_MEMO_OPS)
+def test_remembered_rows_read_as_a_fresh_store_does(ops):
+    """Entity and property rows a handle has read once, interleaved with
+    appends on another handle, read as a freshly opened store reads them;
+    an id the store lacks is never remembered as missing."""
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "db.sqlite")
+        handles = [Store.open(path), Store.open(path)]
+        for who, action, name, aliases in ops:
+            handle = handles[who]
+            if action == "entity":
+                handle.append_entity(name, "Person", Role.Mentioned, aliases,
+                                     created_at="2024-01-01T00:00:00Z")
+            elif action == "property":
+                handle.append_property(f"likes_{name}", DType.str)
+            else:
+                handle.entity_rows(range(1, 8))
+                handle.property_rows(range(1, 5))
+        fresh = Store.open(path)
+        entity_ids, property_ids = range(0, 16), range(0, 6)
+        for handle in handles:
+            assert handle.entity_rows(entity_ids) == fresh.entity_rows(entity_ids)
+            assert handle.property_rows(property_ids) == fresh.property_rows(property_ids)
+            for entity_id in entity_ids:
+                assert handle.entity_row(entity_id) == fresh.entity_row(entity_id)
+
+        missing = fresh.last_ids()["entities"] + 1
+        for handle in handles:
+            with pytest.raises(DanglingReference):
+                handle.append_event_bundle(_event(), [_fact(missing)])
+        assert handles[0].append_entity("dee", "Person", aliases=["x"],
+                                        created_at="2024-01-01T00:00:00Z") == missing
+        # the other handle read the id as missing a moment ago
+        assert handles[1].append_event_bundle(_event(), [_fact(missing)]).fact_ids
+        for handle in handles:
+            handle.entity_rows([missing])[missing]["aliases"].append("changed")
+            handle.entity_row(missing)["aliases"].append("changed")
+            assert handle.entity_row(missing) == fresh.entity_row(missing)
+            assert handle.entity_row(missing)["aliases"] == ["x"]
+            handle.close()
+        fresh.close()
+
+
 def test_file_backed_ingest_statements_per_turn(tmp_path):
     """A guard on the SQLite round trips of the write path: candidate rows
-    are read with one statement per candidate set, not one per candidate."""
+    are read with one statement per candidate set, not one per candidate;
+    an entities or properties row is read once per store; ids come from
+    memory, not from MAX(); and the index reads only kinds with new rows."""
     corpus = load_gen().make_corpus(1, 8, 3, 6, tag="file")
     store = Store.open(str(tmp_path / "db.sqlite"))
     statements = []
@@ -544,7 +695,8 @@ def test_file_backed_ingest_statements_per_turn(tmp_path):
     _ingest(store, VectorIndex(), corpus_sessions(corpus))
     store._conn.set_trace_callback(None)
     assert corpus.n_turns == 120
-    assert len(statements) / corpus.n_turns <= 40
+    assert len(statements) / corpus.n_turns <= 22
+    assert [sql for sql in statements if "MAX(" in sql.upper()] == []
     store.close()
 
 
