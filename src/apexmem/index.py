@@ -37,6 +37,8 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 FUSION_ALPHA = 0.5
 POOL_MULTIPLIER = 4
+# (text, k) results that ``VectorIndex.nearest`` keeps per kind
+NEAREST_KEPT = 1024
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -314,6 +316,8 @@ class VectorIndex:
         # the store the postings were read from; another store resets them
         self._lexical_store = None
         self._postings: Dict[str, _Postings] = {}
+        # per kind, the vector count and the nearest() results taken at it
+        self._nearest: Dict[str, Tuple[int, Dict[Tuple[str, int], list]]] = {}
         if path is not None:
             self._unsaved = []
             self._load()
@@ -414,6 +418,26 @@ class VectorIndex:
         products = np.einsum("ij,j->i", vectors.matrix[:n], query_vector)
         return Scores(vectors.doc_ids[:n], products / (vectors.norms[:n] * query_norm),
                       vectors.rows)
+
+    def nearest(self, kind: str, text: str, k: int) -> List[Tuple[int, float]]:
+        """``dense_scores(kind, embed(text)).top(k)``, kept per kind until the
+        kind gains a vector. A doc_id's vector never changes, so the count
+        of a kind's vectors identifies the vectors it holds; the embedder
+        must map the same text to the same vector. A call that raises keeps
+        nothing."""
+        vectors = self._vectors.get(kind)
+        count = 0 if vectors is None else len(vectors.rows)
+        held = self._nearest.get(kind)
+        if held is None or held[0] != count:
+            held = self._nearest[kind] = (count, {})
+        kept = held[1]
+        ranked = kept.get((text, k))
+        if ranked is None:
+            ranked = self.dense_scores(kind, self.embed(text)).top(k)
+            if len(kept) >= NEAREST_KEPT:
+                del kept[next(iter(kept))]  # the oldest
+            kept[text, k] = ranked
+        return list(ranked)
 
     def lexical_scores(self, store: Store, kind: str, query: str) -> Scores:
         """BM25 over every committed row of ``kind`` in ``store``, after

@@ -119,8 +119,7 @@ def retrieve_entity_candidates(
     """Top-k stored entities by cosine similarity to the mention embedding."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    query_vector = index.embed(mention)
-    ranked = index.dense_scores("entity", query_vector).top(k)
+    ranked = index.nearest("entity", mention, k)
     rows = store.entity_rows(entity_id for entity_id, _ in ranked)
     candidates = []
     for entity_id, score in ranked:
@@ -143,8 +142,7 @@ def retrieve_entity_candidates(
 def retrieve_property_candidates(
     store: Store, index: VectorIndex, name: str, k: int = DEFAULT_K
 ) -> List[Candidate]:
-    query_vector = index.embed(name)
-    ranked = index.dense_scores("property", query_vector).top(k)
+    ranked = index.nearest("property", name, k)
     rows = store.property_rows(property_id for property_id, _ in ranked)
     candidates = []
     for property_id, score in ranked:

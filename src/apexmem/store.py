@@ -203,9 +203,13 @@ class Store:
         self._last_ids: Dict[str, int] = {}
         self._data_version: Optional[int] = None
         # base rows are never updated, so each entities and properties row
-        # is read from SQLite once per store and kept as its raw tuple
-        self._entity_memo: Dict[int, tuple] = {}
-        self._property_memo: Dict[int, tuple] = {}
+        # is read from SQLite once per store and kept decoded: an entity as
+        # its dict, a property as its (property_name, dtype)
+        self._entity_memo: Dict[int, dict] = {}
+        self._property_memo: Dict[int, Tuple[str, str]] = {}
+        # the texts of the last batch of turns this handle committed, by id:
+        # the turns that extraction checks and quotes next
+        self._batch_texts: Dict[int, str] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -425,18 +429,22 @@ class Store:
 
     def append_turns(self, turns: Iterable[Turn]) -> list:
         turns = list(turns)
+        if not turns:
+            return []
+        # the first turn of the batch whose (session_id, ordinal) is stored
+        first = self._conn.execute(
+            "SELECT MIN(keys.key) FROM json_each(?) AS keys CROSS JOIN turns"
+            " ON turns.session_id = json_extract(keys.value, '$[0]')"
+            " AND turns.ordinal = json_extract(keys.value, '$[1]')",
+            (json.dumps([[turn.session_id, turn.ordinal] for turn in turns]),),
+        ).fetchone()[0]
+        if first is not None:
+            turn = turns[first]
+            raise ValidationFailure(f"duplicate turn ({turn.session_id}, {turn.ordinal})")
         next_id = self.last_ids()["turns"] + 1
         rows, ids = [], []
         for offset, turn in enumerate(turns):
             turn_id = next_id + offset
-            existing = self._conn.execute(
-                "SELECT 1 FROM turns WHERE session_id = ? AND ordinal = ?",
-                (turn.session_id, turn.ordinal),
-            ).fetchone()
-            if existing:
-                raise ValidationFailure(
-                    f"duplicate turn ({turn.session_id}, {turn.ordinal})"
-                )
             rows.append(
                 {
                     "id": turn_id,
@@ -449,9 +457,8 @@ class Store:
                 }
             )
             ids.append(turn_id)
-        if not rows:
-            return []
         self._commit({"op": "turns", "rows": {"turns": rows}})
+        self._batch_texts = {row["id"]: row["text"] for row in rows}
         return ids
 
     def append_event_bundle(
@@ -473,7 +480,7 @@ class Store:
                 ontology.parse_iso_datetime(stamp)
         created_at = created_at or event.anchor_datetime
 
-        known = self._entity_tuples(
+        known = self._entity_dicts(
             [entity_id for entity_id, _role in participants]
             + [fact.subject_id for fact in facts]
         )
@@ -567,6 +574,11 @@ class Store:
         return CommittedBundle(event_id, fact_ids, evidence_ids)
 
     def turn_text(self, turn_id: int) -> Optional[str]:
+        """The text of a committed turn, or None. Turns are never updated, so
+        the last batch this handle committed is answered from memory."""
+        text = self._batch_texts.get(turn_id)
+        if text is not None:
+            return text
         row = self._conn.execute(
             "SELECT text FROM turns WHERE id = ?", (turn_id,)
         ).fetchone()
@@ -695,15 +707,21 @@ class Store:
             "created_at": row[6],
         }
 
-    def entity_row(self, entity_id: int) -> Optional[dict]:
-        row = next(iter(self._entity_tuples([entity_id]).values()), None)
-        return None if row is None else self._entity_dict(row)
+    @staticmethod
+    def _fresh_entity(kept: dict) -> dict:
+        """A caller's copy of a kept entity row, with its own aliases list."""
+        return {**kept, "aliases": list(kept["aliases"])}
 
-    def _memo_rows(self, memo: Dict[int, tuple], table: str, key: str,
-                   columns: str, ids: Iterable[int]) -> Dict[int, tuple]:
-        """The row of each id that exists, by id. A row in ``memo`` is not
-        read again; the others are read in one statement and kept there. An
-        id found missing is not kept, since another connection may add it."""
+    def entity_row(self, entity_id: int) -> Optional[dict]:
+        row = self._entity_dicts([entity_id]).get(entity_id)
+        return None if row is None else self._fresh_entity(row)
+
+    def _memo_rows(self, memo: Dict[int, object], table: str, key: str,
+                   columns: str, ids: Iterable[int], decode) -> Dict[int, object]:
+        """The row of each id that exists, by id, as ``decode`` makes it from
+        the row's tuple. A row in ``memo`` is not read or decoded again; the
+        others are read in one statement and kept there. An id found missing
+        is not kept, since another connection may add it."""
         found, missing = {}, []
         for row_id in ids:
             row = memo.get(row_id)
@@ -719,27 +737,28 @@ class Store:
                 f" CROSS JOIN {table} ON {table}.{key} = ids.value",
                 (json.dumps(missing),),
             ):
-                memo[row[0]] = found[row[0]] = row
+                memo[row[0]] = found[row[0]] = decode(row)
         return found
 
-    def _entity_tuples(self, entity_ids: Iterable[int]) -> Dict[int, tuple]:
+    def _entity_dicts(self, entity_ids: Iterable[int]) -> Dict[int, dict]:
+        """The kept entity rows; a caller outside the store gets copies."""
         return self._memo_rows(
-            self._entity_memo, "entities", "entity_id", self._ENTITY_COLUMNS, entity_ids
+            self._entity_memo, "entities", "entity_id", self._ENTITY_COLUMNS,
+            entity_ids, self._entity_dict,
         )
 
     def entity_rows(self, entity_ids: Iterable[int]) -> Dict[int, dict]:
         """``entity_row`` of each id that exists, in at most one statement."""
-        return {entity_id: self._entity_dict(row)
-                for entity_id, row in self._entity_tuples(entity_ids).items()}
+        return {entity_id: self._fresh_entity(row)
+                for entity_id, row in self._entity_dicts(entity_ids).items()}
 
     def property_rows(self, property_ids: Iterable[int]) -> Dict[int, Tuple[str, str]]:
         """(property_name, dtype) of each id that exists, in at most one
         statement."""
-        rows = self._memo_rows(
+        return self._memo_rows(
             self._property_memo, "properties", "property_id",
-            "property_id, property_name, dtype", property_ids,
+            "property_id, property_name, dtype", property_ids, itemgetter(slice(1, None)),
         )
-        return {property_id: row[1:] for property_id, row in rows.items()}
 
     def property_usage(self, names: Iterable[str]) -> Dict[str, int]:
         """Number of facts of each property name, in one statement. The

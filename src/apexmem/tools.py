@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import re
 import sqlite3
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -366,26 +367,53 @@ def _cap_text(text: str) -> str:
     return text[:CHAR_CAP] + f"\n... truncated at {CHAR_CAP} characters"
 
 
+class _Authorizer:
+    """GraphSQL's authorizer, installed once on a connection: installing one
+    expires every statement the connection has prepared. While ``active``
+    it lets a statement read only the whitelisted tables; at any other time
+    it allows everything, so the store's own statements on the same
+    connection (the writer itself for ``:memory:``) prepare as before."""
+
+    def __init__(self):
+        self.active = False
+
+    def __call__(self, action, arg1, arg2, dbname, source):
+        if not self.active:
+            return sqlite3.SQLITE_OK
+        if action in (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_FUNCTION,
+                      sqlite3.SQLITE_RECURSIVE):
+            return sqlite3.SQLITE_OK
+        if action == sqlite3.SQLITE_READ:
+            if not arg1 or arg1 in WHITELISTED_TABLES or arg1.startswith("sqlite_temp"):
+                return sqlite3.SQLITE_OK
+        return sqlite3.SQLITE_DENY
+
+
+# store -> (its read connection, the authorizer installed on it); a reader
+# its caller closed is reopened as a new connection, which gets its own
+_AUTHORIZERS = weakref.WeakKeyDictionary()
+
+# Ends every GraphSQL statement. The sqlite3 module reuses a prepared
+# statement by its text, and the authorizer runs only when a statement is
+# prepared; a statement the store prepared while the authorizer was not
+# active, such as its read of append_log, must never come back from that
+# cache to run as GraphSQL. No statement of the store ends with this comment.
+_GRAPH_SQL_MARK = "\n/* graph_sql */"
+
+
 class GraphSql:
     """Executor binding a store to the validated read-only SQL surface."""
 
     def __init__(self, store: Store):
         self.store = store
 
-    def _authorizer(self, action, arg1, arg2, dbname, source):
-        if action == sqlite3.SQLITE_SELECT:
-            return sqlite3.SQLITE_OK
-        if action == sqlite3.SQLITE_READ:
-            if arg1 is None or arg1 == "":
-                return sqlite3.SQLITE_OK
-            if arg1 in WHITELISTED_TABLES or arg1.startswith("sqlite_temp"):
-                return sqlite3.SQLITE_OK
-            return sqlite3.SQLITE_DENY
-        if action == sqlite3.SQLITE_FUNCTION:
-            return sqlite3.SQLITE_OK
-        if action == sqlite3.SQLITE_RECURSIVE:
-            return sqlite3.SQLITE_OK
-        return sqlite3.SQLITE_DENY
+    def _connection(self) -> Tuple[sqlite3.Connection, _Authorizer]:
+        conn = self.store.readonly_connection()
+        held = _AUTHORIZERS.get(self.store)
+        if held is None or held[0] is not conn:
+            held = _AUTHORIZERS[self.store] = (conn, _Authorizer())
+            conn.set_authorizer(held[1])
+        return held
 
     def execute(self, statement: str, params: Optional[dict] = None) -> ToolResult:
         report = validate_sql(statement)
@@ -404,30 +432,27 @@ class GraphSql:
             )
         bound = {name: params[name] for name in report.params}
 
-        conn = self.store.readonly_connection()
+        conn, authorizer = self._connection()
+        cursor = conn.cursor()
+        # the whitelist holds while the statement is prepared and stepped
+        authorizer.active = True
         try:
-            conn.set_authorizer(self._authorizer)
-            cursor = conn.cursor()
-            try:
-                cursor.execute(statement, bound)
-                headers = [d[0] for d in cursor.description or []]
-                rows = cursor.fetchmany(ROW_CAP + 1)
-            except sqlite3.Error as exc:
-                return ToolResult(ok=False, error=f"SqlRuntimeError: {exc}")
-            finally:
-                # an unfinished statement would keep the store's reader on
-                # this snapshot, blind to later commits
-                cursor.close()
-            truncated = len(rows) > ROW_CAP
-            rows = rows[:ROW_CAP]
-            table = render_markdown_table(headers, [list(row) for row in rows])
-            if truncated:
-                table += f"\n... truncated: showing first {ROW_CAP} rows"
-            return ToolResult(ok=True, text=_cap_text(table))
+            cursor.execute(statement + _GRAPH_SQL_MARK, bound)
+            headers = [d[0] for d in cursor.description or []]
+            rows = cursor.fetchmany(ROW_CAP + 1)
+        except sqlite3.Error as exc:
+            return ToolResult(ok=False, error=f"SqlRuntimeError: {exc}")
         finally:
-            # passing None does not reliably clear the authorizer on older
-            # sqlite3 bindings; install an allow-all callback instead
-            conn.set_authorizer(lambda *args: sqlite3.SQLITE_OK)
+            authorizer.active = False
+            # an unfinished statement would keep the store's reader on
+            # this snapshot, blind to later commits
+            cursor.close()
+        truncated = len(rows) > ROW_CAP
+        rows = rows[:ROW_CAP]
+        table = render_markdown_table(headers, [list(row) for row in rows])
+        if truncated:
+            table += f"\n... truncated: showing first {ROW_CAP} rows"
+        return ToolResult(ok=True, text=_cap_text(table))
 
 
 def graph_sql(store: Store, statement: str, params: Optional[dict] = None) -> ToolResult:

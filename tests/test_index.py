@@ -1,7 +1,10 @@
 import gc
 import json
 import math
+import os
+import tempfile
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from apexmem.index import (
     upsert_embeddings,
 )
 from apexmem.ontology import Role
+from apexmem.resolve import DEFAULT_K, retrieve_entity_candidates
 from apexmem.store import Store
 from conftest import ingest_case1
 
@@ -492,3 +496,93 @@ def test_dense_scores_refuse_zero_vectors(store):
     alice_only.upsert("entity", 1, "Alice")
     with pytest.raises(ZeroVector):
         alice_only.dense_scores("entity", np.zeros(TrigramEmbedder.dimension))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.sampled_from(["upsert", "reload", "query", "query"]),
+        st.sampled_from(["entity", "property"]),
+        # few texts and ks, so that most queries repeat an earlier one
+        st.sampled_from(["sakura sushi", "sushi", "blue", "garden walk"]),
+        st.sampled_from([1, 3]),
+    ),
+    min_size=1, max_size=30,
+))
+def test_nearest_equals_a_fresh_scan(steps):
+    """Upserts, reloads from the sidecar and repeated queries in any order:
+    ``nearest`` returns what a full scan of the kind returns at that moment."""
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "db.sqlite.vec")
+        index = VectorIndex(path=path)
+        next_ids = Counter()
+        for action, kind, text, k in steps:
+            if action == "upsert":
+                next_ids[kind] += 1
+                index.upsert(kind, next_ids[kind], text)
+            elif action == "reload":
+                index.save()
+                index = VectorIndex(path=path)
+            else:
+                fresh = index.dense_scores(kind, index.embed(text)).top(k)
+                assert index.nearest(kind, text, k) == fresh
+
+
+class _CountingEmbedder(TrigramEmbedder):
+    def __init__(self):
+        self.calls = Counter()
+
+    def embed(self, text):
+        self.calls[text] += 1
+        return super().embed(text)
+
+
+def test_a_repeated_mention_is_embedded_once_until_its_kind_grows(store):
+    embedder = _CountingEmbedder()
+    index = VectorIndex(embedder)
+    _append_entity(store, "Alice")
+    upsert_embeddings(store, index)
+    first = retrieve_entity_candidates(store, index, "alice")
+    assert retrieve_entity_candidates(store, index, "alice") == first
+    index.nearest("property", "alice", 3)  # another kind leaves entity's kept
+    assert retrieve_entity_candidates(store, index, "alice") == first
+    assert embedder.calls["alice"] == 2
+    _append_entity(store, "Alicia")
+    upsert_embeddings(store, index)
+    grown = retrieve_entity_candidates(store, index, "alice")
+    assert embedder.calls["alice"] == 3
+    assert [c.name for c in grown] == ["Alice", "Alicia"]
+    # the kept list is not the caller's
+    index.nearest("entity", "alice", DEFAULT_K).clear()
+    assert [doc_id for doc_id, _ in index.nearest("entity", "alice", DEFAULT_K)] == [
+        c.id for c in grown]
+    assert embedder.calls["alice"] == 3
+
+
+def test_a_failed_call_keeps_nothing(store):
+    class DownOnce(TrigramEmbedder):
+        down = False
+
+        def embed(self, text):
+            if self.down:
+                self.down = False
+                raise RuntimeError("embedder down")
+            return super().embed(text)
+
+    embedder = DownOnce()
+    index = VectorIndex(embedder)
+    index.upsert("entity", 1, "Alice")
+    embedder.down = True
+    with pytest.raises(EmbedderFailure):
+        index.nearest("entity", "Alice", 3)
+    assert index.nearest("entity", "Alice", 3) == [(1, pytest.approx(1.0))]
+
+    class ZeroForBob(TrigramEmbedder):
+        def embed(self, text):
+            return np.zeros(self.dimension) if text == "Bob" else super().embed(text)
+
+    index = VectorIndex(ZeroForBob())
+    index.upsert("entity", 1, "Bob")
+    for _ in range(2):  # the zero row stays queued and keeps refusing
+        with pytest.raises(ZeroVector):
+            index.nearest("entity", "Alice", 3)

@@ -109,6 +109,33 @@ def test_append_turns_rejects_duplicate_ordinal(store):
         store.append_turns([_turn(ordinal=0)])
 
 
+def test_append_turns_names_the_first_stored_turn_of_its_batch(store):
+    store.append_turns([_turn("s1", 0), _turn("s2", 0)])
+    before = store.canonical_dump()
+    with pytest.raises(ValidationFailure, match=r"^duplicate turn \(s2, 0\)$"):
+        store.append_turns([_turn("s3", 0), _turn("s2", 0), _turn("s1", 0)])
+    assert store.canonical_dump() == before
+    assert store.append_turns([]) == []
+
+
+def test_turn_text_answers_the_last_batch_from_memory(tmp_path):
+    """The texts of the batch just committed are not read back; older
+    turns, and ids of a batch whose commit failed, are read from SQLite."""
+    store = Store.open(str(tmp_path / "db.sqlite"))
+    [first] = store.append_turns([_turn(ordinal=0, text="first")])
+    [second] = store.append_turns([_turn(ordinal=1, text="second")])
+    with pytest.raises(sqlite3.IntegrityError):
+        store.append_turns([_turn(ordinal=2, text="x"), _turn(ordinal=2, text="y")])
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    assert store.turn_text(second) == "second"
+    assert statements == []
+    assert store.turn_text(first) == "first"
+    assert store.turn_text(second + 1) is None
+    assert len(statements) == 2
+    store.close()
+
+
 def test_event_bundle_commits_atomically(store):
     subject = store.append_entity("Alice", "Person", Role.Speaker, [],
                                   created_at="2024-01-01T00:00:00Z")
@@ -687,7 +714,9 @@ def test_file_backed_ingest_statements_per_turn(tmp_path):
     """A guard on the SQLite round trips of the write path: candidate rows
     are read with one statement per candidate set, not one per candidate;
     an entities or properties row is read once per store; ids come from
-    memory, not from MAX(); and the index reads only kinds with new rows."""
+    memory, not from MAX(); the index reads only kinds with new rows; a
+    batch of turns is checked for duplicates in one statement, and its
+    texts are not read back."""
     corpus = load_gen().make_corpus(1, 8, 3, 6, tag="file")
     store = Store.open(str(tmp_path / "db.sqlite"))
     statements = []
@@ -695,7 +724,7 @@ def test_file_backed_ingest_statements_per_turn(tmp_path):
     _ingest(store, VectorIndex(), corpus_sessions(corpus))
     store._conn.set_trace_callback(None)
     assert corpus.n_turns == 120
-    assert len(statements) / corpus.n_turns <= 22
+    assert len(statements) / corpus.n_turns <= 17
     assert [sql for sql in statements if "MAX(" in sql.upper()] == []
     store.close()
 

@@ -1,13 +1,16 @@
 import json
+import re
 from collections import Counter
 from datetime import date
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from apexmem import tools
 from apexmem.extract import ingest_session
 from apexmem.index import KINDS, VectorIndex, upsert_embeddings
 from apexmem.ontology import DType, Event, Fact, Role, Turn
+from apexmem.sqlguard import SqlValidationReport
 from apexmem.store import WHITELISTED_TABLES, Store
 from apexmem.tools import (
     _check_supported,
@@ -182,6 +185,87 @@ def test_graph_sql_leaves_store_untouched(toolkit, store):
     toolkit.dispatch(ToolCall("graph_sql", {"sql": "SELECT * FROM facts"}))
     toolkit.dispatch(ToolCall("graph_sql", {"sql": "DELETE FROM facts"}))
     assert store.canonical_dump() == before
+
+
+_LOG_READ = "SELECT sequence, payload FROM append_log ORDER BY sequence"
+
+
+@pytest.mark.parametrize("on_disk", [False, True])
+def test_authorizer_holds_without_the_validator(tmp_path, monkeypatch, on_disk):
+    """Layer 3 on its own: with the validator accepting everything, GraphSQL
+    still cannot read a table outside the whitelist or write, even right
+    after the store prepared the same text on the same connection, and on a
+    reader opened again after its caller closed it."""
+    store = Store.open(str(tmp_path / "db.sqlite") if on_disk else ":memory:")
+    ingest_case1(store, VectorIndex())
+    monkeypatch.setattr(tools, "validate_sql",
+                        lambda statement: SqlValidationReport("select", set(), set(), True))
+
+    def refused():
+        before = store.canonical_dump()
+        for statement in (_LOG_READ, "SELECT * FROM meta",
+                          "INSERT INTO meta (key, value) VALUES ('k', 'v')"):
+            result = graph_sql(store, statement)
+            assert not result.ok, statement
+            assert re.search(r"^SqlRuntimeError: .*(prohibited|not authorized)",
+                             result.error), result.error
+        assert store.canonical_dump() == before
+
+    assert store.append_log()  # the writer prepares _LOG_READ unguarded
+    store.readonly_connection().execute(_LOG_READ).fetchall()  # and so may a reader
+    refused()
+    # outside GraphSQL's window the store reads as it did
+    assert len(store.append_log()) == len(store.readonly_connection().execute(
+        _LOG_READ).fetchall()) > 0
+    refused()
+    if on_disk:
+        store.readonly_connection().close()
+        refused()
+    assert graph_sql(store, "SELECT COUNT(*) FROM entities").ok
+    store.close()
+
+
+def test_memory_store_commits_after_failed_and_truncated_graph_sql(store):
+    """On ``:memory:`` GraphSQL runs on the writer; neither a runtime error
+    nor a result cut at ROW_CAP may leave a statement open that blocks the
+    next commit."""
+    store.append_turns(
+        Turn(None, "s0", "Alice", "Assistant", f"note {i}", "2024-01-01T00:00:00Z", i)
+        for i in range(ROW_CAP + 5)
+    )
+    failed = graph_sql(store, "SELECT no_such_column FROM turns")
+    assert not failed.ok and failed.error.startswith("SqlRuntimeError")
+    assert store.append_entity("Alice", "Person", created_at="2024-01-01T00:00:00Z") == 1
+    truncated = graph_sql(store, "SELECT id FROM turns")
+    assert truncated.ok and "truncated" in truncated.text
+    assert store.append_entity("Bob", "Person", created_at="2024-01-01T00:00:00Z") == 2
+    count = graph_sql(store, "SELECT COUNT(*) AS n FROM entities")
+    assert count.text.split("\n")[2] == "| 2 |"
+
+
+def test_a_store_read_after_graph_sql_is_not_prepared_again(case1_store, monkeypatch):
+    """The authorizer is installed once, so GraphSQL does not expire the
+    statements the store prepared on the same connection: a read repeated
+    between GraphSQL calls runs from the statement cache, without the
+    callback."""
+    store = case1_store
+    alice = store.find_entity_by_name("Alice")["entity_id"]
+    calls = []
+    original = tools._Authorizer.__call__
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(tools._Authorizer, "__call__", counting)
+    lookup = "SELECT entity_name FROM entities WHERE entity_id = :id"
+    assert graph_sql(store, lookup, {"id": alice}).ok
+    assert calls  # the statement was authorized when it was prepared
+    history = store.subject_history(alice)
+    assert graph_sql(store, lookup, {"id": alice}).ok
+    calls.clear()
+    assert store.subject_history(alice) == history
+    assert calls == []
 
 
 def test_search_sections(toolkit):
