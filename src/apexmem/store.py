@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import dataclass
-from itertools import groupby
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from urllib.parse import quote
@@ -210,6 +210,11 @@ class Store:
         # the texts of the last batch of turns this handle committed, by id:
         # the turns that extraction checks and quotes next
         self._batch_texts: Dict[int, str] = {}
+        # read-side state kept with the last id it covers, and extended
+        # with the rows above it: each subject's facts (see _kept_history)
+        # and each entity's event anchors
+        self._histories: Dict[int, Tuple[int, Dict[str, List[tuple]]]] = {}
+        self._anchors: Dict[int, Tuple[int, Tuple[str, ...]]] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -591,50 +596,68 @@ class Store:
         " valid_from, valid_to, confidence, created_at"
     )
 
+    def _kept_history(self, subject_id: int) -> Dict[str, List[tuple]]:
+        """The subject's facts, decoded once and kept for the life of the
+        store: by property name, in name order, the entries (valid_from key,
+        created_at key, id, fact) in ascending order, the keys as
+        ``temporal_sort_key`` makes them. Ids only grow, so an entry is
+        extended with the facts above the last id it covers, in one
+        statement, and with none when nothing was committed since."""
+        self._sync_ids()
+        last = self._last_ids["facts"]
+        covered, by_property = self._histories.get(subject_id, (0, {}))
+        if covered < last:
+            added: Dict[str, List[tuple]] = {}
+            for row in self._conn.execute(
+                f"SELECT {self._FACT_COLUMNS} FROM facts"
+                " WHERE subject_id = ? AND id > ? AND id <= ?",
+                (subject_id, covered, last),
+            ):
+                added.setdefault(row[2], []).append((
+                    temporal_sort_key(row[5]), temporal_sort_key(row[8]), row[0],
+                    self._row_to_fact(row),
+                ))
+            if added:
+                # ids are unique, so the sorts never compare two facts
+                merged = dict(by_property)
+                for prop, entries in added.items():
+                    merged[prop] = sorted([*merged.get(prop, ()), *entries])
+                by_property = dict(sorted(merged.items()))
+            self._histories[subject_id] = (last, by_property)
+        return by_property
+
+    @staticmethod
+    def _in_force(entries: Sequence[tuple], as_of: Optional[str]) -> List[Fact]:
+        """The as-of rule of the engine: with ``as_of``, only the kept facts
+        whose valid_from is unset (keyed "", before every cutoff) or at or
+        before it. Since valid_from leads the kept order, they are a prefix
+        of it. A fact with a list value is handed out with its own list."""
+        end = len(entries) if as_of is None else bisect_right(
+            entries, temporal_sort_key(as_of), key=itemgetter(0))
+        return [
+            replace(fact, value=list(fact.value)) if fact.dtype is DType.list else fact
+            for fact in map(itemgetter(3), entries[:end])
+        ]
+
     def fact_history(
         self,
         subject_id: int,
         property_name: str,
         as_of: Optional[str] = None,
     ) -> list:
-        """Matching facts, ascending by (valid_from, created_at, id). With
-        ``as_of``, only the facts whose valid_from is unset or at or before
-        it: the one as-of rule of the engine."""
-        rows = self._conn.execute(
-            f"SELECT {self._FACT_COLUMNS} FROM facts"
-            " WHERE subject_id = ? AND property_name = ?",
-            (subject_id, property_name),
-        )
-        return self._history(rows, as_of)
+        """Matching facts, ascending by (valid_from, created_at, id) as
+        instants, cut to ``as_of`` by the as-of rule (``_in_force``)."""
+        return self._in_force(self._kept_history(subject_id).get(property_name, ()), as_of)
 
     def subject_history(
         self, subject_id: int, as_of: Optional[str] = None
     ) -> Dict[str, List[Fact]]:
         """``fact_history`` of each property the subject has a fact of, even
-        if none is in force at ``as_of``, by property name, read in one
-        statement."""
-        rows = self._conn.execute(
-            f"SELECT {self._FACT_COLUMNS} FROM facts"
-            " WHERE subject_id = ? ORDER BY property_name",
-            (subject_id,),
-        )
+        if none is in force at ``as_of``, by property name in name order."""
         return {
-            prop: self._history(group, as_of)
-            for prop, group in groupby(rows, key=itemgetter(2))
+            prop: self._in_force(entries, as_of)
+            for prop, entries in self._kept_history(subject_id).items()
         }
-
-    @classmethod
-    def _history(cls, rows: Iterable[tuple], as_of: Optional[str]) -> List[Fact]:
-        """The as-of cut and the order of ``fact_history``."""
-        if as_of is not None:
-            # an unset valid_from keys as "", before every cutoff
-            cutoff = temporal_sort_key(as_of)
-            rows = [r for r in rows if temporal_sort_key(r[5]) <= cutoff]
-        rows = sorted(
-            rows,
-            key=lambda r: (temporal_sort_key(r[5]), temporal_sort_key(r[8]), r[0]),
-        )
-        return [cls._row_to_fact(row) for row in rows]
 
     def latest_fact(
         self,
@@ -774,14 +797,21 @@ class Store:
 
     def entity_anchors(self, entity_id: int) -> Tuple[str, ...]:
         """The distinct anchors of the events the entity takes part in,
-        ascending as text."""
-        rows = self._conn.execute(
-            "SELECT DISTINCT e.anchor_datetime FROM events e"
-            " JOIN event_participants p ON p.event_id = e.id"
-            " WHERE p.entity_id = ? ORDER BY e.anchor_datetime",
-            (entity_id,),
-        )
-        return tuple(row[0] for row in rows)
+        ascending as text. Kept like a subject's facts, and extended with
+        the events above the last id it covers."""
+        self._sync_ids()
+        last = self._last_ids["events"]
+        covered, anchors = self._anchors.get(entity_id, (0, ()))
+        if covered < last:
+            rows = self._conn.execute(
+                "SELECT e.anchor_datetime FROM event_participants p"
+                " JOIN events e ON e.id = p.event_id"
+                " WHERE p.entity_id = ? AND p.event_id > ? AND p.event_id <= ?",
+                (entity_id, covered, last),
+            )
+            anchors = tuple(sorted({*anchors, *(row[0] for row in rows)}))
+            self._anchors[entity_id] = (last, anchors)
+        return anchors
 
     def find_entity_by_name(self, name: str) -> Optional[dict]:
         """Case-insensitive match on canonical name or any alias; the lowest

@@ -5,7 +5,7 @@ import sqlite3
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import apexmem.store
 from apexmem.agent import AgentConfig, HeuristicPolicy, run_agent
@@ -18,9 +18,9 @@ from apexmem.errors import (
 )
 from apexmem.extract import ingest_session
 from apexmem.index import VectorIndex, upsert_embeddings
-from apexmem.ontology import DType, Event, Evidence, Fact, Role, Turn
+from apexmem.ontology import DType, Event, Evidence, Fact, Role, Turn, temporal_sort_key
 from apexmem.store import SCHEMA_VERSION, Store, WHITELISTED_TABLES
-from apexmem.tools import graph_sql
+from apexmem.tools import entity_lookup, graph_sql
 from conftest import corpus_sessions, ingest_case1, load_gen, reference_pipeline
 
 
@@ -453,7 +453,8 @@ def test_question_path_reads_are_point_reads(case1_store):
     assert looked_up.ok and "Italian Garden" in looked_up.text
     assert usage == {"favorite_restaurant": 2, "Favorite_Restaurant": 0}
     reads = [sql for sql in statements if sql.lstrip().upper().startswith("SELECT")]
-    assert len(reads) == 5
+    # fact_history and subject_history share one read of the kept history
+    assert len(reads) == 4
     plans = {
         sql: [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + sql)]
         for sql in reads
@@ -464,6 +465,24 @@ def test_question_path_reads_are_point_reads(case1_store):
     # the lookup reads the one subject's facts, not every fact of the property
     assert "SEARCH f USING INDEX facts_subject (subject_id=? AND property_name=?)" in next(
         steps for sql, steps in plans.items() if "JOIN entities" in sql)
+
+
+# a statement on a table that grows with every fact or event
+_HISTORY_TABLES = re.compile(r"\b(facts|events|event_participants)\b")
+
+
+def test_a_repeated_entity_lookup_reads_no_history(case1_store, index):
+    """A scaling guard: the store keeps each subject's facts and each
+    entity's anchors, so a second identical ``entity_lookup`` on a store
+    with no new commit runs no statement on the tables that grow."""
+    first = entity_lookup(case1_store, index, "Alice", as_of="2024-02-01T00:00:00Z")
+    statements = []
+    case1_store._conn.set_trace_callback(statements.append)
+    again = entity_lookup(case1_store, index, "Alice", as_of="2024-02-01T00:00:00Z")
+    case1_store._conn.set_trace_callback(None)
+    assert first.ok and "Italian Garden" in first.text
+    assert again == first
+    assert [sql for sql in statements if _HISTORY_TABLES.search(sql)] == []
 
 
 def _ingest(store, index, sessions):
@@ -708,6 +727,125 @@ def test_remembered_rows_read_as_a_fresh_store_does(ops):
             assert handle.entity_row(missing)["aliases"] == ["x"]
             handle.close()
         fresh.close()
+
+
+_HISTORY_OPS = st.lists(
+    st.tuples(
+        st.integers(0, 1),  # the handle
+        st.sampled_from(["fact", "event", "read", "locked"]),
+        st.integers(0, 1),  # the subject
+        st.sampled_from(_PROPERTIES[:2]),  # the third is a property no one has
+        st.none() | _STAMPS,  # valid_from, or the cutoff of a read
+        st.sampled_from(["2024-01-02T00:00:00Z", "2024-01-02T05:00:00+05:00",
+                         "2024-01-03T00:00:00Z"]),  # created_at and event anchor
+        st.booleans(),  # a list value
+    ),
+    max_size=14,
+)
+_CUTOFFS = (None, "2024-01-01", "2024-01-02T03:00:00Z", "2024-01-02T02:00:00-03:00",
+            "2024-01-03", "2024-01-04T22:00:00Z")
+
+
+def _history_reads(store, subjects, as_of):
+    return [
+        (store.subject_history(subject, as_of),
+         [store.fact_history(subject, prop, as_of) for prop in _PROPERTIES],
+         [store.latest_fact(subject, prop, as_of) for prop in _PROPERTIES],
+         store.entity_anchors(subject))
+        for subject in subjects
+    ]
+
+
+def _scribble(reads):
+    """Change every list the reads handed out, and every list value in them."""
+    for by_property, histories, latest, _anchors in reads:
+        for facts in [*by_property.values(), *histories, latest]:
+            for fact in facts:
+                if fact is not None and isinstance(fact.value, list):
+                    fact.value.append("changed")
+            facts.clear()
+        by_property.clear()
+
+
+@settings(max_examples=25, deadline=None)
+@given(_HISTORY_OPS)
+# a read between a refused commit and the other handle's commit of the id
+# the refused one would have taken
+@example([(1, "locked", 0, "favorite_color", None, "2024-01-02T00:00:00Z", False),
+          (1, "read", 0, "favorite_color", None, "2024-01-02T00:00:00Z", False),
+          (0, "fact", 0, "favorite_color", None, "2024-01-02T00:00:00Z", False)])
+def test_kept_histories_read_as_a_fresh_store_does(ops):
+    """Fact histories and event anchors a handle has read and kept,
+    interleaved with appends on another handle and commits refused on a
+    locked store, read as a freshly opened store and a replay of the log
+    read them, at every cutoff; changing what a read handed out changes
+    no later read."""
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "db.sqlite")
+        handles = [Store.open(path), Store.open(path)]
+        for handle in handles:  # a commit on the locked store fails at once
+            handle._conn.execute("PRAGMA busy_timeout = 0")
+        subjects = [handles[0].append_entity(name, "Person", Role.Speaker)
+                    for name in ("A", "B")]
+        for number, (who, action, subject, prop, valid_from, created_at,
+                     listed) in enumerate(ops):
+            handle, subject = handles[who], subjects[subject]
+            value, dtype = ([f"v{number}", number], DType.list) if listed else (
+                f"v{number}", DType.str)
+            facts = [] if action == "event" else [
+                Fact(None, subject, prop, value, dtype, valid_from, None, 1.0, created_at)]
+            if action == "read":
+                _scribble(_history_reads(handle, subjects, valid_from))
+            elif action == "locked":
+                other = sqlite3.connect(path, isolation_level=None)
+                other.execute("BEGIN IMMEDIATE")
+                with pytest.raises(IoFailure):
+                    handle.append_event_bundle(_event(created_at), facts, [],
+                                               [(subject, Role.Mentioned)])
+                other.execute("ROLLBACK")
+                other.close()
+            else:
+                handle.append_event_bundle(_event(created_at), facts, [],
+                                           [(subject, Role.Mentioned)])
+        fresh = Store.open(path)
+        replica = Store.replay(fresh.append_log())
+        for as_of in _CUTOFFS:
+            expected = _history_reads(fresh, subjects, as_of)
+            for store in [*handles, replica]:
+                assert _history_reads(store, subjects, as_of) == expected
+            _scribble(_history_reads(handles[0], subjects, as_of))
+            assert _history_reads(handles[0], subjects, as_of) == expected
+        for store in [*handles, replica, fresh]:
+            store.close()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(["turn", "event", "read"]),
+                          _STAMPS), max_size=12))
+def test_latest_anchor_is_the_latest_of_a_full_scan(ops):
+    """``max_anchor_datetime``, read by a handle between appends on it and
+    on another handle of the file, is the latest of every turn and event
+    anchor as an instant (of equal instants, the first as text)."""
+
+    def full_scan(store):
+        anchors = {row["anchor_datetime"]
+                   for table in ("turns", "events") for row in store.all_rows(table)}
+        return max(sorted(anchors), key=temporal_sort_key) if anchors else None
+
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "db.sqlite")
+        handles = [Store.open(path), Store.open(path)]
+        for number, (who, action, anchor) in enumerate(ops):
+            handle = handles[who]
+            if action == "turn":
+                handle.append_turns([_turn(f"s{number}", anchor=anchor)])
+            elif action == "event":
+                handle.append_event_bundle(_event(anchor))
+            else:
+                assert handle.max_anchor_datetime() == full_scan(handle)
+        for handle in handles:
+            assert handle.max_anchor_datetime() == full_scan(handle)
+            handle.close()
 
 
 def test_file_backed_ingest_statements_per_turn(tmp_path):
