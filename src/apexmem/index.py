@@ -513,28 +513,32 @@ def hybrid_search(
     if query_vector is None:
         query_vector = index.embed(query)
     pool = POOL_MULTIPLIER * k
-    results = []
+    # (-fused, kind, doc_id, dense, lexical) of every candidate; kind and
+    # doc_id are unique, so the raw scores never decide the order
+    rows = []
     for kind in sorted(set(kinds)):
         if kind not in KINDS:
             raise UnknownView(f"unknown kind: {kind}")
         dense_all = index.dense_scores(kind, query_vector)
-        lexical_all = dict(lexical_search(store, index, kind, query, pool))
-        candidates = {doc_id for doc_id, _ in dense_all.top(pool)} | set(lexical_all)
-        if not candidates:
+        dense = dict(dense_all.top(pool))
+        lexical = dict(lexical_search(store, index, kind, query, pool))
+        for doc_id in lexical:
+            if doc_id not in dense:
+                # a row committed but not yet embedded has no dense score
+                dense[doc_id] = dense_all.get(doc_id, 0.0)
+        if not dense:
             continue
-        dense_raw = {doc_id: dense_all.get(doc_id, 0.0) for doc_id in candidates}
-        lexical_raw = {doc_id: lexical_all.get(doc_id, 0.0) for doc_id in candidates}
-        dense_norm = minmax_normalize(dense_raw)
-        lexical_norm = minmax_normalize(lexical_raw)
-        for doc_id in candidates:
-            fused = (FUSION_ALPHA * dense_norm[doc_id]
-                     + (1.0 - FUSION_ALPHA) * lexical_norm[doc_id])
-            results.append(
-                (
-                    doc_id,
-                    kind,
-                    HybridScore(dense_raw[doc_id], lexical_raw[doc_id], fused),
-                )
-            )
-    results.sort(key=lambda item: (-item[2].fused, item[1], item[0]))
-    return results[:k]
+        lexical_raw = [lexical.get(doc_id, 0.0) for doc_id in dense]
+        dense_low, dense_high = min(dense.values()), max(dense.values())
+        lexical_low, lexical_high = min(lexical_raw), max(lexical_raw)
+        # minmax_normalize of each channel, inlined
+        for (doc_id, dense_raw), lexical_score in zip(dense.items(), lexical_raw):
+            dense_norm = 1.0 if dense_high == dense_low else (
+                (dense_raw - dense_low) / (dense_high - dense_low))
+            lexical_norm = 1.0 if lexical_high == lexical_low else (
+                (lexical_score - lexical_low) / (lexical_high - lexical_low))
+            fused = FUSION_ALPHA * dense_norm + (1.0 - FUSION_ALPHA) * lexical_norm
+            rows.append((-fused, kind, doc_id, dense_raw, lexical_score))
+    rows.sort()
+    return [(doc_id, kind, HybridScore(dense_raw, lexical_score, -negated))
+            for negated, kind, doc_id, dense_raw, lexical_score in rows[:k]]

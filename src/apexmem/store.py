@@ -191,6 +191,10 @@ class CommittedBundle:
     evidence_ids: list
 
 
+def _cutoff(as_of: Optional[str]) -> Optional[str]:
+    return None if as_of is None else temporal_sort_key(as_of)
+
+
 class Store:
     """Handle to one store file. Single writer, multiple readers."""
 
@@ -627,13 +631,14 @@ class Store:
         return by_property
 
     @staticmethod
-    def _in_force(entries: Sequence[tuple], as_of: Optional[str]) -> List[Fact]:
-        """The as-of rule of the engine: with ``as_of``, only the kept facts
-        whose valid_from is unset (keyed "", before every cutoff) or at or
-        before it. Since valid_from leads the kept order, they are a prefix
-        of it. A fact with a list value is handed out with its own list."""
-        end = len(entries) if as_of is None else bisect_right(
-            entries, temporal_sort_key(as_of), key=itemgetter(0))
+    def _in_force(entries: Sequence[tuple], cutoff: Optional[str]) -> List[Fact]:
+        """The as-of rule of the engine: with ``cutoff``, the
+        ``temporal_sort_key`` of an as-of date, only the kept facts whose
+        valid_from is unset (keyed "", before every cutoff) or at or before
+        it. Since valid_from leads the kept order, they are a prefix of it.
+        A fact with a list value is handed out with its own list."""
+        end = len(entries) if cutoff is None else bisect_right(
+            entries, cutoff, key=itemgetter(0))
         return [
             replace(fact, value=list(fact.value)) if fact.dtype is DType.list else fact
             for fact in map(itemgetter(3), entries[:end])
@@ -647,15 +652,17 @@ class Store:
     ) -> list:
         """Matching facts, ascending by (valid_from, created_at, id) as
         instants, cut to ``as_of`` by the as-of rule (``_in_force``)."""
-        return self._in_force(self._kept_history(subject_id).get(property_name, ()), as_of)
+        return self._in_force(self._kept_history(subject_id).get(property_name, ()),
+                              _cutoff(as_of))
 
     def subject_history(
         self, subject_id: int, as_of: Optional[str] = None
     ) -> Dict[str, List[Fact]]:
         """``fact_history`` of each property the subject has a fact of, even
         if none is in force at ``as_of``, by property name in name order."""
+        cutoff = _cutoff(as_of)
         return {
-            prop: self._in_force(entries, as_of)
+            prop: self._in_force(entries, cutoff)
             for prop, entries in self._kept_history(subject_id).items()
         }
 
@@ -796,20 +803,23 @@ class Store:
         return dict(rows.fetchall())
 
     def entity_anchors(self, entity_id: int) -> Tuple[str, ...]:
-        """The distinct anchors of the events the entity takes part in,
-        ascending as text. Kept like a subject's facts, and extended with
-        the events above the last id it covers."""
+        """The distinct anchors of the events the entity takes part in, in
+        time order: ascending by (``temporal_sort_key``, text), so that two
+        spellings of one instant sort as text. Kept like a subject's facts,
+        and extended with the events above the last id it covers."""
         self._sync_ids()
         last = self._last_ids["events"]
         covered, anchors = self._anchors.get(entity_id, (0, ()))
         if covered < last:
-            rows = self._conn.execute(
+            added = {row[0] for row in self._conn.execute(
                 "SELECT e.anchor_datetime FROM event_participants p"
                 " JOIN events e ON e.id = p.event_id"
                 " WHERE p.entity_id = ? AND p.event_id > ? AND p.event_id <= ?",
                 (entity_id, covered, last),
-            )
-            anchors = tuple(sorted({*anchors, *(row[0] for row in rows)}))
+            )}.difference(anchors)
+            if added:
+                anchors = tuple(sorted(
+                    (*anchors, *added), key=lambda a: (temporal_sort_key(a), a)))
             self._anchors[entity_id] = (last, anchors)
         return anchors
 

@@ -4,12 +4,14 @@ failures are returned in-band so the agent loop can recover.
 """
 from __future__ import annotations
 
+import datetime
 import json
 import re
 import sqlite3
 import weakref
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .index import VectorIndex, hybrid_search
 from .ontology import temporal_sort_key
@@ -142,18 +144,20 @@ class ToolCall:
     args: dict
 
 
-def render_markdown_table(headers: List[str], rows: List[List[Any]]) -> str:
-    def cell(value: Any) -> str:
-        if isinstance(value, str):
-            return value.replace("|", "\\|").replace("\n", " ")
-        return json.dumps(value)
+def _cell(value: Any) -> str:
+    if isinstance(value, str):
+        return value.replace("|", "\\|").replace("\n", " ")
+    return json.dumps(value)
 
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "| " + " | ".join("---" for _ in headers) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(cell(value) for value in row) + " |")
+
+def _table_line(cells: Iterable[str]) -> str:
+    """One line of a markdown table, from its rendered cells."""
+    return "| " + " | ".join(cells) + " |"
+
+
+def render_markdown_table(headers: List[str], rows: List[List[Any]]) -> str:
+    lines = [_table_line(headers), _table_line("---" for _ in headers)]
+    lines.extend(_table_line(map(_cell, row)) for row in rows)
     return "\n".join(lines)
 
 
@@ -240,6 +244,29 @@ class EntityDocument:
     facts: str
 
 
+# the two tables of an entity document: headers and rule
+_LATEST_HEAD = render_markdown_table(["property", "value", "valid_from"], [])
+_HISTORY_HEAD = render_markdown_table(
+    ["property", "value", "valid_from", "valid_to", "created_at"], [])
+
+# store -> {fact id: (the fact's "Latest property values" line, its "Full
+# fact history" line)}. A fact never changes, so its lines are rendered
+# once per store and freed with it.
+_FACT_LINES = weakref.WeakKeyDictionary()
+
+
+def _fact_lines(fact) -> Tuple[str, str]:
+    cells = [_cell(fact.property_name), _cell(json.dumps(_jsonable(fact.value))),
+             _cell(fact.valid_from or "")]
+    latest = _table_line(cells)
+    cells += (_cell(fact.valid_to or ""), _cell(fact.created_at or ""))
+    return latest, _table_line(cells)
+
+
+def _day(iso: str) -> str:
+    return temporal_sort_key(iso)[:10]
+
+
 def build_entity_document(
     store: Store, entity_id: int, as_of: Optional[str] = None
 ) -> Optional[EntityDocument]:
@@ -249,49 +276,44 @@ def build_entity_document(
     row = store.entity_row(entity_id)
     if row is None:
         return None
-    day = None if as_of is None else temporal_sort_key(as_of)[:10]
-    if day is not None and temporal_sort_key(row["created_at"])[:10] > day:
+    day = None if as_of is None else _day(as_of)
+    if day is not None and _day(row["created_at"]) > day:
         return None
-    latest_rows = []
-    history_rows = []
-    for prop, history in store.subject_history(entity_id, as_of).items():
-        if history:
-            latest = history[-1]
-            latest_rows.append(
-                [prop, json.dumps(_jsonable(latest.value)), latest.valid_from or ""]
-            )
+    kept = _FACT_LINES.get(store)
+    if kept is None:
+        kept = _FACT_LINES[store] = {}
+    latest_lines = [_LATEST_HEAD]
+    history_lines = [_HISTORY_HEAD]
+    for history in store.subject_history(entity_id, as_of).values():
         for fact in history:
-            history_rows.append(
-                [
-                    prop,
-                    json.dumps(_jsonable(fact.value)),
-                    fact.valid_from or "",
-                    fact.valid_to or "",
-                    fact.created_at or "",
-                ]
-            )
+            lines = kept.get(fact.id)
+            if lines is None:
+                lines = kept[fact.id] = _fact_lines(fact)
+            history_lines.append(lines[1])
+        if history:  # the last fact in force holds the latest value
+            latest_lines.append(lines[0])
+    # anchors are in time order, so those on or before the day are a prefix
     anchors = store.entity_anchors(entity_id)
     if day is not None:
-        anchors = tuple(a for a in anchors if temporal_sort_key(a)[:10] <= day)
-    last_anchor = max(anchors, key=temporal_sort_key) if anchors else None
+        anchors = anchors[:bisect_right(anchors, day, key=_day)]
+    last_anchor = None
+    if anchors:
+        # of two spellings of the latest instant, the first as text
+        latest = temporal_sort_key(anchors[-1])
+        last_anchor = anchors[bisect_left(anchors, latest, key=temporal_sort_key)]
     return EntityDocument(
         id=entity_id,
         name=row["entity_name"],
         type=row["entity_type"],
-        latest=render_markdown_table(["property", "value", "valid_from"], latest_rows),
+        latest="\n".join(latest_lines),
         anchors=anchors,
         last_anchor=last_anchor,
-        facts=render_markdown_table(
-            ["property", "value", "valid_from", "valid_to", "created_at"],
-            history_rows,
-        ),
+        facts="\n".join(history_lines),
     )
 
 
 def _jsonable(value: Any) -> Any:
-    import datetime as _dt
-
-    if isinstance(value, (_dt.date, _dt.datetime)):
+    if isinstance(value, datetime.date):
         return value.isoformat()
     return value
 

@@ -26,7 +26,7 @@ from apexmem.index import (
     tokenize,
     upsert_embeddings,
 )
-from apexmem.ontology import Role
+from apexmem.ontology import DType, Event, Role, Turn
 from apexmem.resolve import DEFAULT_K, retrieve_entity_candidates
 from apexmem.store import Store
 from conftest import ingest_case1
@@ -586,3 +586,109 @@ def test_a_failed_call_keeps_nothing(store):
     for _ in range(2):  # the zero row stays queued and keeps refusing
         with pytest.raises(ZeroVector):
             index.nearest("entity", "Alice", 3)
+
+
+def oracle_hybrid_search(store, index, kinds, query, k):
+    """``hybrid_search`` as it fused before: both channels' raw scores of
+    every candidate through dicts, each normalized by ``minmax_normalize``,
+    and one ``HybridScore`` per candidate before the cut to ``k``."""
+    query_vector = index.embed(query)
+    pool = index_mod.POOL_MULTIPLIER * k
+    results = []
+    for kind in sorted(set(kinds)):
+        dense_all = index.dense_scores(kind, query_vector)
+        lexical_all = dict(lexical_search(store, index, kind, query, pool))
+        candidates = {doc_id for doc_id, _ in dense_all.top(pool)} | set(lexical_all)
+        if not candidates:
+            continue
+        dense_raw = {doc_id: dense_all.get(doc_id, 0.0) for doc_id in candidates}
+        lexical_raw = {doc_id: lexical_all.get(doc_id, 0.0) for doc_id in candidates}
+        dense_norm = minmax_normalize(dense_raw)
+        lexical_norm = minmax_normalize(lexical_raw)
+        for doc_id in candidates:
+            fused = (index_mod.FUSION_ALPHA * dense_norm[doc_id]
+                     + (1.0 - index_mod.FUSION_ALPHA) * lexical_norm[doc_id])
+            results.append((doc_id, kind, index_mod.HybridScore(
+                dense_raw[doc_id], lexical_raw[doc_id], fused)))
+    results.sort(key=lambda item: (-item[2].fused, item[1], item[0]))
+    return results[:k]
+
+
+def _bits(hits):
+    return [(doc_id, kind, score.dense.hex(), score.lexical.hex(), score.fused.hex())
+            for doc_id, kind, score in hits]
+
+
+_FUSION_KINDS = ("entity", "property", "event", "turn")
+
+
+def _append_row(store, kind, text, number):
+    """A row of ``kind`` whose search text holds ``text``."""
+    if kind == "entity":
+        _append_entity(store, text)
+    elif kind == "property":
+        store.append_property(f"{text.replace(' ', '_')}_{number}", DType.str)
+    elif kind == "event":
+        store.append_event_bundle(Event(None, text, "2024-01-01T00:00:00Z"))
+    else:
+        store.append_turns([Turn(None, f"s{number}", "Alice", "Bob", text,
+                                 "2024-01-01T00:00:00Z", 0)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(
+        st.sampled_from(_FUSION_KINDS),
+        st.lists(st.sampled_from(_WORDS[:4]), min_size=1, max_size=3),
+        st.booleans(),  # embed every committed row after this one
+    ), min_size=1, max_size=16),
+    st.lists(st.tuples(
+        st.lists(st.sampled_from(_WORDS[:5]), min_size=1, max_size=3),
+        st.integers(1, 12),
+        st.sets(st.sampled_from([*_FUSION_KINDS, "evidence"]), min_size=1),
+    ), min_size=1, max_size=4),
+)
+# ties across kinds: one text in every kind
+@example([(kind, ["sakura", "sushi"], True) for kind in _FUSION_KINDS],
+         [(["sakura"], 2, set(_FUSION_KINDS))])
+# an all-equal pool, larger k than rows, and a row committed but not embedded
+@example([("entity", ["garden"], True), ("entity", ["garden"], True),
+          ("entity", ["garden"], False)],
+         [(["garden"], 12, {"entity"}), (["pasta"], 1, {"entity"})])
+def test_fusion_matches_the_dict_oracle(rows, queries):
+    """Fused hits, their order and every score are bit-equal to the
+    dict-based fusion's, over any kinds, any k and rows not yet embedded."""
+    store = Store.open(":memory:")
+    index = VectorIndex()
+    for number, (kind, words, embed) in enumerate(rows):
+        _append_row(store, kind, " ".join(words), number)
+        if embed:
+            upsert_embeddings(store, index)
+    for words, k, kinds in queries:
+        query = " ".join(words)
+        assert _bits(hybrid_search(store, index, kinds, query, k)) == _bits(
+            oracle_hybrid_search(store, index, kinds, query, k))
+    store.close()
+
+
+def test_a_lexical_only_candidate_keeps_its_dense_score(store, index):
+    """A row found by BM25 alone is fused with its own dense score, or with
+    0.0 while it is committed but not yet embedded."""
+    # k = 2: the dense pool is the 8 names closest to "red" as trigrams
+    near = _add_entities(store, ["redd", "reds", "redder", "shred", "redo", "redden",
+                                 "reddy", "reda", "redz", "sred"])
+    (far,) = _add_entities(store, ["Red Lagoon Sushi Garden Walk"])
+    upsert_embeddings(store, index)
+    dense = index.dense_scores("entity", index.embed("red"))
+    assert far not in dict(dense.top(8))
+    hits = hybrid_search(store, index, ("entity",), "red", 2)
+    assert hits[1][0] == far and hits[1][2].dense == dense[far] > 0.0
+    assert _bits(hits) == _bits(oracle_hybrid_search(store, index, ("entity",), "red", 2))
+
+    (pending,) = _add_entities(store, ["red"])
+    hits = {doc_id: score for doc_id, _kind, score
+            in hybrid_search(store, index, ("entity",), "red", 12)}
+    assert set(hits) == {*near, far, pending}
+    assert hits[pending].dense == 0.0 and hits[pending].lexical > 0.0
+    assert _bits(hybrid_search(store, index, ("entity",), "red", 1)) == _bits(
+        oracle_hybrid_search(store, index, ("entity",), "red", 1))

@@ -1,5 +1,10 @@
+import gc
 import json
+import os
 import re
+import sys
+import tempfile
+import weakref
 from collections import Counter
 from datetime import date
 
@@ -8,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from apexmem import tools
 from apexmem.extract import ingest_session
-from apexmem.index import KINDS, VectorIndex, upsert_embeddings
-from apexmem.ontology import DType, Event, Fact, Role, Turn
+from apexmem.index import KINDS, VectorIndex, hybrid_search, upsert_embeddings
+from apexmem.ontology import DType, Event, Fact, Role, Turn, temporal_sort_key
 from apexmem.sqlguard import SqlValidationReport
 from apexmem.store import WHITELISTED_TABLES, Store
 from apexmem.tools import (
@@ -24,6 +29,7 @@ from apexmem.tools import (
     build_entity_document,
     entity_lookup,
     ToolResult,
+    EntityDocument,
     graph_sql,
     property_search,
     read_latest_values,
@@ -537,3 +543,233 @@ def test_read_latest_values_of_a_lookup_cut_by_the_character_cap(store, index):
     assert result.text.endswith(f"truncated at {CHAR_CAP} characters")
     rows = read_latest_values(result.text)
     assert 0 < len(rows) < 40 and rows == full[:len(rows)]
+
+
+# -- entity documents: kept fact lines and anchors in time order ------------
+
+def _oracle_table(headers, rows):
+    """``render_markdown_table`` as it was before fact lines were kept."""
+    def cell(value):
+        if isinstance(value, str):
+            return value.replace("|", "\\|").replace("\n", " ")
+        return json.dumps(value)
+
+    lines = [
+        "| " + " | ".join(headers) + " |",
+        "| " + " | ".join("---" for _ in headers) + " |",
+    ]
+    for row in rows:
+        lines.append("| " + " | ".join(cell(value) for value in row) + " |")
+    return "\n".join(lines)
+
+
+def _oracle_jsonable(value):
+    return value.isoformat() if isinstance(value, date) else value
+
+
+def _oracle_document(store, entity_id, as_of=None):
+    """The entity document as ``build_entity_document`` built it before it
+    kept fact lines and cut anchors by bisection: every row rendered and
+    every anchor keyed on each call. It lists the anchors in time order
+    (the store's order before was text order) and takes as the last anchor
+    the first as text of the latest instant, as before."""
+    row = store.entity_row(entity_id)
+    if row is None:
+        return None
+    day = None if as_of is None else temporal_sort_key(as_of)[:10]
+    if day is not None and temporal_sort_key(row["created_at"])[:10] > day:
+        return None
+    latest_rows = []
+    history_rows = []
+    for prop, history in store.subject_history(entity_id, as_of).items():
+        if history:
+            latest = history[-1]
+            latest_rows.append(
+                [prop, json.dumps(_oracle_jsonable(latest.value)), latest.valid_from or ""])
+        for fact in history:
+            history_rows.append([prop, json.dumps(_oracle_jsonable(fact.value)),
+                                 fact.valid_from or "", fact.valid_to or "",
+                                 fact.created_at or ""])
+    anchors = sorted(store.entity_anchors(entity_id), key=lambda a: (temporal_sort_key(a), a))
+    if day is not None:
+        anchors = tuple(a for a in anchors if temporal_sort_key(a)[:10] <= day)
+    last_anchor = max(sorted(anchors), key=temporal_sort_key) if anchors else None
+    return render_entity_document(EntityDocument(
+        id=entity_id,
+        name=row["entity_name"],
+        type=row["entity_type"],
+        latest=_oracle_table(["property", "value", "valid_from"], latest_rows),
+        anchors=tuple(anchors),
+        last_anchor=last_anchor,
+        facts=_oracle_table(["property", "value", "valid_from", "valid_to", "created_at"],
+                            history_rows),
+    ))
+
+
+def _oracle_lookup(store, index, query, k, as_of):
+    documents = [
+        document for doc_id, _kind, _score in hybrid_search(store, index, ["entity"], query, k)
+        if (document := _oracle_document(store, doc_id, as_of)) is not None
+    ]
+    if not documents:
+        return "No matching entities."
+    text = "\n\n".join(documents)
+    if len(text) <= CHAR_CAP:
+        return text
+    return text[:CHAR_CAP] + f"\n... truncated at {CHAR_CAP} characters"
+
+
+# instants that differ, coincide, or only compare right as UTC instants
+_DOC_STAMPS = st.builds(
+    lambda day, hour, zone: f"2024-01-{day:02d}T{hour:02d}:00:00{zone}",
+    st.integers(1, 3), st.sampled_from([0, 3, 22]), st.sampled_from(["Z", "+05:00", "-03:00"]),
+) | st.sampled_from(["2024-01-02", "2024-01-03"])
+# few values, so that facts of one property often share one
+_DOC_VALUES = st.sampled_from([
+    (DType.str, "Sakura | Sushi"), (DType.str, "two\nlines"), (DType.str, "plain"),
+    (DType.list, ["a|b", "c\nd"]), (DType.list, []), (DType.date, "2024-01-02"),
+    (DType.datetime, "2024-01-02T05:00:00+05:00"), (DType.int, 7), (DType.bool, True),
+])
+_DOC_QUESTION_DATES = (None, "2024-01-01", "2024-01-02T03:00:00Z",
+                       "2024-01-02T02:00:00-03:00", "2024-01-03")
+_DOC_NAMES = ("Ann Lee", "Ben Lee", "Cal Lee")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.integers(0, 1),  # the handle
+        st.sampled_from(["fact", "event", "lookup"]),
+        st.integers(0, 2),  # the subject
+        st.sampled_from(["favorite_color", "hometown"]),
+        _DOC_VALUES,
+        st.none() | _DOC_STAMPS,  # valid_from
+        st.none() | _DOC_STAMPS,  # valid_to
+        _DOC_STAMPS,  # created_at and the event's anchor
+        st.sampled_from(_DOC_QUESTION_DATES),
+    ),
+    max_size=14,
+))
+def test_entity_lookup_reads_as_the_oracle(ops):
+    """Appends on two handles of one file, interleaved with lookups at
+    several question dates, and a replay of the log at the end: every
+    lookup's text is the oracle's, however many of its fact lines were
+    kept from an earlier lookup."""
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "db.sqlite")
+        handles = [Store.open(path), Store.open(path)]
+        indexes = [VectorIndex(), VectorIndex()]
+        subjects = [handles[0].append_entity(name, "Person", Role.Speaker,
+                                             created_at=f"2024-01-0{number + 1}")
+                    for number, name in enumerate(_DOC_NAMES)]
+        query = " ".join(_DOC_NAMES)
+
+        def check(store, index, as_of):
+            upsert_embeddings(store, index)
+            got = entity_lookup(store, index, query, k=3, as_of=as_of)
+            assert got.ok and got.text == _oracle_lookup(store, index, query, 3, as_of)
+
+        for who, action, subject, prop, (dtype, value), valid_from, valid_to, stamp, \
+                as_of in ops:
+            handle, subject = handles[who], subjects[subject]
+            if action == "lookup":
+                check(handle, indexes[who], as_of)
+                continue
+            if None not in (valid_from, valid_to) and (
+                    temporal_sort_key(valid_to) < temporal_sort_key(valid_from)):
+                valid_from, valid_to = valid_to, valid_from
+            facts = [] if action == "event" else [
+                Fact(None, subject, prop, value, dtype, valid_from, valid_to, 1.0, stamp)]
+            handle.append_event_bundle(Event(None, "conversation", stamp), facts, [],
+                                       [(subject, Role.Mentioned)])
+        replica = Store.replay(handles[0].append_log())
+        for store, index in [*zip(handles, indexes), (replica, VectorIndex())]:
+            for as_of in _DOC_QUESTION_DATES:
+                check(store, index, as_of)
+                for subject in subjects:
+                    document = build_entity_document(store, subject, as_of)
+                    assert (None if document is None else render_entity_document(document)
+                            ) == _oracle_document(store, subject, as_of)
+        for store in [*handles, replica]:
+            store.close()
+
+
+def test_a_fact_line_is_kept_by_store():
+    """Two stores whose facts share ids but not values render their own."""
+    stores = [Store.open(":memory:"), Store.open(":memory:")]
+    for store, value in zip(stores, ["Italian Garden", "Sakura Sushi"]):
+        alice = store.append_entity("Alice", "Person", Role.Speaker)
+        fact = Fact(None, alice, "favorite_restaurant", value, DType.str,
+                    "2024-01-15", None, 1.0, "2024-01-15T10:00:00Z")
+        assert store.append_event_bundle(Event(None, "conversation", "2024-01-15"),
+                                         [fact]).fact_ids == [1]
+    for store, value in zip(stores, ["Italian Garden", "Sakura Sushi"]):
+        document = build_entity_document(store, 1)
+        assert f'| favorite_restaurant | "{value}" | 2024-01-15 |' in document.latest
+        assert document.facts == _oracle_table(
+            ["property", "value", "valid_from", "valid_to", "created_at"],
+            [["favorite_restaurant", json.dumps(value), "2024-01-15", "",
+              "2024-01-15T10:00:00Z"]])
+        store.close()
+
+
+def test_anchors_are_listed_in_time_order(store, index):
+    """Anchors with UTC offsets are listed as instants, not as text; the day
+    cut is the UTC day of the question date, and the last anchor is the
+    first as text of the latest instant on or before it."""
+    alice = store.append_entity("Alice", "Person", Role.Speaker)
+    # as UTC instants: 01-01T23, 01-02T00, 01-02T01 twice
+    for anchor in ["2024-01-02T05:00:00+05:00", "2024-01-02T01:00:00Z",
+                   "2024-01-01T23:00:00Z", "2024-01-01T20:00:00-05:00"]:
+        store.append_event_bundle(Event(None, "conversation", anchor),
+                                  participants=[(alice, Role.Mentioned)])
+    upsert_embeddings(store, index)
+    in_time_order = ("2024-01-01T23:00:00Z", "2024-01-02T05:00:00+05:00",
+                     "2024-01-01T20:00:00-05:00", "2024-01-02T01:00:00Z")
+    assert store.entity_anchors(alice) == in_time_order
+    for as_of, listed, last_anchor in [
+        (None, in_time_order, "2024-01-01T20:00:00-05:00"),
+        ("2024-01-01", in_time_order[:1], "2024-01-01T23:00:00Z"),
+        # 2024-01-02T03:00:00Z: its UTC day holds every anchor
+        ("2024-01-01T22:00:00-05:00", in_time_order, "2024-01-01T20:00:00-05:00"),
+        ("2024-01-02", in_time_order, "2024-01-01T20:00:00-05:00"),
+    ]:
+        document = build_entity_document(store, alice, as_of)
+        assert document.anchors == listed and document.last_anchor == last_anchor
+        text = entity_lookup(store, index, "Alice", k=1, as_of=as_of).text
+        assert f"\nlast_anchor: {last_anchor}\nanchors: {', '.join(listed)}\n" in text
+
+
+def test_a_repeated_lookup_renders_no_fact_line(case1_store, index, monkeypatch):
+    """A scaling guard: the second identical lookup on an unchanged store
+    takes every fact line from memory."""
+    rendered = []
+    original = tools._table_line
+    monkeypatch.setattr(tools, "_table_line",
+                        lambda cells: rendered.append(1) or original(cells))
+    first = entity_lookup(case1_store, index, "Alice", k=3, as_of="2024-04-01")
+    assert len(rendered) == 2 * 3  # two lines for each fact of the hits
+    rendered.clear()
+    assert entity_lookup(case1_store, index, "Alice", k=3, as_of="2024-04-01") == first
+    assert rendered == []
+
+
+def test_dropped_store_frees_its_fact_lines_at_once(index):
+    """The kept lines hang off the store by a weak key, so ``del`` of the
+    store frees them without waiting for the cycle collector."""
+    store = Store.open(":memory:")
+    ingest_case1(store, index)
+    assert entity_lookup(store, index, "Alice", k=3).ok
+    kept = tools._FACT_LINES[store]
+    assert kept
+    held = len(tools._FACT_LINES)
+    ref = weakref.ref(store)
+    store.close()
+    gc.disable()
+    try:
+        del store
+        assert ref() is None
+        assert len(tools._FACT_LINES) == held - 1
+        assert sys.getrefcount(kept) == 2  # this name and the call's argument
+    finally:
+        gc.enable()
