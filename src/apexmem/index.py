@@ -113,16 +113,9 @@ def bm25_scores(
     return scores
 
 
-def lexical_search(
-    store: Store, index: "VectorIndex", kind: str, query: str, k: int
-) -> List[Tuple[int, float]]:
-    """Top-k (doc_id, BM25 score), ties broken by ascending doc_id."""
-    return index.lexical_scores(store, kind, query).top(k)
-
-
-class Scores(Mapping):
-    """doc_id -> score over the rows of one kind, backed by two aligned
-    arrays. ``rows`` maps a doc_id to its position; positions past the
+class Scores:
+    """The scores of the rows of one kind, as two aligned arrays of doc_ids
+    and values. ``rows`` maps a doc_id to its position; positions past the
     arrays' end are rows added after the scores were taken."""
 
     def __init__(self, doc_ids: np.ndarray, values: np.ndarray,
@@ -131,19 +124,12 @@ class Scores(Mapping):
         self.values = values
         self._rows = rows
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.doc_ids.tolist())
-
-    def __getitem__(self, doc_id: int) -> float:
+    def get(self, doc_id: int, default: float) -> float:
+        """The score of ``doc_id``, or ``default`` if it has none."""
         if self._rows is None:
             self._rows = dict(zip(self.doc_ids.tolist(), range(len(self.doc_ids))))
         row = self._rows.get(doc_id, len(self.values))
-        if row >= len(self.values):
-            raise KeyError(doc_id)
-        return float(self.values[row])
+        return default if row >= len(self.values) else float(self.values[row])
 
     def top(self, k: int) -> List[Tuple[int, float]]:
         """The k best (doc_id, score), best first, ties by ascending doc_id."""
@@ -480,15 +466,27 @@ def upsert_embeddings(store: Store, index: VectorIndex) -> int:
     return indexed
 
 
+def _minmax(scores: List[float]) -> List[float]:
+    """Min-max to [0,1]; a single score or all-equal scores map to 1.0."""
+    if not scores:
+        return []
+    low, high = min(scores), max(scores)
+    if high == low:
+        return [1.0] * len(scores)
+    return [(s - low) / (high - low) for s in scores]
+
+
 def minmax_normalize(scores: Dict[int, float]) -> Dict[int, float]:
     """Min-max to [0,1]; a single candidate or all-equal scores map to 1.0."""
-    if not scores:
-        return {}
-    low = min(scores.values())
-    high = max(scores.values())
-    if high == low:
-        return {doc_id: 1.0 for doc_id in scores}
-    return {doc_id: (s - low) / (high - low) for doc_id, s in scores.items()}
+    return dict(zip(scores, _minmax(list(scores.values()))))
+
+
+def fuse(dense: List[float], lexical: List[float]) -> List[float]:
+    """The fused score of each candidate from its raw dense and lexical
+    scores: each channel min-max normalized over the candidates, then mixed
+    by ``FUSION_ALPHA``."""
+    return [FUSION_ALPHA * dense_norm + (1.0 - FUSION_ALPHA) * lexical_norm
+            for dense_norm, lexical_norm in zip(_minmax(dense), _minmax(lexical))]
 
 
 @dataclass(frozen=True)
@@ -521,24 +519,15 @@ def hybrid_search(
             raise UnknownView(f"unknown kind: {kind}")
         dense_all = index.dense_scores(kind, query_vector)
         dense = dict(dense_all.top(pool))
-        lexical = dict(lexical_search(store, index, kind, query, pool))
+        lexical = dict(index.lexical_scores(store, kind, query).top(pool))
         for doc_id in lexical:
             if doc_id not in dense:
                 # a row committed but not yet embedded has no dense score
                 dense[doc_id] = dense_all.get(doc_id, 0.0)
-        if not dense:
-            continue
         lexical_raw = [lexical.get(doc_id, 0.0) for doc_id in dense]
-        dense_low, dense_high = min(dense.values()), max(dense.values())
-        lexical_low, lexical_high = min(lexical_raw), max(lexical_raw)
-        # minmax_normalize of each channel, inlined
-        for (doc_id, dense_raw), lexical_score in zip(dense.items(), lexical_raw):
-            dense_norm = 1.0 if dense_high == dense_low else (
-                (dense_raw - dense_low) / (dense_high - dense_low))
-            lexical_norm = 1.0 if lexical_high == lexical_low else (
-                (lexical_score - lexical_low) / (lexical_high - lexical_low))
-            fused = FUSION_ALPHA * dense_norm + (1.0 - FUSION_ALPHA) * lexical_norm
-            rows.append((-fused, kind, doc_id, dense_raw, lexical_score))
+        fused = fuse(list(dense.values()), lexical_raw)
+        for (doc_id, dense_raw), lexical_score, score in zip(dense.items(), lexical_raw, fused):
+            rows.append((-score, kind, doc_id, dense_raw, lexical_score))
     rows.sort()
     return [(doc_id, kind, HybridScore(dense_raw, lexical_score, -negated))
             for negated, kind, doc_id, dense_raw, lexical_score in rows[:k]]

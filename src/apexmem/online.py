@@ -8,13 +8,7 @@ from typing import Dict, List, Optional
 
 from . import extract
 from .errors import ValidationFailure
-from .index import (
-    FUSION_ALPHA,
-    VectorIndex,
-    bm25_scores,
-    cosine,
-    minmax_normalize,
-)
+from .index import VectorIndex, bm25_scores, cosine, fuse, minmax_normalize
 from .ontology import Turn, parse_iso_datetime, temporal_sort_key
 from .store import Store
 
@@ -72,20 +66,12 @@ def score_relevance(
         return []
     index = index or VectorIndex()
     question_vector = index.embed(question)
-    keyed = list(enumerate(corpus))
-    dense_raw = {
-        i: cosine(question_vector, index.embed(doc.text())) for i, doc in keyed
-    }
-    lexical_raw = bm25_scores([(i, doc.text()) for i, doc in keyed], question)
-    lexical_full = {i: lexical_raw.get(i, 0.0) for i, _ in keyed}
-    dense_norm = minmax_normalize(dense_raw)
-    lexical_norm = minmax_normalize(lexical_full)
-    fused = {
-        i: FUSION_ALPHA * dense_norm[i] + (1.0 - FUSION_ALPHA) * lexical_norm[i]
-        for i, _ in keyed
-    }
-    normalized = minmax_normalize(fused)
-    return [RelevanceScore(doc.doc_id, normalized[i]) for i, doc in keyed]
+    texts = [doc.text() for doc in corpus]
+    dense_raw = [cosine(question_vector, index.embed(text)) for text in texts]
+    lexical_raw = bm25_scores(list(enumerate(texts)), question)
+    fused = fuse(dense_raw, [lexical_raw.get(i, 0.0) for i in range(len(texts))])
+    normalized = minmax_normalize(dict(enumerate(fused)))
+    return [RelevanceScore(doc.doc_id, normalized[i]) for i, doc in enumerate(corpus)]
 
 
 def build_online(

@@ -3,9 +3,10 @@
 Validation parses the statement structurally (comments and string literals
 are stripped by a real tokenizer, so they cannot smuggle keywords); a
 keyword blacklist is kept as a second defense layer, and execution adds a
-third: a SQLite authorizer that allows only reads of the whitelisted tables,
-on the store's ``mode=ro`` connection for a file store and on the writer for
-a ``:memory:`` store.
+third: a SQLite authorizer that allows only reads of the whitelisted tables.
+The ``Store`` holds it with the connection it is installed on
+(``Store.guarded_reader``): the ``mode=ro`` connection for a file store and
+the writer for a ``:memory:`` store.
 """
 from __future__ import annotations
 

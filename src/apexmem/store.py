@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import sqlite3
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from urllib.parse import quote
@@ -169,6 +170,28 @@ SEARCH_TEXT = {
 }
 
 
+class _Authorizer:
+    """GraphSQL's authorizer, installed once on a connection: installing one
+    expires every statement the connection has prepared. While ``active``
+    it lets a statement read only the whitelisted tables; at any other time
+    it allows everything, so the store's own statements on the same
+    connection (the writer itself for ``:memory:``) prepare as before."""
+
+    def __init__(self):
+        self.active = False
+
+    def __call__(self, action, arg1, arg2, dbname, source):
+        if not self.active:
+            return sqlite3.SQLITE_OK
+        if action in (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_FUNCTION,
+                      sqlite3.SQLITE_RECURSIVE):
+            return sqlite3.SQLITE_OK
+        if action == sqlite3.SQLITE_READ:
+            if not arg1 or arg1 in WHITELISTED_TABLES or arg1.startswith("sqlite_temp"):
+                return sqlite3.SQLITE_OK
+        return sqlite3.SQLITE_DENY
+
+
 def table_columns() -> Dict[str, Tuple[str, ...]]:
     """Column names of each whitelisted table, in schema order."""
     conn = sqlite3.connect(":memory:")
@@ -191,6 +214,20 @@ class CommittedBundle:
     evidence_ids: list
 
 
+@dataclass
+class _Subject:
+    """What a store keeps of one entity for its own life, each part with
+    the last id it covers and extended with the rows above it: the
+    entity's facts as subject (see ``_kept_history``), the anchors of its
+    events, and the rendered lines of its facts by fact id, which the
+    entity document fills."""
+    facts_to: int = 0
+    facts: Dict[str, List[tuple]] = field(default_factory=dict)
+    events_to: int = 0
+    anchors: Tuple[str, ...] = ()
+    lines: Dict[int, Tuple[str, str]] = field(default_factory=dict)
+
+
 def _cutoff(as_of: Optional[str]) -> Optional[str]:
     return None if as_of is None else temporal_sort_key(as_of)
 
@@ -202,6 +239,8 @@ class Store:
         self._conn = conn
         self.path = path
         self._reader: Optional[sqlite3.Connection] = None
+        # the connection GraphSQL last ran on, and the authorizer on it
+        self._guarded: Optional[Tuple[sqlite3.Connection, _Authorizer]] = None
         # the highest committed id of each table in _ID_COLUMNS, and the
         # PRAGMA data_version they were read at
         self._last_ids: Dict[str, int] = {}
@@ -214,11 +253,7 @@ class Store:
         # the texts of the last batch of turns this handle committed, by id:
         # the turns that extraction checks and quotes next
         self._batch_texts: Dict[int, str] = {}
-        # read-side state kept with the last id it covers, and extended
-        # with the rows above it: each subject's facts (see _kept_history)
-        # and each entity's event anchors
-        self._histories: Dict[int, Tuple[int, Dict[str, List[tuple]]]] = {}
-        self._anchors: Dict[int, Tuple[int, Tuple[str, ...]]] = {}
+        self._subjects: Dict[int, _Subject] = defaultdict(_Subject)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -609,13 +644,13 @@ class Store:
         statement, and with none when nothing was committed since."""
         self._sync_ids()
         last = self._last_ids["facts"]
-        covered, by_property = self._histories.get(subject_id, (0, {}))
-        if covered < last:
+        kept = self._subjects[subject_id]
+        if kept.facts_to < last:
             added: Dict[str, List[tuple]] = {}
             for row in self._conn.execute(
                 f"SELECT {self._FACT_COLUMNS} FROM facts"
                 " WHERE subject_id = ? AND id > ? AND id <= ?",
-                (subject_id, covered, last),
+                (subject_id, kept.facts_to, last),
             ):
                 added.setdefault(row[2], []).append((
                     temporal_sort_key(row[5]), temporal_sort_key(row[8]), row[0],
@@ -623,12 +658,18 @@ class Store:
                 ))
             if added:
                 # ids are unique, so the sorts never compare two facts
-                merged = dict(by_property)
+                merged = dict(kept.facts)
                 for prop, entries in added.items():
                     merged[prop] = sorted([*merged.get(prop, ()), *entries])
-                by_property = dict(sorted(merged.items()))
-            self._histories[subject_id] = (last, by_property)
-        return by_property
+                kept.facts = dict(sorted(merged.items()))
+            kept.facts_to = last
+        return kept.facts
+
+    def fact_lines(self, subject_id: int) -> Dict[int, Tuple[str, str]]:
+        """The subject's slot for its facts' rendered lines, by fact id,
+        kept for the life of the store. A fact never changes, so its lines
+        are rendered once, by whoever first fills the slot."""
+        return self._subjects[subject_id].lines
 
     @staticmethod
     def _in_force(entries: Sequence[tuple], cutoff: Optional[str]) -> List[Fact]:
@@ -809,19 +850,19 @@ class Store:
         and extended with the events above the last id it covers."""
         self._sync_ids()
         last = self._last_ids["events"]
-        covered, anchors = self._anchors.get(entity_id, (0, ()))
-        if covered < last:
+        kept = self._subjects[entity_id]
+        if kept.events_to < last:
             added = {row[0] for row in self._conn.execute(
                 "SELECT e.anchor_datetime FROM event_participants p"
                 " JOIN events e ON e.id = p.event_id"
                 " WHERE p.entity_id = ? AND p.event_id > ? AND p.event_id <= ?",
-                (entity_id, covered, last),
-            )}.difference(anchors)
+                (entity_id, kept.events_to, last),
+            )}.difference(kept.anchors)
             if added:
-                anchors = tuple(sorted(
-                    (*anchors, *added), key=lambda a: (temporal_sort_key(a), a)))
-            self._anchors[entity_id] = (last, anchors)
-        return anchors
+                kept.anchors = tuple(sorted(
+                    (*kept.anchors, *added), key=lambda a: (temporal_sort_key(a), a)))
+            kept.events_to = last
+        return kept.anchors
 
     def find_entity_by_name(self, name: str) -> Optional[dict]:
         """Case-insensitive match on canonical name or any alias; the lowest
@@ -916,3 +957,13 @@ class Store:
         except sqlite3.Error as exc:
             raise IoFailure(f"cannot open a reader on store {self.path}: {exc}") from exc
         return self._reader
+
+    def guarded_reader(self) -> Tuple[sqlite3.Connection, _Authorizer]:
+        """``readonly_connection()`` with GraphSQL's authorizer on it. The
+        authorizer is installed on the first call for each connection, so
+        no statement the store prepared before is expired again."""
+        conn = self.readonly_connection()
+        if self._guarded is None or self._guarded[0] is not conn:
+            self._guarded = (conn, _Authorizer())
+            conn.set_authorizer(self._guarded[1])
+        return self._guarded

@@ -8,7 +8,6 @@ import datetime
 import json
 import re
 import sqlite3
-import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -249,13 +248,9 @@ _LATEST_HEAD = render_markdown_table(["property", "value", "valid_from"], [])
 _HISTORY_HEAD = render_markdown_table(
     ["property", "value", "valid_from", "valid_to", "created_at"], [])
 
-# store -> {fact id: (the fact's "Latest property values" line, its "Full
-# fact history" line)}. A fact never changes, so its lines are rendered
-# once per store and freed with it.
-_FACT_LINES = weakref.WeakKeyDictionary()
-
-
 def _fact_lines(fact) -> Tuple[str, str]:
+    """The fact's "Latest property values" line and its "Full fact history"
+    line."""
     cells = [_cell(fact.property_name), _cell(json.dumps(_jsonable(fact.value))),
              _cell(fact.valid_from or "")]
     latest = _table_line(cells)
@@ -279,9 +274,7 @@ def build_entity_document(
     day = None if as_of is None else _day(as_of)
     if day is not None and _day(row["created_at"]) > day:
         return None
-    kept = _FACT_LINES.get(store)
-    if kept is None:
-        kept = _FACT_LINES[store] = {}
+    kept = store.fact_lines(entity_id)
     latest_lines = [_LATEST_HEAD]
     history_lines = [_HISTORY_HEAD]
     for history in store.subject_history(entity_id, as_of).values():
@@ -389,32 +382,6 @@ def _cap_text(text: str) -> str:
     return text[:CHAR_CAP] + f"\n... truncated at {CHAR_CAP} characters"
 
 
-class _Authorizer:
-    """GraphSQL's authorizer, installed once on a connection: installing one
-    expires every statement the connection has prepared. While ``active``
-    it lets a statement read only the whitelisted tables; at any other time
-    it allows everything, so the store's own statements on the same
-    connection (the writer itself for ``:memory:``) prepare as before."""
-
-    def __init__(self):
-        self.active = False
-
-    def __call__(self, action, arg1, arg2, dbname, source):
-        if not self.active:
-            return sqlite3.SQLITE_OK
-        if action in (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_FUNCTION,
-                      sqlite3.SQLITE_RECURSIVE):
-            return sqlite3.SQLITE_OK
-        if action == sqlite3.SQLITE_READ:
-            if not arg1 or arg1 in WHITELISTED_TABLES or arg1.startswith("sqlite_temp"):
-                return sqlite3.SQLITE_OK
-        return sqlite3.SQLITE_DENY
-
-
-# store -> (its read connection, the authorizer installed on it); a reader
-# its caller closed is reopened as a new connection, which gets its own
-_AUTHORIZERS = weakref.WeakKeyDictionary()
-
 # Ends every GraphSQL statement. The sqlite3 module reuses a prepared
 # statement by its text, and the authorizer runs only when a statement is
 # prepared; a statement the store prepared while the authorizer was not
@@ -423,62 +390,45 @@ _AUTHORIZERS = weakref.WeakKeyDictionary()
 _GRAPH_SQL_MARK = "\n/* graph_sql */"
 
 
-class GraphSql:
-    """Executor binding a store to the validated read-only SQL surface."""
-
-    def __init__(self, store: Store):
-        self.store = store
-
-    def _connection(self) -> Tuple[sqlite3.Connection, _Authorizer]:
-        conn = self.store.readonly_connection()
-        held = _AUTHORIZERS.get(self.store)
-        if held is None or held[0] is not conn:
-            held = _AUTHORIZERS[self.store] = (conn, _Authorizer())
-            conn.set_authorizer(held[1])
-        return held
-
-    def execute(self, statement: str, params: Optional[dict] = None) -> ToolResult:
-        report = validate_sql(statement)
-        if not report.accepted:
-            return ToolResult(ok=False, error=f"SqlRejected: {report.reason}")
-
-        params = params or {}
-        missing = report.params - set(params)
-        if missing:
-            return ToolResult(
-                ok=False,
-                error=(
-                    "SqlRuntimeError: missing named parameter(s): "
-                    + ", ".join(sorted(missing))
-                ),
-            )
-        bound = {name: params[name] for name in report.params}
-
-        conn, authorizer = self._connection()
-        cursor = conn.cursor()
-        # the whitelist holds while the statement is prepared and stepped
-        authorizer.active = True
-        try:
-            cursor.execute(statement + _GRAPH_SQL_MARK, bound)
-            headers = [d[0] for d in cursor.description or []]
-            rows = cursor.fetchmany(ROW_CAP + 1)
-        except sqlite3.Error as exc:
-            return ToolResult(ok=False, error=f"SqlRuntimeError: {exc}")
-        finally:
-            authorizer.active = False
-            # an unfinished statement would keep the store's reader on
-            # this snapshot, blind to later commits
-            cursor.close()
-        truncated = len(rows) > ROW_CAP
-        rows = rows[:ROW_CAP]
-        table = render_markdown_table(headers, [list(row) for row in rows])
-        if truncated:
-            table += f"\n... truncated: showing first {ROW_CAP} rows"
-        return ToolResult(ok=True, text=_cap_text(table))
-
-
 def graph_sql(store: Store, statement: str, params: Optional[dict] = None) -> ToolResult:
-    return GraphSql(store).execute(statement, params)
+    """Run one validated read-only statement on the store's guarded reader."""
+    report = validate_sql(statement)
+    if not report.accepted:
+        return ToolResult(ok=False, error=f"SqlRejected: {report.reason}")
+
+    params = params or {}
+    missing = report.params - set(params)
+    if missing:
+        return ToolResult(
+            ok=False,
+            error=(
+                "SqlRuntimeError: missing named parameter(s): "
+                + ", ".join(sorted(missing))
+            ),
+        )
+    bound = {name: params[name] for name in report.params}
+
+    conn, authorizer = store.guarded_reader()
+    cursor = conn.cursor()
+    # the whitelist holds while the statement is prepared and stepped
+    authorizer.active = True
+    try:
+        cursor.execute(statement + _GRAPH_SQL_MARK, bound)
+        headers = [d[0] for d in cursor.description or []]
+        rows = cursor.fetchmany(ROW_CAP + 1)
+    except sqlite3.Error as exc:
+        return ToolResult(ok=False, error=f"SqlRuntimeError: {exc}")
+    finally:
+        authorizer.active = False
+        # an unfinished statement would keep the store's reader on
+        # this snapshot, blind to later commits
+        cursor.close()
+    truncated = len(rows) > ROW_CAP
+    rows = rows[:ROW_CAP]
+    table = render_markdown_table(headers, [list(row) for row in rows])
+    if truncated:
+        table += f"\n... truncated: showing first {ROW_CAP} rows"
+    return ToolResult(ok=True, text=_cap_text(table))
 
 
 # The sections of ``search``: title, headers, and per index kind the columns

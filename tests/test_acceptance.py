@@ -28,9 +28,9 @@ from apexmem.resolve import RuleBasedProvider, normalize_snake_case
 from apexmem.sqlguard import WHITELISTED_TABLES, validate_sql
 from apexmem.store import Store
 from apexmem.synth import run_synth_eval
-from apexmem.tools import GraphSql, _EXAMPLE_QUERIES
+from apexmem.tools import _EXAMPLE_QUERIES, graph_sql
 from conftest import CASE1_SESSIONS, ingest_case1, reference_pipeline
-from test_index import oracle_bm25
+from test_index import _as_dict, oracle_bm25
 
 
 def _report(name):
@@ -194,13 +194,12 @@ def test_acceptance_3_graphsql_safety_fuzzing(tmp_path):
 
     rng = random.Random(7)
     statements = _fuzz_statements(rng, 10_000)
-    executor = GraphSql(store)
     escapes = 0
     for statement in statements:
         report = validate_sql(statement)
         if report.accepted and not report.tables_touched <= WHITELISTED_TABLES:
             escapes += 1
-        executor.execute(statement)
+        graph_sql(store, statement)
     assert escapes == 0
     assert store.canonical_dump() == before, "store mutated by fuzzing"
 
@@ -208,11 +207,11 @@ def test_acceptance_3_graphsql_safety_fuzzing(tmp_path):
     for category in ("SELECT", "AGGREGATE", "TEMPORAL"):
         assert validate_sql(_EXAMPLE_QUERIES[category]).accepted
 
-    aggregate = executor.execute(_EXAMPLE_QUERIES["AGGREGATE"])
+    aggregate = graph_sql(store, _EXAMPLE_QUERIES["AGGREGATE"])
     assert aggregate.ok
     assert "| 4 |" in aggregate.text, aggregate.text
 
-    temporal = executor.execute(_EXAMPLE_QUERIES["TEMPORAL"], {
+    temporal = graph_sql(store, _EXAMPLE_QUERIES["TEMPORAL"], {
         "question_date": "2024-04-01",
         "user_id": alice,
         "property_id": "sushi_start_date",
@@ -220,7 +219,8 @@ def test_acceptance_3_graphsql_safety_fuzzing(tmp_path):
     assert temporal.ok
     assert "| 12.0 |" in temporal.text or "| 12 |" in temporal.text, temporal.text
 
-    select = executor.execute(
+    select = graph_sql(
+        store,
         "SELECT entity_name FROM entities WHERE entity_name LIKE '%Sakura%'"
     )
     assert select.ok and "Sakura Sushi" in select.text
@@ -263,7 +263,7 @@ def test_acceptance_4_retrieval_oracle_equivalence():
                             created_at="2024-01-01T00:00:00Z")
     upsert_embeddings(store, index)
     query_vec = embedder.embed("entity " + vocabulary[0])
-    scored = index.dense_scores("entity", query_vec)
+    scored = _as_dict(index.dense_scores("entity", query_vec))
     assert len(scored) == 1000
     for doc_id, score in scored.items():
         brute = cosine(query_vec, embedder.embed(

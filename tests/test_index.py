@@ -21,7 +21,6 @@ from apexmem.index import (
     bm25_scores,
     cosine,
     hybrid_search,
-    lexical_search,
     minmax_normalize,
     tokenize,
     upsert_embeddings,
@@ -30,6 +29,22 @@ from apexmem.ontology import DType, Event, Role, Turn
 from apexmem.resolve import DEFAULT_K, retrieve_entity_candidates
 from apexmem.store import Store
 from conftest import ingest_case1
+
+
+def dict_minmax(scores):
+    """``minmax_normalize`` as a dict formula of its own, so that the
+    fusion oracles share no code with the fusion they check."""
+    if not scores:
+        return {}
+    low, high = min(scores.values()), max(scores.values())
+    if high == low:
+        return {key: 1.0 for key in scores}
+    return {key: (s - low) / (high - low) for key, s in scores.items()}
+
+
+def _as_dict(scores):
+    """doc_id -> score of a ``Scores``."""
+    return dict(zip(scores.doc_ids.tolist(), scores.values.tolist()))
 
 
 def oracle_bm25(corpus, query):
@@ -127,7 +142,7 @@ def test_minmax_normalize_spreads_to_unit_interval():
 
 def test_lexical_search_over_store(store, index):
     ingest_case1(store, index)
-    hits = lexical_search(store, index, "entity", "sakura sushi", k=3)
+    hits = index.lexical_scores(store, "entity", "sakura sushi").top(3)
     assert hits
     top_id = hits[0][0]
     assert store.entity_row(top_id)["entity_name"] == "Sakura Sushi"
@@ -413,7 +428,7 @@ def test_incremental_index_matches_oracles(steps):
                 upsert_embeddings(store, index)
             continue
         corpus = store.lexical_documents("entity")
-        got = index.lexical_scores(store, "entity", text)
+        got = _as_dict(index.lexical_scores(store, "entity", text))
         want = bm25_scores(corpus, text)
         assert set(got) == set(want)
         for doc_id, score in want.items():
@@ -421,7 +436,7 @@ def test_incremental_index_matches_oracles(steps):
         query_vector = embedder.embed(text)
         embedded = [(doc_id, doc) for doc_id, doc in corpus
                     if doc_id <= index.high_water.get("entity", 0)]
-        dense = index.dense_scores("entity", query_vector)
+        dense = _as_dict(index.dense_scores("entity", query_vector))
         assert set(dense) == {doc_id for doc_id, _ in embedded}
         for doc_id, doc in embedded:
             assert abs(dense[doc_id] - cosine(query_vector, embedder.embed(doc))) < 1e-9
@@ -450,7 +465,7 @@ def test_duplicate_texts_score_equal_and_rank_by_doc_id(rows, query_points):
             hybrid_search(store, index, ("entity",), "sushi", 3)
     upsert_embeddings(store, index)
 
-    lexical = [hit for hit in lexical_search(store, index, "entity", duplicate, 10)
+    lexical = [hit for hit in index.lexical_scores(store, "entity", duplicate).top(10)
                if hit[0] in ids]
     assert [doc_id for doc_id, _ in lexical] == ids
     assert len({score for _, score in lexical}) == 1
@@ -590,21 +605,21 @@ def test_a_failed_call_keeps_nothing(store):
 
 def oracle_hybrid_search(store, index, kinds, query, k):
     """``hybrid_search`` as it fused before: both channels' raw scores of
-    every candidate through dicts, each normalized by ``minmax_normalize``,
+    every candidate through dicts, each normalized by ``dict_minmax``,
     and one ``HybridScore`` per candidate before the cut to ``k``."""
     query_vector = index.embed(query)
     pool = index_mod.POOL_MULTIPLIER * k
     results = []
     for kind in sorted(set(kinds)):
         dense_all = index.dense_scores(kind, query_vector)
-        lexical_all = dict(lexical_search(store, index, kind, query, pool))
+        lexical_all = dict(index.lexical_scores(store, kind, query).top(pool))
         candidates = {doc_id for doc_id, _ in dense_all.top(pool)} | set(lexical_all)
         if not candidates:
             continue
         dense_raw = {doc_id: dense_all.get(doc_id, 0.0) for doc_id in candidates}
         lexical_raw = {doc_id: lexical_all.get(doc_id, 0.0) for doc_id in candidates}
-        dense_norm = minmax_normalize(dense_raw)
-        lexical_norm = minmax_normalize(lexical_raw)
+        dense_norm = dict_minmax(dense_raw)
+        lexical_norm = dict_minmax(lexical_raw)
         for doc_id in candidates:
             fused = (index_mod.FUSION_ALPHA * dense_norm[doc_id]
                      + (1.0 - index_mod.FUSION_ALPHA) * lexical_norm[doc_id])
@@ -681,6 +696,7 @@ def test_a_lexical_only_candidate_keeps_its_dense_score(store, index):
     upsert_embeddings(store, index)
     dense = index.dense_scores("entity", index.embed("red"))
     assert far not in dict(dense.top(8))
+    dense = _as_dict(dense)
     hits = hybrid_search(store, index, ("entity",), "red", 2)
     assert hits[1][0] == far and hits[1][2].dense == dense[far] > 0.0
     assert _bits(hits) == _bits(oracle_hybrid_search(store, index, ("entity",), "red", 2))

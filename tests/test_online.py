@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from apexmem.errors import ValidationFailure
-from apexmem.index import VectorIndex
+from apexmem.index import FUSION_ALPHA, VectorIndex, bm25_scores, cosine
 from apexmem.online import (
     DEFAULT_THETA_REL,
     Document,
@@ -14,6 +15,7 @@ from apexmem.online import (
 from apexmem.ontology import Turn
 from apexmem.store import Store
 from conftest import CASE1_SESSIONS, ingest_case1, reference_pipeline
+from test_index import dict_minmax
 
 
 def _doc(doc_id, timestamp, text):
@@ -46,6 +48,40 @@ def test_score_relevance_unit_interval_and_degenerate():
     assert all(0.0 <= s.score <= 1.0 for s in scores)
     single = score_relevance(CORPUS[:1], "anything", index)
     assert single[0].score == 1.0
+
+
+def oracle_score_relevance(corpus, question, index):
+    """The relevance rule written with dicts: each channel min-max
+    normalized, mixed by alpha, and the mix min-max normalized again."""
+    question_vector = index.embed(question)
+    keyed = list(enumerate(corpus))
+    dense = {i: cosine(question_vector, index.embed(doc.text())) for i, doc in keyed}
+    lexical = bm25_scores([(i, doc.text()) for i, doc in keyed], question)
+    dense_norm = dict_minmax(dense)
+    lexical_norm = dict_minmax({i: lexical.get(i, 0.0) for i, _ in keyed})
+    fused = dict_minmax({
+        i: FUSION_ALPHA * dense_norm[i] + (1.0 - FUSION_ALPHA) * lexical_norm[i]
+        for i, _ in keyed
+    })
+    return [RelevanceScore(doc.doc_id, fused[i]) for i, doc in keyed]
+
+
+_WORDS = ("sushi", "garden", "pasta", "weather", "Alice", "week")
+_TEXTS = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5).map(" ".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_TEXTS, max_size=8), _TEXTS)
+@example(["pasta"], "sushi")  # one document
+@example(["sushi garden"] * 3, "sushi")  # all-equal scores in both channels
+@example(["pasta", "weather"], "garden")  # no lexical hit
+def test_score_relevance_matches_the_dict_oracle(texts, question):
+    """Every relevance score is bit-equal to the dict-based rule's."""
+    corpus = [_doc(f"d{i}", "2024-01-01T00:00:00Z", text) for i, text in enumerate(texts)]
+    got = score_relevance(corpus, question, VectorIndex())
+    want = oracle_score_relevance(corpus, question, VectorIndex())
+    assert [(s.doc_id, s.score.hex()) for s in got] == [
+        (s.doc_id, s.score.hex()) for s in want]
 
 
 def test_gating_fixture_selects_docs_1_and_3(store, index):

@@ -16,7 +16,7 @@ from apexmem.extract import ingest_session
 from apexmem.index import KINDS, VectorIndex, hybrid_search, upsert_embeddings
 from apexmem.ontology import DType, Event, Fact, Role, Turn, temporal_sort_key
 from apexmem.sqlguard import SqlValidationReport
-from apexmem.store import WHITELISTED_TABLES, Store
+from apexmem.store import WHITELISTED_TABLES, Store, _Authorizer
 from apexmem.tools import (
     _check_supported,
     _schema_error,
@@ -257,13 +257,13 @@ def test_a_store_read_after_graph_sql_is_not_prepared_again(case1_store, monkeyp
     store = case1_store
     alice = store.find_entity_by_name("Alice")["entity_id"]
     calls = []
-    original = tools._Authorizer.__call__
+    original = _Authorizer.__call__
 
     def counting(self, *args):
         calls.append(args)
         return original(self, *args)
 
-    monkeypatch.setattr(tools._Authorizer, "__call__", counting)
+    monkeypatch.setattr(_Authorizer, "__call__", counting)
     lookup = "SELECT entity_name FROM entities WHERE entity_id = :id"
     assert graph_sql(store, lookup, {"id": alice}).ok
     assert calls  # the statement was authorized when it was prepared
@@ -755,21 +755,19 @@ def test_a_repeated_lookup_renders_no_fact_line(case1_store, index, monkeypatch)
 
 
 def test_dropped_store_frees_its_fact_lines_at_once(index):
-    """The kept lines hang off the store by a weak key, so ``del`` of the
-    store frees them without waiting for the cycle collector."""
+    """The kept lines are held by the store itself, so ``del`` of the store
+    frees them without waiting for the cycle collector."""
     store = Store.open(":memory:")
     ingest_case1(store, index)
     assert entity_lookup(store, index, "Alice", k=3).ok
-    kept = tools._FACT_LINES[store]
+    kept = store.fact_lines(store.find_entity_by_name("Alice")["entity_id"])
     assert kept
-    held = len(tools._FACT_LINES)
     ref = weakref.ref(store)
     store.close()
     gc.disable()
     try:
         del store
         assert ref() is None
-        assert len(tools._FACT_LINES) == held - 1
         assert sys.getrefcount(kept) == 2  # this name and the call's argument
     finally:
         gc.enable()
