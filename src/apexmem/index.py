@@ -3,7 +3,12 @@ lexical ranking over the search text of the store's rows, fused per query.
 
 Rows are immutable and ids only grow, so both channels keep their state per
 kind and only ever extend it: a query first folds in the rows added since
-the last one, then scores every row with a few array operations.
+the last one, then scores every row with a few array operations. Many rows
+share a text (every event reads "conversation"), so each channel scores
+once per distinct vector or text and hands each row its text's score: the
+dense matrix holds one row per distinct vector, and BM25 keeps per distinct
+text its postings and each query term's impacts, until the kind gains a
+row. Scores are bit-identical to scoring every row.
 """
 from __future__ import annotations
 
@@ -39,6 +44,8 @@ FUSION_ALPHA = 0.5
 POOL_MULTIPLIER = 4
 # (text, k) results that ``VectorIndex.nearest`` keeps per kind
 NEAREST_KEPT = 1024
+# texts whose vectors ``VectorIndex.embed`` keeps
+EMBEDDINGS_KEPT = 1024
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -146,97 +153,167 @@ class Scores:
 
 
 class _Postings:
-    """Incremental BM25 statistics of one kind: per term the rows holding it
-    and its frequency there, each row's doc_id and length, and the total
-    length. ``extend`` appends rows above ``high_water``."""
+    """Incremental BM25 statistics of one kind, kept per distinct text: each
+    text's length, and per term the texts holding it and its frequency
+    there. Each row holds its doc_id and its text's position. The total
+    length and each term's document frequency count rows, the latter as
+    the texts holding the term plus its ``repeats``, the rows that repeat
+    one of them. ``extend`` appends rows above ``high_water``. Each term's
+    impacts, its BM25 contribution to every text holding it, are kept until
+    the kind gains a row, which changes the average length and the
+    document frequencies."""
 
     def __init__(self):
         self.high_water = 0
         self.doc_ids = array("q")
+        # per row, the position of its text
+        self.texts = array("q")
+        # per text: its position, its length and the terms it holds
+        self.positions: Dict[str, int] = {}
         self.lengths = array("q")
+        self.text_terms: List[Tuple[str, ...]] = []
         self.total_length = 0
         self.terms: Dict[str, Tuple[array, array]] = {}
+        self.repeats: Dict[str, int] = {}
+        # the row count the arrays below were taken at
+        self.scored_rows = 0
+        self.row_doc_ids = np.empty(0, dtype=np.int64)
+        self.row_texts = np.empty(0, dtype=np.int64)
         self.length_norms = np.empty(0)
+        # term -> (positions of the texts holding it, its impact on each)
+        self.impacts: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     def extend(self, documents: Iterable[Tuple[int, str]]) -> None:
+        repeats = self.repeats
         for doc_id, text in documents:
-            tokens = tokenize(text)
-            row = len(self.doc_ids)
+            position = self.positions.get(text)
+            if position is None:
+                position = self.positions[text] = len(self.lengths)
+                tokens = tokenize(text)
+                counts = Counter(tokens)
+                self.lengths.append(len(tokens))
+                self.text_terms.append(tuple(counts))
+                for term, freq in counts.items():
+                    posting = self.terms.get(term)
+                    if posting is None:
+                        posting = self.terms[term] = (array("q"), array("q"))
+                    posting[0].append(position)
+                    posting[1].append(freq)
+            else:
+                for term in self.text_terms[position]:
+                    repeats[term] = repeats.get(term, 0) + 1
             self.doc_ids.append(doc_id)
-            self.lengths.append(len(tokens))
-            self.total_length += len(tokens)
-            for term, freq in Counter(tokens).items():
-                posting = self.terms.get(term)
-                if posting is None:
-                    posting = self.terms[term] = (array("q"), array("q"))
-                posting[0].append(row)
-                posting[1].append(freq)
+            self.texts.append(position)
+            self.total_length += self.lengths[position]
             self.high_water = doc_id
 
     def scores(self, query: str) -> Scores:
         """BM25 of every row with a positive score. The arithmetic is that of
-        ``bm25_scores``, term by term in the same order."""
+        ``bm25_scores``, term by term in the same order, done once per
+        distinct text."""
         n_docs = len(self.doc_ids)
-        totals = np.zeros(n_docs)
-        if len(self.length_norms) != n_docs:
-            # the part of each row's denominator that no term changes
+        if self.scored_rows != n_docs:
+            self.scored_rows = n_docs
+            self.row_doc_ids = np.array(self.doc_ids)
+            self.row_texts = np.array(self.texts)
+            # the part of each text's denominator that no term changes
             avgdl = self.total_length / n_docs
             self.length_norms = BM25_K1 * (
                 1.0 - BM25_B + BM25_B * np.array(self.lengths) / avgdl
             )
+            self.impacts.clear()
+        totals = np.zeros(len(self.lengths))
         for term in dict.fromkeys(tokenize(query)):
-            posting = self.terms.get(term)
-            if posting is None:
-                continue
-            rows, freqs = np.array(posting[0]), np.array(posting[1])
-            df = len(rows)
-            idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-            totals[rows] += idf * freqs * (BM25_K1 + 1.0) / (freqs + self.length_norms[rows])
+            impact = self.impacts.get(term)
+            if impact is None:
+                posting = self.terms.get(term)
+                if posting is None:
+                    continue
+                positions, freqs = np.array(posting[0]), np.array(posting[1])
+                df = len(positions) + self.repeats.get(term, 0)
+                idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+                impact = self.impacts[term] = (positions, idf * freqs * (BM25_K1 + 1.0) / (
+                    freqs + self.length_norms[positions]))
+            totals[impact[0]] += impact[1]
+        totals = totals[self.row_texts]
         positive = np.flatnonzero(totals > 0.0)
-        return Scores(np.array(self.doc_ids)[positive], totals[positive])
+        return Scores(self.row_doc_ids[positive], totals[positive])
 
 
 class _Vectors:
-    """One kind's vectors as the rows of one float64 matrix, with their norms
-    and doc_ids. ``add`` only queues a vector; ``fold`` copies the queue in
-    as one block, growing the matrix about 1.25x when it is full."""
+    """One kind's vectors: one float64 matrix row per distinct vector, with
+    its norm, and per row of the kind, in doc_id order, its doc_id and the
+    matrix row (``slots``) that holds its vector. A vector's bytes decide
+    whether it is new, so rows with the same text share a matrix row
+    whatever the embedder; only the bytes' hash is kept, and a vector that
+    matches one is compared byte for byte. ``add`` only queues a row;
+    ``fold`` copies the queued new vectors in as one block, growing the
+    arrays about 1.25x when they are full."""
 
     def __init__(self, dimension: int):
         self.matrix = np.empty((0, dimension))
         self.norms = np.empty(0)
+        self.distinct = 0
         self.doc_ids = np.empty(0, dtype=np.int64)
+        self.slots = np.empty(0, dtype=np.intp)
         self.count = 0
-        # doc_id -> row, queued rows included
+        # doc_id -> row, and the hash of a vector's bytes -> its slot,
+        # queued ones included
         self.rows: Dict[int, int] = {}
-        self.pending: List[Tuple[int, np.ndarray]] = []
+        self.keys: Dict[int, int] = {}
+        # queued (doc_id, slot) rows, and the new vectors of slots from
+        # ``distinct`` on
+        self.pending: List[Tuple[int, int]] = []
+        self.pending_vectors: List[np.ndarray] = []
 
     def add(self, doc_id: int, vector: np.ndarray) -> None:
+        data = vector.tobytes()
+        key = hash(data)
+        slot = self.keys.get(key)
+        if slot is None or self._stored(slot).tobytes() != data:
+            slot = self.distinct + len(self.pending_vectors)
+            self.keys.setdefault(key, slot)
+            self.pending_vectors.append(vector)
         self.rows[doc_id] = self.count + len(self.pending)
-        self.pending.append((doc_id, vector))
+        self.pending.append((doc_id, slot))
+
+    def _stored(self, slot: int) -> np.ndarray:
+        if slot >= self.distinct:
+            return self.pending_vectors[slot - self.distinct]
+        return self.matrix[slot]
 
     def vector(self, doc_id: int) -> np.ndarray:
         row = self.rows[doc_id]
         if row >= self.count:
-            return self.pending[row - self.count][1].copy()
-        return self.matrix[row].copy()
+            return self._stored(self.pending[row - self.count][1]).copy()
+        return self._stored(int(self.slots[row])).copy()
 
     def fold(self) -> None:
         if not self.pending:
             return
+        if self.pending_vectors:
+            start = self.distinct
+            stop = start + len(self.pending_vectors)
+            if stop > len(self.matrix):
+                capacity = max(stop, len(self.matrix) * 5 // 4)
+                self.matrix = _grown(self.matrix, capacity, start)
+                self.norms = _grown(self.norms, capacity, start)
+            block = self.matrix[start:stop]
+            block[:] = self.pending_vectors
+            self.norms[start:stop] = np.sqrt(np.einsum("ij,ij->i", block, block))
+            # cosine is undefined for a zero vector; the batch stays queued,
+            # so every query of this kind raises
+            if not self.norms[start:stop].all():
+                raise ZeroVector("cosine undefined for all-zero vectors")
+            self.distinct = stop
+            self.pending_vectors.clear()
         start, stop = self.count, self.count + len(self.pending)
-        if stop > len(self.matrix):
-            capacity = max(stop, len(self.matrix) * 5 // 4)
-            self.matrix = _grown(self.matrix, capacity, start)
-            self.norms = _grown(self.norms, capacity, start)
+        if stop > len(self.doc_ids):
+            capacity = max(stop, len(self.doc_ids) * 5 // 4)
             self.doc_ids = _grown(self.doc_ids, capacity, start)
-        block = self.matrix[start:stop]
-        block[:] = [vector for _, vector in self.pending]
-        self.norms[start:stop] = np.sqrt(np.einsum("ij,ij->i", block, block))
-        # cosine is undefined for a zero vector; the batch stays queued, so
-        # every query of this kind raises
-        if not self.norms[start:stop].all():
-            raise ZeroVector("cosine undefined for all-zero vectors")
+            self.slots = _grown(self.slots, capacity, start)
         self.doc_ids[start:stop] = [doc_id for doc_id, _ in self.pending]
+        self.slots[start:stop] = [slot for _, slot in self.pending]
         self.count = stop
         self.pending.clear()
 
@@ -304,6 +381,8 @@ class VectorIndex:
         self._postings: Dict[str, _Postings] = {}
         # per kind, the vector count and the nearest() results taken at it
         self._nearest: Dict[str, Tuple[int, Dict[Tuple[str, int], list]]] = {}
+        # text -> its vector, for the last EMBEDDINGS_KEPT texts embedded
+        self._embedded: Dict[str, np.ndarray] = {}
         if path is not None:
             self._unsaved = []
             self._load()
@@ -359,14 +438,27 @@ class VectorIndex:
         self._unsaved.clear()
 
     def embed(self, text: str) -> np.ndarray:
+        """The embedder's vector of ``text``, as a read-only array. The
+        vectors of the last ``EMBEDDINGS_KEPT`` texts are kept, so a repeated
+        text reaches the embedder once; like ``nearest``, this relies on the
+        embedder mapping the same text to the same vector. A call that
+        raises keeps nothing."""
+        kept = self._embedded
+        vector = kept.get(text)
+        if vector is not None:
+            return vector
         try:
-            vector = np.asarray(self.embedder.embed(text), dtype=np.float64)
+            vector = np.array(self.embedder.embed(text), dtype=np.float64)
         except Exception as exc:
             raise EmbedderFailure(str(exc)) from exc
         if vector.shape != (self.dimension,):
             raise EmbedderFailure(
                 f"embedder returned dimension {vector.shape}, expected {self.dimension}"
             )
+        vector.flags.writeable = False
+        if len(kept) >= EMBEDDINGS_KEPT:
+            del kept[next(iter(kept))]  # the oldest
+        kept[text] = vector
         return vector
 
     def upsert(self, kind: str, doc_id: int, text: str) -> bool:
@@ -398,12 +490,13 @@ class VectorIndex:
         if query_norm == 0.0:
             raise ZeroVector("cosine undefined for all-zero vectors")
         vectors.fold()
-        n = vectors.count
-        # einsum runs on this thread; matrix @ vector may hand a large
-        # matrix to BLAS threads, which cost more than they save here
-        products = np.einsum("ij,j->i", vectors.matrix[:n], query_vector)
-        return Scores(vectors.doc_ids[:n], products / (vectors.norms[:n] * query_norm),
-                      vectors.rows)
+        n, distinct = vectors.count, vectors.distinct
+        # one product per distinct vector; einsum runs on this thread, while
+        # matrix @ vector may hand a large matrix to BLAS threads, which
+        # cost more than they save here
+        products = np.einsum("ij,j->i", vectors.matrix[:distinct], query_vector)
+        cosines = products / (vectors.norms[:distinct] * query_norm)
+        return Scores(vectors.doc_ids[:n], cosines[vectors.slots[:n]], vectors.rows)
 
     def nearest(self, kind: str, text: str, k: int) -> List[Tuple[int, float]]:
         """``dense_scores(kind, embed(text)).top(k)``, kept per kind until the

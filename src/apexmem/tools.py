@@ -190,6 +190,8 @@ _EXAMPLE_QUERIES = {
         "/7 AS INTEGER) as weeks_approx "
         "FROM facts f WHERE f.subject_id = :user_id "
         "AND f.property_name = :property_id "
+        "AND julianday(f.valid_from) <= julianday(:question_date) "
+        "AND julianday(f.created_at) <= julianday(:question_date) "
         "ORDER BY julianday(f.created_at) DESC LIMIT 1"
     ),
 }
@@ -214,8 +216,10 @@ Usage guide
   julianday(json_extract(f.value_json, '$')) gives a difference in days. To
   get the current value of a property, ORDER BY julianday(valid_from) DESC,
   julianday(created_at) DESC LIMIT 1. Superseded facts remain in the table:
-  filter by julianday(valid_from) <= julianday(:question_date) to
-  reconstruct past states.
+  to reconstruct the state at the question date, filter by both
+  julianday(valid_from) <= julianday(:question_date) and
+  julianday(created_at) <= julianday(:question_date), since a fact stated
+  after that date about an earlier time was not yet known then.
 """
 
 

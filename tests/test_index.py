@@ -5,6 +5,7 @@ import os
 import tempfile
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,9 +26,10 @@ from apexmem.index import (
     tokenize,
     upsert_embeddings,
 )
-from apexmem.ontology import DType, Event, Role, Turn
+from apexmem.ontology import DType, Event, Evidence, Role, Turn
 from apexmem.resolve import DEFAULT_K, retrieve_entity_candidates
 from apexmem.store import Store
+from apexmem.tools import search
 from conftest import ingest_case1
 
 
@@ -406,41 +408,185 @@ def _append_entity(store, text):
                                created_at="2024-01-01T00:00:00Z")
 
 
-@settings(max_examples=40, deadline=None)
+def _append_row(store, kind, text, number):
+    """A row of ``kind`` whose search text holds ``text``. An evidence row
+    comes with the turn it quotes and its event."""
+    if kind == "entity":
+        _append_entity(store, text)
+    elif kind == "property":
+        store.append_property(f"{text.replace(' ', '_')}_{number}", DType.str)
+    elif kind == "event":
+        store.append_event_bundle(Event(None, text, "2024-01-01T00:00:00Z"))
+    else:
+        (turn_id,) = store.append_turns([Turn(None, f"s{number}", "Alice", "Bob", text,
+                                              "2024-01-01T00:00:00Z", 0)])
+        if kind == "evidence":
+            store.append_event_bundle(
+                Event(None, "conversation", "2024-01-01T00:00:00Z"),
+                evidence=[Evidence(None, None, turn_id, (0, len(text)), text)])
+
+
+class _RowPostings:
+    """The BM25 postings as they were kept per row: every row tokenized,
+    its terms posted, and each term's contribution summed per query. An
+    oracle for ``_Postings``, which keeps them per distinct text."""
+
+    def __init__(self):
+        self.high_water = 0
+        self.doc_ids = []
+        self.lengths = []
+        self.total_length = 0
+        self.terms = {}
+
+    def extend(self, documents):
+        for doc_id, text in documents:
+            tokens = tokenize(text)
+            row = len(self.doc_ids)
+            self.doc_ids.append(doc_id)
+            self.lengths.append(len(tokens))
+            self.total_length += len(tokens)
+            for term, freq in Counter(tokens).items():
+                rows, freqs = self.terms.setdefault(term, ([], []))
+                rows.append(row)
+                freqs.append(freq)
+            self.high_water = doc_id
+
+    def scores(self, query):
+        n_docs = len(self.doc_ids)
+        totals = np.zeros(n_docs)
+        length_norms = np.empty(0)
+        if n_docs:
+            avgdl = self.total_length / n_docs
+            length_norms = BM25_K1 * (1.0 - BM25_B + BM25_B * np.array(self.lengths) / avgdl)
+        for term in dict.fromkeys(tokenize(query)):
+            if term not in self.terms:
+                continue
+            rows, freqs = (np.array(column) for column in self.terms[term])
+            df = len(rows)
+            idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+            totals[rows] += idf * freqs * (BM25_K1 + 1.0) / (freqs + length_norms[rows])
+        positive = np.flatnonzero(totals > 0.0)
+        return np.array(self.doc_ids, dtype=np.int64)[positive], totals[positive]
+
+
+class _RowVectors:
+    """The dense channel as it was kept per row: one matrix row per row of
+    the kind, scored with one ``einsum``. An oracle for ``_Vectors``, which
+    keeps one matrix row per distinct vector."""
+
+    def __init__(self, dimension):
+        self.high_water = 0
+        self.doc_ids = []
+        self.vectors = np.empty((0, dimension))
+
+    def extend(self, embedder, documents):
+        for doc_id, text in documents:
+            self.doc_ids.append(doc_id)
+            self.vectors = np.vstack([self.vectors, embedder.embed(text)])
+            self.high_water = doc_id
+
+    def scores(self, query_vector):
+        norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
+        products = np.einsum("ij,j->i", self.vectors, query_vector)
+        values = products / (norms * np.linalg.norm(query_vector))
+        return np.array(self.doc_ids, dtype=np.int64), values
+
+
+def _score_bits(doc_ids, values):
+    return doc_ids.tolist(), [value.hex() for value in values.tolist()]
+
+
+# few texts, so that most rows repeat an earlier one
+_TEXT_POOL = ["sakura sushi", "sushi", "garden walk", "blue town pasta", "red"]
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.lists(
     st.tuples(
-        st.sampled_from(["append", "append and embed", "query"]),
-        st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5),
+        st.sampled_from(["append", "append and embed", "reload", "query"]),
+        st.sampled_from(KINDS),
+        st.sampled_from(_TEXT_POOL),
     ),
     min_size=1, max_size=30,
 ))
+@example([("append and embed", "event", "sushi")] * 3
+         + [("append", "evidence", "sushi"), ("reload", "turn", "red"),
+            ("append and embed", "turn", "sushi"), ("query", "turn", "sushi")])
+# a query repeated after its kind gained a row
+@example([("append", "turn", "sushi"), ("query", "turn", "sushi"),
+          ("append", "turn", "sakura sushi"), ("query", "turn", "sushi")])
 def test_incremental_index_matches_oracles(steps):
-    """Appends, embeddings and queries in any order: the postings and the
-    matrix, extended in place, score like the from-scratch oracles."""
-    store = Store.open(":memory:")
-    embedder = _ScaledEmbedder()
-    index = VectorIndex(embedder)
-    for action, words in steps:
-        text = " ".join(words)
-        if action != "query":
-            _append_entity(store, text)
-            if action == "append and embed":
-                upsert_embeddings(store, index)
-            continue
-        corpus = store.lexical_documents("entity")
-        got = _as_dict(index.lexical_scores(store, "entity", text))
-        want = bm25_scores(corpus, text)
-        assert set(got) == set(want)
-        for doc_id, score in want.items():
-            assert abs(got[doc_id] - score) < 1e-9
-        query_vector = embedder.embed(text)
-        embedded = [(doc_id, doc) for doc_id, doc in corpus
-                    if doc_id <= index.high_water.get("entity", 0)]
-        dense = _as_dict(index.dense_scores("entity", query_vector))
-        assert set(dense) == {doc_id for doc_id, _ in embedded}
-        for doc_id, doc in embedded:
-            assert abs(dense[doc_id] - cosine(query_vector, embedder.embed(doc))) < 1e-9
-    store.close()
+    """Rows of every kind drawn from a few texts, embeddings, sidecar
+    reloads and queries in any order: every kind's lexical and dense scores
+    are bit-equal to those of the per-row postings and matrix, and within
+    1e-9 of the from-scratch ``bm25_scores`` and ``cosine``."""
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "db.sqlite.vec")
+        store = Store.open(":memory:")
+        embedder = _ScaledEmbedder()
+        index = VectorIndex(embedder, path=path)
+        postings = {kind: _RowPostings() for kind in KINDS}
+        vectors = {kind: _RowVectors(embedder.dimension) for kind in KINDS}
+        for number, (action, kind, text) in enumerate(steps):
+            if action == "reload":
+                index.save()
+                index = VectorIndex(embedder, path=path)
+            elif action != "query":
+                _append_row(store, kind, text, number)
+                if action == "append and embed":
+                    upsert_embeddings(store, index)
+                    for each in KINDS:
+                        vectors[each].extend(embedder, store.lexical_documents(
+                            each, vectors[each].high_water))
+            else:
+                query_vector = embedder.embed(text)
+                for each in KINDS:
+                    postings[each].extend(store.lexical_documents(
+                        each, postings[each].high_water))
+                    got = index.lexical_scores(store, each, text)
+                    assert _score_bits(got.doc_ids, got.values) == _score_bits(
+                        *postings[each].scores(text))
+                    want = bm25_scores(store.lexical_documents(each), text)
+                    assert _as_dict(got).keys() == want.keys()
+                    assert all(abs(score - want[doc_id]) < 1e-9
+                               for doc_id, score in _as_dict(got).items())
+                    got = index.dense_scores(each, query_vector)
+                    assert _score_bits(got.doc_ids, got.values) == _score_bits(
+                        *vectors[each].scores(query_vector))
+                    embedded = store.lexical_documents(each)[:len(vectors[each].doc_ids)]
+                    assert all(abs(score - cosine(query_vector, embedder.embed(doc))) < 1e-9
+                               for score, (_, doc) in zip(got.values.tolist(), embedded))
+        assert len(index.entries) == sum(len(kind.doc_ids) for kind in vectors.values())
+        store.close()
+
+
+def test_a_kind_of_one_text_holds_one_matrix_row():
+    index = VectorIndex()
+    for doc_id in range(1, 601):
+        index.upsert("event", doc_id, "conversation")
+    scores = index.dense_scores("event", index.embed("conversation"))
+    vectors = index._vectors["event"]
+    assert vectors.distinct == 1 and len(vectors.matrix) == 1
+    assert len(index.entries) == 600
+    assert scores.doc_ids.tolist() == list(range(1, 601))
+    assert len(set(scores.values.tolist())) == 1
+
+
+def test_a_repeated_lexical_query_computes_no_term_impact(store, index, monkeypatch):
+    ingest_case1(store, index)
+    query = "Alice restaurant Sakura Sushi"
+    first = index.lexical_scores(store, "turn", query)
+    assert len(first.doc_ids)
+    idfs = []
+    monkeypatch.setattr(index_mod, "math", SimpleNamespace(
+        log=lambda value: idfs.append(value) or math.log(value)))
+    again = index.lexical_scores(store, "turn", query)
+    assert idfs == []
+    assert _score_bits(again.doc_ids, again.values) == _score_bits(first.doc_ids, first.values)
+    # a new row changes every term's weight: the kept impacts are dropped
+    _append_row(store, "turn", "sushi", 99)
+    index.lexical_scores(store, "turn", query)
+    assert idfs
 
 
 @settings(max_examples=25, deadline=None)
@@ -553,25 +699,59 @@ class _CountingEmbedder(TrigramEmbedder):
 
 
 def test_a_repeated_mention_is_embedded_once_until_its_kind_grows(store):
+    """A repeated mention reaches the embedder once, and its kind is scanned
+    again only after it grows."""
     embedder = _CountingEmbedder()
     index = VectorIndex(embedder)
+    scans = Counter()
+    dense_scores = index.dense_scores
+
+    def counting(kind, query_vector):
+        scans[kind] += 1
+        return dense_scores(kind, query_vector)
+
+    index.dense_scores = counting
     _append_entity(store, "Alice")
     upsert_embeddings(store, index)
     first = retrieve_entity_candidates(store, index, "alice")
     assert retrieve_entity_candidates(store, index, "alice") == first
     index.nearest("property", "alice", 3)  # another kind leaves entity's kept
     assert retrieve_entity_candidates(store, index, "alice") == first
-    assert embedder.calls["alice"] == 2
+    assert scans == {"entity": 1, "property": 1}
     _append_entity(store, "Alicia")
     upsert_embeddings(store, index)
     grown = retrieve_entity_candidates(store, index, "alice")
-    assert embedder.calls["alice"] == 3
+    assert scans == {"entity": 2, "property": 1}
     assert [c.name for c in grown] == ["Alice", "Alicia"]
     # the kept list is not the caller's
     index.nearest("entity", "alice", DEFAULT_K).clear()
     assert [doc_id for doc_id, _ in index.nearest("entity", "alice", DEFAULT_K)] == [
         c.id for c in grown]
-    assert embedder.calls["alice"] == 3
+    assert scans == {"entity": 2, "property": 1}
+    assert embedder.calls["alice"] == 1
+
+
+def test_a_repeated_text_reaches_the_embedder_once(store, monkeypatch):
+    """``embed`` keeps the vectors of recent texts, read-only, and evicts
+    the oldest first."""
+    embedder = _CountingEmbedder()
+    index = VectorIndex(embedder)
+    ingest_case1(store, index)
+    query = "Alice restaurant"
+    for _ in range(2):
+        search(store, index, query)
+        hybrid_search(store, index, ("entity",), query, 3)
+    assert embedder.calls[query] == 1
+    vector = index.embed(query)
+    assert not vector.flags.writeable
+    with pytest.raises(ValueError):
+        vector[0] = 1.0
+    monkeypatch.setattr(index_mod, "EMBEDDINGS_KEPT", 2)
+    index._embedded.clear()
+    for text in ("first", "second", "third", "second"):
+        index.embed(text)
+    index.embed("first")
+    assert [embedder.calls[text] for text in ("first", "second", "third")] == [2, 1, 1]
 
 
 def test_a_failed_call_keeps_nothing(store):
@@ -587,10 +767,15 @@ def test_a_failed_call_keeps_nothing(store):
     embedder = DownOnce()
     index = VectorIndex(embedder)
     index.upsert("entity", 1, "Alice")
+    # a text not embedded yet: "Alice" itself is kept by embed
     embedder.down = True
     with pytest.raises(EmbedderFailure):
-        index.nearest("entity", "Alice", 3)
-    assert index.nearest("entity", "Alice", 3) == [(1, pytest.approx(1.0))]
+        index.nearest("entity", "alice", 3)
+    assert index.nearest("entity", "alice", 3) == [(1, pytest.approx(1.0))]
+    embedder.down = True
+    with pytest.raises(EmbedderFailure):
+        index.embed("bob")
+    assert "bob" not in index._embedded
 
     class ZeroForBob(TrigramEmbedder):
         def embed(self, text):
@@ -637,17 +822,6 @@ def _bits(hits):
 _FUSION_KINDS = ("entity", "property", "event", "turn")
 
 
-def _append_row(store, kind, text, number):
-    """A row of ``kind`` whose search text holds ``text``."""
-    if kind == "entity":
-        _append_entity(store, text)
-    elif kind == "property":
-        store.append_property(f"{text.replace(' ', '_')}_{number}", DType.str)
-    elif kind == "event":
-        store.append_event_bundle(Event(None, text, "2024-01-01T00:00:00Z"))
-    else:
-        store.append_turns([Turn(None, f"s{number}", "Alice", "Bob", text,
-                                 "2024-01-01T00:00:00Z", 0)])
 
 
 @settings(max_examples=60, deadline=None)

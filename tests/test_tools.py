@@ -146,6 +146,38 @@ def test_graph_sql_binds_default_params(toolkit):
     assert "2024-04-01" in result.text
 
 
+def test_the_guides_as_of_filter_hides_a_fact_stated_later(toolkit):
+    """Case 1 states on 2024-03-20 that Italian Garden closed on 2024-02-01:
+    asked at 2024-02-01, the guide's filter and its TEMPORAL example find no
+    closure_date row, while the valid_from half alone finds one."""
+    guide = " ".join(schema_viewer(include_guide=True).text.split())
+    valid = "julianday(valid_from) <= julianday(:question_date)"
+    known = "julianday(created_at) <= julianday(:question_date)"
+    assert valid in guide and known in guide
+
+    def closure_rows(as_of, question_date):
+        result = toolkit.dispatch(
+            ToolCall("graph_sql", {"sql": (
+                "SELECT value_json FROM facts WHERE subject_id = (SELECT entity_id"
+                " FROM entities WHERE entity_name = 'Italian Garden')"
+                f" AND property_name = 'closure_date' AND {as_of}")}),
+            default_params={"question_date": question_date})
+        assert result.ok, result.error
+        return result.text.count('"2024-02-01"')
+
+    assert closure_rows(f"{valid} AND {known}", "2024-02-01") == 0
+    assert closure_rows(f"{valid} AND {known}", "2024-04-01") == 1
+    assert closure_rows(valid, "2024-02-01") == 1
+
+    # the TEMPORAL example applies the same rule
+    garden = toolkit.store.find_entity_by_name("Italian Garden")["entity_id"]
+    params = {"user_id": garden, "property_id": "closure_date"}
+    for question_date, rows in (("2024-02-01", 0), ("2024-04-01", 1)):
+        result = graph_sql(toolkit.store, tools._EXAMPLE_QUERIES["TEMPORAL"],
+                           {**params, "question_date": question_date})
+        assert result.ok and result.text.count('"2024-02-01"') == rows, result.text
+
+
 def test_graph_sql_row_cap(store, index):
     subject = store.append_entity("Alice", "Person", Role.Speaker, [],
                                   created_at="2024-01-01T00:00:00Z")
