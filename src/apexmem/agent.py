@@ -67,48 +67,26 @@ class PolicyProvider(Protocol):
 _AGO_IN_TEXT = re.compile(rf"\b{extract.AGO_PATTERN}\b", re.I)
 
 
-@dataclass(frozen=True)
-class TemporalAnnotation:
-    expression: str
-    valid_from: str
-    valid_to: Optional[str]
-
-
-@dataclass(frozen=True)
-class AnnotatedQuestion:
-    text: str
-    question_date: str
-    annotations: Tuple[TemporalAnnotation, ...]
-
-    def named_params(self) -> dict:
-        params = {"question_date": self.question_date.split("T")[0]}
-        if self.annotations:
-            first = self.annotations[0]
-            params["range_start"] = first.valid_from
-            params["range_end"] = first.valid_to or first.valid_from
-        return params
-
-
-def resolve_question_temporals(question: str, question_date: str) -> AnnotatedQuestion:
-    """Annotate relative temporal expressions in the question with their
-    resolution against the question date. Unrecognized expressions pass
-    through unannotated."""
-    parse_iso_datetime(question_date)
-    annotations = []
+def resolve_question_temporals(question: str, question_date: str) -> dict:
+    """The named parameters of a question asked at ``question_date``: the UTC
+    day of that date as ``question_date`` and, when the question holds a
+    relative temporal expression, the range of the first one resolved
+    against that date as ``range_start`` and ``range_end``. Expressions are
+    tried in the order of ``extract.RELATIVE_EXPRESSIONS``, then "N ... ago"
+    in the question's order; one that does not resolve is passed over."""
+    params = {"question_date": parse_iso_datetime(question_date).date().isoformat()}
     lowered = question.lower()
-    for pattern in extract.RELATIVE_EXPRESSIONS:
-        if pattern in lowered:
-            valid_from, valid_to = extract.normalize_temporal(pattern, question_date)
-            annotations.append(TemporalAnnotation(pattern, valid_from, valid_to))
-    for match in _AGO_IN_TEXT.finditer(question):
+    expressions = [pattern for pattern in extract.RELATIVE_EXPRESSIONS if pattern in lowered]
+    expressions += [match.group(0).lower() for match in _AGO_IN_TEXT.finditer(question)]
+    for expression in expressions:
         try:
-            valid_from, valid_to = extract.normalize_temporal(
-                match.group(0).lower(), question_date
-            )
+            valid_from, valid_to = extract.normalize_temporal(expression, question_date)
         except UnparseableTemporal:
             continue
-        annotations.append(TemporalAnnotation(match.group(0), valid_from, valid_to))
-    return AnnotatedQuestion(question, question_date, tuple(annotations))
+        params["range_start"] = valid_from
+        params["range_end"] = valid_to or valid_from
+        break
+    return params
 
 
 def run_agent(
@@ -127,8 +105,7 @@ def run_agent(
     toolkit = toolkit or ToolKit(store, index)
 
     question_date = config.question_date or store.max_anchor_datetime() or "1970-01-01T00:00:00Z"
-    annotated = resolve_question_temporals(question, question_date)
-    named_params = annotated.named_params()
+    named_params = resolve_question_temporals(question, question_date)
 
     transcript = AgentTranscript(question=question, named_params=named_params)
     retried = False

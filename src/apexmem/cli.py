@@ -38,7 +38,7 @@ from .providers import (
 )
 from .resolve import RuleBasedProvider
 from .store import Store
-from .tools import schema_viewer
+from .tools import build_entity_document, schema_viewer
 
 CONFIG_ENV = "APEXMEM_CONFIG"
 
@@ -289,15 +289,13 @@ def inspect(subcommand, args, store_path, as_json):
                 for table in sorted(counts):
                     click.echo(f"{table}: {counts[table]}")
         elif subcommand == "entity":
-            from .tools import build_entity_document, render_entity_document
-
             raw = args[0]
             entity_id = int(raw.split(":")[-1])
             doc = build_entity_document(store, entity_id)
             if doc is None:
                 click.echo(f"unknown entity: {raw}", err=True)
                 sys.exit(1)
-            click.echo(render_entity_document(doc))
+            click.echo(doc)
         elif subcommand == "history":
             name, prop = args[0], args[1]
             row = store.find_entity_by_name(name)

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .index import VectorIndex
 from .ontology import DType, EntityType, Event, Evidence, Fact, Role, Turn
-from .store import Store
+from .store import CommittedBundle, Store
 
 CONTEXT_WINDOW = 5
 
@@ -31,8 +31,9 @@ _WEEKDAYS = {
     for number, name in enumerate(calendar.day_name)
 }
 
-# Relative expressions resolved against an anchor, in the order a question's
-# annotations list them (the first one sets the question's range).
+# Relative expressions resolved against an anchor, in the order that
+# agent.resolve_question_temporals tries them: the first one a question holds
+# sets the question's range.
 RELATIVE_EXPRESSIONS = ("last month", "last week", "yesterday", "today", "tomorrow")
 # "N days/weeks/months ago"
 AGO_PATTERN = r"(\d+)\s+(day|week|month)s?\s+ago"
@@ -243,10 +244,10 @@ class ReferenceExtractor:
             event_type = "attendance"
             temporal = match.group("t") or temporal
 
-        if re.search(r"\bswamped with the kids\b", text):
-            kid_match = re.search(r"\bswamped with the kids\b", text)
+        match = re.search(r"\bswamped with the kids\b", text)
+        if match:
             facts.append(
-                RawFact(speaker, "has_children", True, "bool", span=kid_match.span())
+                RawFact(speaker, "has_children", True, "bool", span=match.span())
             )
 
         return RawEventBundle(
@@ -280,7 +281,7 @@ def extract_turn(
     entity_provider,
     property_provider,
     request: ExtractionRequest,
-) -> "CommittedTurn":
+) -> CommittedBundle:
     """Run the full pipeline for one committed turn: extract, normalize,
     resolve, validate, commit. Nothing is committed if validation fails."""
     turn = request.turn
@@ -389,9 +390,7 @@ def extract_turn(
         event, facts, evidence, participant_rows, created_at=anchor
     )
     index_mod.upsert_embeddings(store, index)
-    return CommittedTurn(
-        turn.id, committed.event_id, committed.fact_ids, committed.evidence_ids
-    )
+    return committed
 
 
 def _resolve_or_create(
@@ -422,20 +421,12 @@ def _resolve_or_create(
 
 
 @dataclass(frozen=True)
-class CommittedTurn:
-    turn_id: int
-    event_id: int
-    fact_ids: list
-    evidence_ids: list
-
-
-@dataclass(frozen=True)
 class TurnOutcome:
     turn_id: Optional[int]
     session_id: str
     ordinal: int
     ok: bool
-    committed: Optional[CommittedTurn] = None
+    committed: Optional[CommittedBundle] = None
     error: Optional[str] = None
 
 

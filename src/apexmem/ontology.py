@@ -251,11 +251,6 @@ def serialize_value(value: Any, dtype: DType) -> Any:
     return value
 
 
-def deserialize_value(encoded: Any, dtype: DType) -> Any:
-    """Inverse of :func:`serialize_value`."""
-    return validate_dtype_value(encoded, dtype)
-
-
 def infer_dtype(value: Any) -> DType:
     """Best-effort dtype inference used by property resolution."""
     if isinstance(value, bool):

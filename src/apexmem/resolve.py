@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Protocol
+from typing import Any, Iterable, List, Optional, Protocol, Tuple
 
 from . import ontology
 from .errors import InvalidDecision, ProviderFailure, Unnormalizable
@@ -113,6 +113,18 @@ def render_entity_text(name: str, etype: str, aliases: Iterable[str]) -> str:
     return rendered
 
 
+def _candidates(ranked: List[Tuple[int, float]], described: dict) -> List[Candidate]:
+    """``index.nearest``'s ranking as candidates, in its order. ``described``
+    holds the (name, text) of each ranked id the store has; the others are
+    left out."""
+    candidates = []
+    for doc_id, score in ranked:
+        if doc_id in described:
+            name, text = described[doc_id]
+            candidates.append(Candidate(doc_id, text, max(0.0, min(1.0, score)), name))
+    return candidates
+
+
 def retrieve_entity_candidates(
     store: Store, index: VectorIndex, mention: str, k: int = DEFAULT_K
 ) -> List[Candidate]:
@@ -121,22 +133,11 @@ def retrieve_entity_candidates(
         raise ValueError("k must be >= 1")
     ranked = index.nearest("entity", mention, k)
     rows = store.entity_rows(entity_id for entity_id, _ in ranked)
-    candidates = []
-    for entity_id, score in ranked:
-        row = rows.get(entity_id)
-        if row is None:
-            continue
-        candidates.append(
-            Candidate(
-                id=entity_id,
-                text=render_entity_text(
-                    row["entity_name"], row["entity_type"], row["aliases"]
-                ),
-                score=max(0.0, min(1.0, score)),
-                name=row["entity_name"],
-            )
-        )
-    return candidates
+    return _candidates(ranked, {
+        entity_id: (row["entity_name"], render_entity_text(
+            row["entity_name"], row["entity_type"], row["aliases"]))
+        for entity_id, row in rows.items()
+    })
 
 
 def retrieve_property_candidates(
@@ -144,20 +145,9 @@ def retrieve_property_candidates(
 ) -> List[Candidate]:
     ranked = index.nearest("property", name, k)
     rows = store.property_rows(property_id for property_id, _ in ranked)
-    candidates = []
-    for property_id, score in ranked:
-        row = rows.get(property_id)
-        if row is None:
-            continue
-        candidates.append(
-            Candidate(
-                id=property_id,
-                text=f"{row[0]} ({row[1]})",
-                score=max(0.0, min(1.0, score)),
-                name=row[0],
-            )
-        )
-    return candidates
+    return _candidates(ranked, {
+        property_id: (name, f"{name} ({dtype})") for property_id, (name, dtype) in rows.items()
+    })
 
 
 class RuleBasedProvider:
@@ -204,6 +194,23 @@ class RuleBasedProvider:
         )
 
 
+def _decide(
+    provider: DecisionProvider, mention: str, context: str, candidates: List[Candidate]
+) -> ResolutionDecision:
+    """The provider's decision. A failure other than InvalidDecision is
+    raised as ProviderFailure, and a value that is not a decision as
+    InvalidDecision."""
+    try:
+        decision = provider.decide(mention, context, candidates)
+    except InvalidDecision:
+        raise
+    except Exception as exc:
+        raise ProviderFailure(str(exc)) from exc
+    if not isinstance(decision, ResolutionDecision):
+        raise InvalidDecision("provider returned a non-decision value")
+    return decision
+
+
 def resolve_entity(
     store: Store,
     index: VectorIndex,
@@ -214,15 +221,7 @@ def resolve_entity(
 ) -> ResolutionDecision:
     """Resolve a mention to an existing entity or a proposal for a new one."""
     candidates = retrieve_entity_candidates(store, index, mention)
-    try:
-        decision = provider.decide(mention, context, candidates)
-    except InvalidDecision:
-        raise
-    except Exception as exc:
-        raise ProviderFailure(str(exc)) from exc
-    if not isinstance(decision, ResolutionDecision):
-        raise InvalidDecision("provider returned a non-decision value")
-
+    decision = _decide(provider, mention, context, candidates)
     if decision.decision == "choose_existing":
         # a candidate's row was read a moment ago; only another id is read
         if decision.id not in {c.id for c in candidates} and (
@@ -277,12 +276,7 @@ def resolve_property(
                 confidence=max(candidate.score, 0.95),
                 rationale="exact property name match",
             )
-    try:
-        decision = provider.decide(raw_name, "", candidates)
-    except InvalidDecision:
-        raise
-    except Exception as exc:
-        raise ProviderFailure(str(exc)) from exc
+    decision = _decide(provider, raw_name, "", candidates)
     if decision.decision == "choose_existing":
         name = next((c.name for c in candidates if c.id == decision.id), None)
         if name is None:

@@ -719,13 +719,12 @@ class Store:
 
     @staticmethod
     def _row_to_fact(row: tuple) -> Fact:
-        dtype = DType(row[4])
         return Fact(
             id=row[0],
             subject_id=row[1],
             property_name=row[2],
-            value=ontology.deserialize_value(json.loads(row[3]), dtype),
-            dtype=dtype,
+            value=json.loads(row[3]),  # Fact validates it under its dtype
+            dtype=DType(row[4]),
             valid_from=row[5],
             valid_to=row[6],
             confidence=row[7],

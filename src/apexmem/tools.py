@@ -236,17 +236,6 @@ def schema_viewer(include_examples: bool = False, include_guide: bool = False) -
     return ToolResult(ok=True, text="\n".join(sections))
 
 
-@dataclass(frozen=True)
-class EntityDocument:
-    id: int
-    name: str
-    type: str
-    latest: str
-    anchors: tuple
-    last_anchor: Optional[str]
-    facts: str
-
-
 # the two tables of an entity document: headers and rule
 _LATEST_HEAD = render_markdown_table(["property", "value", "valid_from"], [])
 _HISTORY_HEAD = render_markdown_table(
@@ -268,10 +257,10 @@ def _day(iso: str) -> str:
 
 def build_entity_document(
     store: Store, entity_id: int, as_of: Optional[str] = None
-) -> Optional[EntityDocument]:
-    """The entity as known at ``as_of`` (a question date): its facts in force
-    then, and the anchors of its events on or before that day. None for an
-    entity the store lacks, or one first created after that day."""
+) -> Optional[str]:
+    """The rendered entity as known at ``as_of`` (a question date): its facts
+    in force then, and the anchors of its events on or before that day. None
+    for an entity the store lacks, or one first created after that day."""
     row = store.entity_row(entity_id)
     if row is None:
         return None
@@ -298,36 +287,23 @@ def build_entity_document(
         # of two spellings of the latest instant, the first as text
         latest = temporal_sort_key(anchors[-1])
         last_anchor = anchors[bisect_left(anchors, latest, key=temporal_sort_key)]
-    return EntityDocument(
-        id=entity_id,
-        name=row["entity_name"],
-        type=row["entity_type"],
-        latest="\n".join(latest_lines),
-        anchors=anchors,
-        last_anchor=last_anchor,
-        facts="\n".join(history_lines),
-    )
+    return "\n".join([
+        f"### {row['entity_name']} ({row['entity_type']}) — {Store.entity_alias(entity_id)}",
+        f"last_anchor: {last_anchor or 'n/a'}",
+        f"anchors: {', '.join(anchors) or 'n/a'}",
+        "",
+        "Latest property values:",
+        *latest_lines,
+        "",
+        "Full fact history:",
+        *history_lines,
+    ])
 
 
 def _jsonable(value: Any) -> Any:
     if isinstance(value, datetime.date):
         return value.isoformat()
     return value
-
-
-def render_entity_document(doc: EntityDocument) -> str:
-    lines = [
-        f"### {doc.name} ({doc.type}) — {Store.entity_alias(doc.id)}",
-        f"last_anchor: {doc.last_anchor or 'n/a'}",
-        f"anchors: {', '.join(doc.anchors) or 'n/a'}",
-        "",
-        "Latest property values:",
-        doc.latest,
-        "",
-        "Full fact history:",
-        doc.facts,
-    ]
-    return "\n".join(lines)
 
 
 _DOCUMENT_HEADER = re.compile(r"### (.*) \((\w+)\) — ent:(\d+)")
@@ -374,7 +350,7 @@ def entity_lookup(
     for doc_id, _kind, _score in hits:
         doc = build_entity_document(store, doc_id, as_of)
         if doc is not None:
-            documents.append(render_entity_document(doc))
+            documents.append(doc)
     if not documents:
         return ToolResult(ok=True, text="No matching entities.")
     return ToolResult(ok=True, text=_cap_text("\n\n".join(documents)))

@@ -1,4 +1,4 @@
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,21 +35,22 @@ def test_default_budget_is_40():
 
 
 def test_resolve_question_temporals():
-    annotated = resolve_question_temporals(
+    params = resolve_question_temporals(
         "Where did Alice eat yesterday?", "2024-04-01T00:00:00Z"
     )
-    params = annotated.named_params()
-    assert params["question_date"] == "2024-04-01"
-    assert params["range_start"] == "2024-03-31"
-    # annotations follow extract.RELATIVE_EXPRESSIONS, then "N ... ago"
-    annotated = resolve_question_temporals(
+    assert params == {"question_date": "2024-04-01", "range_start": "2024-03-31",
+                      "range_end": "2024-03-31"}
+    # expressions are tried in extract.RELATIVE_EXPRESSIONS' order, then "N ... ago"
+    params = resolve_question_temporals(
         "What did Alice eat 3 weeks ago, yesterday and last month?",
         "2024-04-01T00:00:00Z",
     )
-    assert [a.expression for a in annotated.annotations] == [
-        "last month", "yesterday", "3 weeks ago"]
-    assert annotated.named_params()["range_start"] == "2024-03-01"
-    assert annotated.annotations[2].valid_from == "2024-03-11"
+    assert params == {"question_date": "2024-04-01", "range_start": "2024-03-01",
+                      "range_end": "2024-03-31"}
+    params = resolve_question_temporals("What did Alice eat 3 weeks ago?", "2024-04-01")
+    assert params["range_start"] == "2024-03-11"
+    assert resolve_question_temporals("What did Alice eat?", "2024-04-01") == {
+        "question_date": "2024-04-01"}
 
 
 def test_scripted_policy_answers(store, index):
@@ -178,6 +179,48 @@ def test_heuristic_policy_answers_at_the_question_date(store, index):
     assert "last_anchor: 2024-01-15T10:00:00Z" in alice
     # Sakura Sushi is first mentioned on 2024-03-20, after the question
     assert not any(doc.startswith("Sakura Sushi ") for doc in documents)
+
+
+@pytest.fixture(scope="module")
+def case1():
+    store, index = Store.open(":memory:"), VectorIndex()
+    ingest_case1(store, index)
+    yield store, index
+    store.close()
+
+
+_UTC_OFFSETS = st.integers(-14 * 60, 14 * 60).map(
+    lambda minutes: timezone(timedelta(minutes=minutes)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    instant=st.datetimes(datetime(2024, 1, 10), datetime(2024, 4, 10),
+                         timezones=st.just(timezone.utc)),
+    offset=_UTC_OFFSETS,
+    question=st.sampled_from([
+        "What is Alice's favorite restaurant?", "What is Italian Garden's closure date?",
+        "Where did Alice eat yesterday?", "What did Alice love 3 weeks ago?",
+    ]),
+)
+# the same instant as 2024-03-20T04:30:00Z, on the day before in its own zone
+@example(instant=datetime(2024, 3, 20, 4, 30, tzinfo=timezone.utc),
+         offset=timezone(timedelta(hours=-5)), question="What is Alice's favorite restaurant?")
+def test_every_spelling_of_an_instant_asks_the_same_question(case1, instant, offset, question):
+    """The named parameters and the whole transcript depend on the instant
+    a question is asked at, not on the UTC offset it is written with."""
+    store, index = case1
+    instant = instant.replace(microsecond=0)
+    spellings = [instant.strftime("%Y-%m-%dT%H:%M:%SZ"), instant.astimezone(offset).isoformat()]
+    params = [resolve_question_temporals(question, spelling) for spelling in spellings]
+    assert params[0] == params[1]
+    assert params[0]["question_date"] == instant.date().isoformat()
+    transcripts = [
+        run_agent(store, index, HeuristicPolicy(), question, AgentConfig(question_date=spelling))
+        for spelling in spellings
+    ]
+    assert transcripts[0].named_params == params[0]
+    assert render_transcript(transcripts[0]) == render_transcript(transcripts[1])
 
 
 _COLORS = ("blue", "green", "red", "amber", "teal")

@@ -107,6 +107,16 @@ def test_resolve_entity_rejects_unknown_choice(store, index):
         resolve_entity(store, index, BadProvider(), "anything")
 
 
+@pytest.mark.parametrize("resolve", [resolve_entity, resolve_property])
+def test_a_provider_that_returns_no_decision_is_refused(store, index, resolve):
+    class NoDecision:
+        def decide(self, mention, context, candidates):
+            return None
+
+    with pytest.raises(InvalidDecision):
+        resolve(store, index, NoDecision(), "shoe size")
+
+
 def test_retrieve_entity_candidates_scores_in_unit_interval(store, index):
     ingest_case1(store, index)
     for candidate in retrieve_entity_candidates(store, index, "garden", 10):

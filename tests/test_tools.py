@@ -29,11 +29,9 @@ from apexmem.tools import (
     build_entity_document,
     entity_lookup,
     ToolResult,
-    EntityDocument,
     graph_sql,
     property_search,
     read_latest_values,
-    render_entity_document,
     render_markdown_table,
     schema_viewer,
     search,
@@ -97,8 +95,9 @@ def test_entity_lookup_returns_latest_values(toolkit):
 def test_entity_document_includes_history(store, index):
     ingest_case1(store, index)
     alice = store.find_entity_by_name("Alice")
-    doc = build_entity_document(store, alice["entity_id"])
-    assert "Italian Garden" in doc.facts and "Sakura Sushi" in doc.facts
+    document = build_entity_document(store, alice["entity_id"])
+    history = document.split("Full fact history:")[1]
+    assert "Italian Garden" in history and "Sakura Sushi" in history
 
 
 def test_graph_sql_happy_path(toolkit):
@@ -547,7 +546,7 @@ def test_read_latest_values_returns_the_rendered_latest_rows(entities):
             value = value.isoformat() if isinstance(value, date) else value
             expected.append((entity_id, store.entity_row(entity_id)["entity_name"], prop,
                              value, latest.valid_from or ""))
-    text = "\n\n".join(render_entity_document(build_entity_document(store, entity_id))
+    text = "\n\n".join(build_entity_document(store, entity_id)
                        for entity_id in range(1, len(entities) + 1))
     store.close()
     assert read_latest_values(text) == expected
@@ -569,7 +568,7 @@ def test_read_latest_values_of_a_lookup_cut_by_the_character_cap(store, index):
              for number in range(40)]
     store.append_event_bundle(Event(None, "conversation", "2024-01-05T00:00:00Z"), facts)
     upsert_embeddings(store, index)
-    full = read_latest_values(render_entity_document(build_entity_document(store, entity_id)))
+    full = read_latest_values(build_entity_document(store, entity_id))
     assert [row[2] for row in full] == [f"note_{number:02d}" for number in range(40)]
     result = entity_lookup(store, index, "Long Notes", k=1)
     assert result.text.endswith(f"truncated at {CHAR_CAP} characters")
@@ -626,16 +625,18 @@ def _oracle_document(store, entity_id, as_of=None):
     if day is not None:
         anchors = tuple(a for a in anchors if temporal_sort_key(a)[:10] <= day)
     last_anchor = max(sorted(anchors), key=temporal_sort_key) if anchors else None
-    return render_entity_document(EntityDocument(
-        id=entity_id,
-        name=row["entity_name"],
-        type=row["entity_type"],
-        latest=_oracle_table(["property", "value", "valid_from"], latest_rows),
-        anchors=tuple(anchors),
-        last_anchor=last_anchor,
-        facts=_oracle_table(["property", "value", "valid_from", "valid_to", "created_at"],
-                            history_rows),
-    ))
+    return "\n".join([
+        f"### {row['entity_name']} ({row['entity_type']}) — ent:{entity_id}",
+        f"last_anchor: {last_anchor or 'n/a'}",
+        f"anchors: {', '.join(anchors) or 'n/a'}",
+        "",
+        "Latest property values:",
+        _oracle_table(["property", "value", "valid_from"], latest_rows),
+        "",
+        "Full fact history:",
+        _oracle_table(["property", "value", "valid_from", "valid_to", "created_at"],
+                      history_rows),
+    ])
 
 
 def _oracle_lookup(store, index, query, k, as_of):
@@ -719,9 +720,8 @@ def test_entity_lookup_reads_as_the_oracle(ops):
             for as_of in _DOC_QUESTION_DATES:
                 check(store, index, as_of)
                 for subject in subjects:
-                    document = build_entity_document(store, subject, as_of)
-                    assert (None if document is None else render_entity_document(document)
-                            ) == _oracle_document(store, subject, as_of)
+                    assert build_entity_document(store, subject, as_of) == _oracle_document(
+                        store, subject, as_of)
         for store in [*handles, replica]:
             store.close()
 
@@ -736,9 +736,9 @@ def test_a_fact_line_is_kept_by_store():
         assert store.append_event_bundle(Event(None, "conversation", "2024-01-15"),
                                          [fact]).fact_ids == [1]
     for store, value in zip(stores, ["Italian Garden", "Sakura Sushi"]):
-        document = build_entity_document(store, 1)
-        assert f'| favorite_restaurant | "{value}" | 2024-01-15 |' in document.latest
-        assert document.facts == _oracle_table(
+        latest, history = build_entity_document(store, 1).split("\n\nFull fact history:\n")
+        assert f'| favorite_restaurant | "{value}" | 2024-01-15 |' in latest
+        assert history == _oracle_table(
             ["property", "value", "valid_from", "valid_to", "created_at"],
             [["favorite_restaurant", json.dumps(value), "2024-01-15", "",
               "2024-01-15T10:00:00Z"]])
@@ -766,10 +766,9 @@ def test_anchors_are_listed_in_time_order(store, index):
         ("2024-01-01T22:00:00-05:00", in_time_order, "2024-01-01T20:00:00-05:00"),
         ("2024-01-02", in_time_order, "2024-01-01T20:00:00-05:00"),
     ]:
-        document = build_entity_document(store, alice, as_of)
-        assert document.anchors == listed and document.last_anchor == last_anchor
-        text = entity_lookup(store, index, "Alice", k=1, as_of=as_of).text
-        assert f"\nlast_anchor: {last_anchor}\nanchors: {', '.join(listed)}\n" in text
+        lines = f"\nlast_anchor: {last_anchor}\nanchors: {', '.join(listed)}\n"
+        assert lines in build_entity_document(store, alice, as_of)
+        assert lines in entity_lookup(store, index, "Alice", k=1, as_of=as_of).text
 
 
 def test_a_repeated_lookup_renders_no_fact_line(case1_store, index, monkeypatch):
