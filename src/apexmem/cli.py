@@ -69,19 +69,14 @@ def build_pipeline(config: dict):
     extractor = _provider(
         config.get("extractor"), ReferenceExtractor, SubprocessExtractor
     )
-    entity_provider = _provider(
-        config.get("decision"), RuleBasedProvider, SubprocessDecisionProvider
-    )
-    property_provider = _provider(
-        config.get("decision"), RuleBasedProvider, SubprocessDecisionProvider
-    )
+    decider = _provider(config.get("decision"), RuleBasedProvider, SubprocessDecisionProvider)
     embedder_spec = config.get("embedder")
     embedder = (
         SubprocessEmbedder(shlex.split(embedder_spec))
         if embedder_spec and embedder_spec != "reference"
         else None
     )
-    return extractor, entity_provider, property_provider, embedder
+    return extractor, decider, embedder
 
 
 def open_index(store_path: str, embedder=None) -> VectorIndex:
@@ -155,7 +150,7 @@ def ingest(config, transcript, store_path, as_json):
         click.echo(f"parse error: {exc}", err=True)
         sys.exit(1)
 
-    extractor, entity_provider, property_provider, embedder = build_pipeline(config)
+    extractor, decider, embedder = build_pipeline(config)
     store = Store.open(store_path)
     index = open_index(store_path, embedder)
 
@@ -163,7 +158,7 @@ def ingest(config, transcript, store_path, as_json):
     turns = 0
     for session_id in sorted(sessions):
         outcomes = extract_mod.ingest_session(
-            store, index, extractor, entity_provider, property_provider,
+            store, index, extractor, decider, decider,
             sessions[session_id],
         )
         turns += len(outcomes)
@@ -230,13 +225,13 @@ def qa(config, question, store_path, question_date, max_tool_calls, trace,
         click.echo(f"parse error: {exc}", err=True)
         sys.exit(1)
 
-    extractor, entity_provider, property_provider, embedder = build_pipeline(config)
+    extractor, decider, embedder = build_pipeline(config)
     store = Store.open(store_path)
     index = open_index(store_path, embedder)
 
     if corpus is not None:
         online_mod.build_online(
-            store, index, extractor, entity_provider, property_provider,
+            store, index, extractor, decider, decider,
             corpus, question, online_mod.OnlineConfig(theta_rel=theta_rel),
         )
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import calendar
 import re
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import MINYEAR, date, timedelta
 from typing import Any, List, Optional, Protocol, Tuple
 
 from . import index as index_mod
@@ -50,13 +50,11 @@ def _previous_month(anchor: date) -> Tuple[date, date]:
 
 
 def _months_back(anchor: date, months: int) -> date:
-    year = anchor.year
-    month = anchor.month - months
-    while month < 1:
-        month += 12
-        year -= 1
-    day = min(anchor.day, calendar.monthrange(year, month)[1])
-    return date(year, month, day)
+    year, month = divmod(anchor.year * 12 + anchor.month - 1 - months, 12)
+    if year < MINYEAR:
+        raise ValueError(f"year {year} is out of range")
+    day = min(anchor.day, calendar.monthrange(year, month + 1)[1])
+    return date(year, month + 1, day)
 
 
 def normalize_temporal(expression: str, anchor: str) -> Tuple[str, Optional[str]]:
@@ -92,12 +90,16 @@ def normalize_temporal(expression: str, anchor: str) -> Tuple[str, Optional[str]
 
     ago = _AGO_RE.match(text)
     if ago:
-        amount, unit = int(ago.group(1)), ago.group(2)
-        if unit == "day":
-            return (anchor_date - timedelta(days=amount)).isoformat(), None
-        if unit == "week":
-            return (anchor_date - timedelta(weeks=amount)).isoformat(), None
-        return _months_back(anchor_date, amount).isoformat(), None
+        unit = ago.group(2)
+        try:
+            amount = int(ago.group(1))
+            if unit == "month":
+                resolved = _months_back(anchor_date, amount)
+            else:
+                resolved = anchor_date - timedelta(days=amount * (7 if unit == "week" else 1))
+        except (OverflowError, ValueError) as exc:
+            raise UnparseableTemporal(f"{expression!r} is outside the calendar") from exc
+        return resolved.isoformat(), None
 
     if text in _WEEKDAYS:
         # most recent past occurrence, strictly before the anchor date

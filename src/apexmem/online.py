@@ -18,7 +18,6 @@ DEFAULT_THETA_REL = 0.2
 @dataclass(frozen=True)
 class OnlineConfig:
     theta_rel: float = DEFAULT_THETA_REL
-    max_docs: Optional[int] = None
 
     def __post_init__(self):
         if not 0.0 <= self.theta_rel <= 1.0:
@@ -86,8 +85,7 @@ def build_online(
     scores: Optional[List[RelevanceScore]] = None,
 ) -> IngestionReport:
     """Ingest documents scoring strictly above theta_rel, in ascending
-    timestamp order; with ``max_docs``, only that many of the highest
-    scoring. ``scores`` may inject precomputed relevance (fixtures,
+    timestamp order. ``scores`` may inject precomputed relevance (fixtures,
     external scorers); by default they are computed here."""
     config = config or OnlineConfig()
     if scores is None:
@@ -103,10 +101,6 @@ def build_online(
         else:
             report.skipped.append(score)
 
-    if config.max_docs is not None:
-        # keep the most relevant; the sort is stable, so ties keep corpus order
-        selected.sort(key=lambda pair: -pair[1].score)
-        selected = selected[: config.max_docs]
     selected.sort(key=lambda pair: temporal_sort_key(pair[0].timestamp))
     report.selected = [score for _doc, score in selected]
 

@@ -15,6 +15,7 @@ import numpy as np
 from .agent import AgentStep, FinalAnswer, ToolAction
 from .errors import EmbedderFailure, ExtractorFailure, ProviderFailure
 from .extract import ExtractionRequest, RawEventBundle, RawFact, RawParticipant
+from .ontology import DType, validate_entity_type
 from .resolve import Candidate, ResolutionDecision
 from .tools import TOOL_ARG_SCHEMAS, ToolCall
 
@@ -50,7 +51,18 @@ def decision_request(mention: str, context: str, candidates: List[Candidate]) ->
 
 
 def decision_from_response(raw: dict) -> ResolutionDecision:
-    return ResolutionDecision.from_json(json.dumps(raw))
+    if not isinstance(raw, dict):
+        raise ProviderFailure(f"decision response is not an object: {raw!r}")
+    return ResolutionDecision(
+        decision=raw.get("decision", ""),
+        id=raw.get("id"),
+        normalized_name=raw.get("normalized_name", ""),
+        etype=validate_entity_type(raw["etype"]) if raw.get("etype") else None,
+        dtype=DType(raw["dtype"]) if raw.get("dtype") else None,
+        aliases=frozenset(raw.get("aliases", ())),
+        confidence=raw.get("confidence", 0.0),
+        rationale=raw.get("rationale", ""),
+    )
 
 
 class SubprocessDecisionProvider:

@@ -3,7 +3,6 @@ dense index plus a pluggable structured decision provider.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Protocol, Tuple
@@ -52,38 +51,6 @@ class ResolutionDecision:
         if not 0.0 <= self.confidence <= 1.0:
             raise InvalidDecision(f"confidence out of range: {self.confidence}")
         object.__setattr__(self, "aliases", frozenset(self.aliases))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "decision": self.decision,
-                "id": self.id,
-                "normalized_name": self.normalized_name,
-                "etype": self.etype.value if self.etype else None,
-                "dtype": self.dtype.value if self.dtype else None,
-                "aliases": sorted(self.aliases),
-                "confidence": self.confidence,
-                "rationale": self.rationale,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResolutionDecision":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ProviderFailure(f"provider output not JSON: {exc}") from exc
-        return cls(
-            decision=raw.get("decision", ""),
-            id=raw.get("id"),
-            normalized_name=raw.get("normalized_name", ""),
-            etype=ontology.validate_entity_type(raw["etype"]) if raw.get("etype") else None,
-            dtype=DType(raw["dtype"]) if raw.get("dtype") else None,
-            aliases=frozenset(raw.get("aliases", ())),
-            confidence=raw.get("confidence", 0.0),
-            rationale=raw.get("rationale", ""),
-        )
 
 
 class DecisionProvider(Protocol):

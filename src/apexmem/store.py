@@ -62,18 +62,6 @@ CREATE INDEX IF NOT EXISTS entities_name ON entities (entity_name);
 CREATE INDEX IF NOT EXISTS facts_property ON facts (property_name COLLATE NOCASE);
 """
 
-# The column each id-bearing table allocates its ids by; the append log's
-# sequence is allocated the same way.
-_ID_COLUMNS = {
-    "entities": "entity_id",
-    "properties": "property_id",
-    "facts": "id",
-    "events": "id",
-    "evidence": "id",
-    "turns": "id",
-    "append_log": "sequence",
-}
-
 _DDL = f"""
 CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
 CREATE TABLE append_log (
@@ -144,29 +132,55 @@ INSERT INTO meta (key, value) VALUES ('schema_version', '{SCHEMA_VERSION}');
 _EPOCH = "1970-01-01T00:00:00Z"
 
 
+def _read_schema() -> Tuple[Dict[str, Tuple[str, ...]], Dict[str, str], Dict[str, str]]:
+    """Each table's columns in schema order, the column each id-bearing
+    table allocates its ids by (its INTEGER PRIMARY KEY; the append log's
+    ``sequence`` is one), and each table's INSERT of all its columns, read
+    from ``_DDL`` through SQLite once."""
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.executescript(_DDL)
+        info = {table: conn.execute(f"PRAGMA table_info({table})").fetchall()
+                for table in (*WHITELISTED_TABLES, "append_log")}
+    finally:
+        conn.close()
+    columns = {table: tuple(row[1] for row in rows) for table, rows in info.items()}
+    ids = {table: row[1] for table, rows in info.items()
+           for row in rows if row[5] and row[2] == "INTEGER"}
+    inserts = {
+        table: f"INSERT INTO {table} ({', '.join(names)})"
+               f" VALUES ({', '.join('?' * len(names))})"
+        for table, names in columns.items()
+    }
+    return columns, ids, inserts
+
+
+_COLUMNS, _ID_COLUMNS, _INSERTS = _read_schema()
+
+
 # The search text of each index kind, derived from its base rows when read:
-# kind -> (table, id column, text columns, render), where render maps a row
+# kind -> (table, text columns, render), where render maps a row
 # (id, *text columns) to the text.
 SEARCH_TEXT = {
     "entity": (
-        "entities", "entity_id", "entity_name, aliases_json",
+        "entities", "entity_name, aliases_json",
         lambda row: " ".join([row[1], *json.loads(row[2])]),
     ),
     "property": (
-        "properties", "property_id", "property_name, dtype, description",
+        "properties", "property_name, dtype, description",
         lambda row: (
             f"{row[1].replace('_', ' ')} {row[1]} {row[2]} {row[3] or ''}".strip()
         ),
     ),
     "event": (
-        "events", "id", "event_type, location",
+        "events", "event_type, location",
         # the non-empty parts of (event_type, location), space-joined
         lambda row: (
             f"{row[1]} {row[2]}" if row[1] and row[2] else row[1] or row[2] or ""
         ),
     ),
-    "evidence": ("evidence", "id", "quoted_text", itemgetter(1)),
-    "turn": ("turns", "id", "text", itemgetter(1)),
+    "evidence": ("evidence", "quoted_text", itemgetter(1)),
+    "turn": ("turns", "text", itemgetter(1)),
 }
 
 
@@ -194,17 +208,7 @@ class _Authorizer:
 
 def table_columns() -> Dict[str, Tuple[str, ...]]:
     """Column names of each whitelisted table, in schema order."""
-    conn = sqlite3.connect(":memory:")
-    try:
-        conn.executescript(_DDL)
-        return {
-            table: tuple(
-                row[1] for row in conn.execute(f"PRAGMA table_info({table})")
-            )
-            for table in WHITELISTED_TABLES
-        }
-    finally:
-        conn.close()
+    return {table: _COLUMNS[table] for table in WHITELISTED_TABLES}
 
 
 @dataclass
@@ -278,7 +282,6 @@ class Store:
             except sqlite3.Error as exc:
                 conn.close()
                 raise IoFailure(f"cannot open store {path}: {exc}") from exc
-        conn.execute("PRAGMA foreign_keys = ON")
         store = cls(conn, path)
         if exists and store._has_schema():
             version = store._meta("schema_version")
@@ -371,11 +374,7 @@ class Store:
         once the commit has succeeded."""
         sequence = self._last_ids["append_log"] + 1
         try:
-            self._apply(payload)
-            self._conn.execute(
-                "INSERT INTO append_log (sequence, payload) VALUES (?, ?)",
-                (sequence, json.dumps(payload, sort_keys=True)),
-            )
+            self._write(sequence, payload)
             self._conn.commit()
         except Exception as exc:
             self._conn.rollback()
@@ -393,16 +392,16 @@ class Store:
                     self._last_ids[table], *(row[column] for row in rows)
                 )
 
-    def _apply(self, payload: dict) -> None:
+    def _write(self, sequence: int, payload: dict) -> None:
+        """Insert one logged batch, each table's rows in one statement, and
+        its log record under ``sequence``; the caller commits."""
         for table, rows in payload["rows"].items():
-            for row in rows:
-                columns = sorted(row)
-                placeholders = ", ".join("?" for _ in columns)
-                self._conn.execute(
-                    f"INSERT INTO {table} ({', '.join(columns)}) "
-                    f"VALUES ({placeholders})",
-                    [row[c] for c in columns],
-                )
+            if rows:
+                columns = _COLUMNS[table]
+                self._conn.executemany(
+                    _INSERTS[table], [[row[c] for c in columns] for row in rows])
+        self._conn.execute(
+            _INSERTS["append_log"], (sequence, json.dumps(payload, sort_keys=True)))
 
     def append_entity(
         self,
@@ -475,16 +474,20 @@ class Store:
         turns = list(turns)
         if not turns:
             return []
+        keys = [(turn.session_id, turn.ordinal) for turn in turns]
         # the first turn of the batch whose (session_id, ordinal) is stored
-        first = self._conn.execute(
+        stored = self._conn.execute(
             "SELECT MIN(keys.key) FROM json_each(?) AS keys CROSS JOIN turns"
             " ON turns.session_id = json_extract(keys.value, '$[0]')"
             " AND turns.ordinal = json_extract(keys.value, '$[1]')",
-            (json.dumps([[turn.session_id, turn.ordinal] for turn in turns]),),
+            (json.dumps(keys),),
         ).fetchone()[0]
-        if first is not None:
-            turn = turns[first]
-            raise ValidationFailure(f"duplicate turn ({turn.session_id}, {turn.ordinal})")
+        # the first duplicate is that turn or an earlier repeat in the batch
+        seen = set()
+        for position, (session_id, ordinal) in enumerate(keys):
+            if position == stored or (session_id, ordinal) in seen:
+                raise ValidationFailure(f"duplicate turn ({session_id}, {ordinal})")
+            seen.add((session_id, ordinal))
         next_id = self.last_ids()["turns"] + 1
         rows, ids = [], []
         for offset, turn in enumerate(turns):
@@ -630,11 +633,6 @@ class Store:
 
     # -- temporal fact queries -----------------------------------------
 
-    _FACT_COLUMNS = (
-        "id, subject_id, property_name, value_json, dtype,"
-        " valid_from, valid_to, confidence, created_at"
-    )
-
     def _kept_history(self, subject_id: int) -> Dict[str, List[tuple]]:
         """The subject's facts, decoded once and kept for the life of the
         store: by property name, in name order, the entries (valid_from key,
@@ -648,8 +646,7 @@ class Store:
         if kept.facts_to < last:
             added: Dict[str, List[tuple]] = {}
             for row in self._conn.execute(
-                f"SELECT {self._FACT_COLUMNS} FROM facts"
-                " WHERE subject_id = ? AND id > ? AND id <= ?",
+                "SELECT * FROM facts WHERE subject_id = ? AND id > ? AND id <= ?",
                 (subject_id, kept.facts_to, last),
             ):
                 added.setdefault(row[2], []).append((
@@ -738,7 +735,8 @@ class Store:
         ``after_id``, ascending by doc_id."""
         if kind not in SEARCH_TEXT:
             raise UnknownView(f"unknown kind: {kind}")
-        table, key, columns, render = SEARCH_TEXT[kind]
+        table, columns, render = SEARCH_TEXT[kind]
+        key = _ID_COLUMNS[table]
         rows = self._conn.execute(
             f"SELECT {key}, {columns} FROM {table} WHERE {key} > ? ORDER BY {key}",
             (after_id,),
@@ -748,9 +746,10 @@ class Store:
     def kind_row(self, kind: str, doc_id: int, columns: Sequence[str]) -> Optional[tuple]:
         """The named columns of the base row behind one index document, or
         None if the store lacks it."""
-        table, key, _text_columns, _render = SEARCH_TEXT[kind]
+        table = SEARCH_TEXT[kind][0]
         return self._conn.execute(
-            f"SELECT {', '.join(columns)} FROM {table} WHERE {key} = ?", (doc_id,)
+            f"SELECT {', '.join(columns)} FROM {table} WHERE {_ID_COLUMNS[table]} = ?",
+            (doc_id,),
         ).fetchone()
 
     # -- introspection ---------------------------------------------------
@@ -760,10 +759,6 @@ class Store:
             table: self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
             for table in WHITELISTED_TABLES
         }
-
-    _ENTITY_COLUMNS = (
-        "entity_id, entity_name, entity_type, role, aliases_json, external_id, created_at"
-    )
 
     @staticmethod
     def _entity_dict(row: tuple) -> dict:
@@ -786,8 +781,8 @@ class Store:
         row = self._entity_dicts([entity_id]).get(entity_id)
         return None if row is None else self._fresh_entity(row)
 
-    def _memo_rows(self, memo: Dict[int, object], table: str, key: str,
-                   columns: str, ids: Iterable[int], decode) -> Dict[int, object]:
+    def _memo_rows(self, memo: Dict[int, object], table: str, columns: str,
+                   ids: Iterable[int], decode) -> Dict[int, object]:
         """The row of each id that exists, by id, as ``decode`` makes it from
         the row's tuple. A row in ``memo`` is not read or decoded again; the
         others are read in one statement and kept there. An id found missing
@@ -804,7 +799,7 @@ class Store:
             # same for any number of them and each connection prepares it once
             for row in self._conn.execute(
                 f"SELECT {columns} FROM json_each(?) AS ids"
-                f" CROSS JOIN {table} ON {table}.{key} = ids.value",
+                f" CROSS JOIN {table} ON {table}.{_ID_COLUMNS[table]} = ids.value",
                 (json.dumps(missing),),
             ):
                 memo[row[0]] = found[row[0]] = decode(row)
@@ -813,8 +808,7 @@ class Store:
     def _entity_dicts(self, entity_ids: Iterable[int]) -> Dict[int, dict]:
         """The kept entity rows; a caller outside the store gets copies."""
         return self._memo_rows(
-            self._entity_memo, "entities", "entity_id", self._ENTITY_COLUMNS,
-            entity_ids, self._entity_dict,
+            self._entity_memo, "entities", "entities.*", entity_ids, self._entity_dict,
         )
 
     def entity_rows(self, entity_ids: Iterable[int]) -> Dict[int, dict]:
@@ -826,8 +820,8 @@ class Store:
         """(property_name, dtype) of each id that exists, in at most one
         statement."""
         return self._memo_rows(
-            self._property_memo, "properties", "property_id",
-            "property_id, property_name, dtype", property_ids, itemgetter(slice(1, None)),
+            self._property_memo, "properties", "property_id, property_name, dtype",
+            property_ids, itemgetter(slice(1, None)),
         )
 
     def property_usage(self, names: Iterable[str]) -> Dict[str, int]:
@@ -867,9 +861,7 @@ class Store:
         """Case-insensitive match on canonical name or any alias; the lowest
         entity_id wins."""
         target = ontology.normalize_name(name).lower()
-        for row in self._conn.execute(
-            f"SELECT {self._ENTITY_COLUMNS} FROM entities ORDER BY entity_id"
-        ):
+        for row in self._conn.execute("SELECT * FROM entities ORDER BY entity_id"):
             if row[1].lower() == target or any(
                 alias.lower() == target for alias in json.loads(row[4])
             ):
@@ -910,11 +902,7 @@ class Store:
         """Rebuild a store by re-applying a recorded append log."""
         store = cls.open(path, create_if_missing=True)
         for sequence, payload in log:
-            store._apply(payload)
-            store._conn.execute(
-                "INSERT INTO append_log (sequence, payload) VALUES (?, ?)",
-                (sequence, json.dumps(payload, sort_keys=True)),
-            )
+            store._write(sequence, payload)
         store._conn.commit()
         store._load_ids()
         return store
@@ -925,7 +913,7 @@ class Store:
         Used for replay equality and before/after immutability checks.
         """
         chunks = []
-        for table in (*WHITELISTED_TABLES, "append_log"):
+        for table in _COLUMNS:
             cursor = self._conn.execute(f"SELECT * FROM {table}")
             rows = sorted(repr(row) for row in cursor.fetchall())
             chunks.append(table + "\n" + "\n".join(rows))

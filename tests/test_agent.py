@@ -53,6 +53,32 @@ def test_resolve_question_temporals():
         "question_date": "2024-04-01"}
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    amount=st.integers(0, 10**12),
+    unit=st.sampled_from(["day", "week", "month"]),
+    asked=st.dates(date(1, 1, 1), date(9999, 12, 31)),
+)
+# each of these ended run_agent with a bare OverflowError or ValueError
+@example(amount=99999999, unit="day", asked=date(2024, 3, 1))
+@example(amount=9999999999, unit="day", asked=date(2024, 3, 1))
+@example(amount=99999, unit="month", asked=date(2024, 3, 1))
+def test_an_ago_before_the_calendar_resolves_no_range(amount, unit, asked):
+    """"N ... ago" resolves to its day while that day is a date, and to no
+    range, never an exception, once it falls before 0001-01-01."""
+    params = resolve_question_temporals(
+        f"What happened {amount} {unit}s ago?", f"{asked.isoformat()}T12:00:00Z")
+    if unit == "month":
+        months = asked.year * 12 + asked.month - 1 - amount
+        expected = f"{months // 12:04d}-{months % 12 + 1:02d}" if months >= 12 else None
+        got = params.get("range_start", "")[:7] or None
+    else:
+        day = asked.toordinal() - amount * (7 if unit == "week" else 1)
+        expected = date.fromordinal(day).isoformat() if day >= 1 else None
+        got = params.get("range_start")
+    assert got == expected
+
+
 def test_scripted_policy_answers(store, index):
     ingest_case1(store, index)
     policy = ScriptedPolicy([

@@ -122,20 +122,6 @@ def test_selection_is_timestamp_ordered(store, index):
     assert [r.doc_id for r in report.selected] == ["d1", "d2", "d3"]
 
 
-@pytest.mark.parametrize("max_docs, kept", [(1, ["d3"]), (2, ["d2", "d3"])])
-def test_max_docs_keeps_the_highest_scores(store, index, max_docs, kept):
-    extractor, entities, properties = reference_pipeline()
-    scores = [RelevanceScore("d1", 0.3), RelevanceScore("d2", 0.5),
-              RelevanceScore("d3", 1.0)]
-    report = build_online(
-        store, index, extractor, entities, properties, CORPUS,
-        "q", OnlineConfig(theta_rel=0.2, max_docs=max_docs), scores=scores,
-    )
-    # the highest scores, ingested in timestamp order
-    assert [r.doc_id for r in report.selected] == kept
-    assert list(report.outcomes) == kept
-
-
 def test_theta_zero_reproduces_offline_ingestion(index):
     online_store = Store.open(":memory:")
     extractor, entities, properties = reference_pipeline()

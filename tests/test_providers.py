@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from apexmem.errors import EmbedderFailure, ProviderFailure
+from apexmem.ontology import DType, EntityType
 from apexmem.providers import (
     SubprocessDecisionProvider,
     SubprocessEmbedder,
     SubprocessPolicy,
+    decision_from_response,
 )
 from apexmem.agent import FinalAnswer, ToolAction
-from apexmem.resolve import Candidate
+from apexmem.resolve import Candidate, ResolutionDecision
 
 
 def _script(tmp_path, name, body):
@@ -39,6 +41,20 @@ def test_subprocess_decision_provider(tmp_path):
     assert chosen.decision == "choose_existing" and chosen.id == 3
     proposed = provider.decide("Newbie", "", [])
     assert proposed.decision == "propose_new"
+
+
+def test_decision_from_response_reads_the_reply_dict():
+    reply = {"decision": "propose_new", "id": None, "normalized_name": "shoe_size",
+             "etype": "Person", "dtype": "int", "aliases": ["kicks"],
+             "confidence": 0.5, "rationale": "r"}
+    assert decision_from_response(reply) == ResolutionDecision(
+        decision="propose_new", normalized_name="shoe_size", etype=EntityType.Person,
+        dtype=DType.int, aliases=("kicks",), confidence=0.5, rationale="r",
+    )
+    assert decision_from_response({"decision": "none"}) == ResolutionDecision("none")
+    for reply in (["propose_new"], "none", None):
+        with pytest.raises(ProviderFailure):
+            decision_from_response(reply)
 
 
 def test_subprocess_embedder_handshake_and_vectors(tmp_path):

@@ -188,16 +188,3 @@ def test_resolve_property_proposes_normalized_name(store, index):
 def test_resolve_property_rejects_empty_name(store, index):
     with pytest.raises(InvalidDecision):
         resolve_property(store, index, RuleBasedProvider(), "", "x")
-
-
-def test_decision_json_round_trip():
-    decision = ResolutionDecision(
-        decision="propose_new",
-        normalized_name="shoe_size",
-        etype=EntityType.Person,
-        dtype=DType.int,
-        aliases=("kicks",),
-        confidence=0.5,
-        rationale="r",
-    )
-    assert ResolutionDecision.from_json(decision.to_json()) == decision

@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 import os
 import re
 import sqlite3
@@ -118,13 +120,26 @@ def test_append_turns_names_the_first_stored_turn_of_its_batch(store):
     assert store.append_turns([]) == []
 
 
+def test_append_turns_names_the_first_repeat_within_its_batch(store):
+    store.append_turns([_turn("s1", 0)])
+    before = store.canonical_dump()
+    turn = _turn("s2", 0)
+    with pytest.raises(ValidationFailure, match=r"^duplicate turn \(s2, 0\)$"):
+        store.append_turns([turn, turn])
+    # a repeat that comes before the stored turn of the batch is named first
+    with pytest.raises(ValidationFailure, match=r"^duplicate turn \(s3, 1\)$"):
+        store.append_turns([_turn("s3", 1), _turn("s3", 1), _turn("s1", 0)])
+    assert store.canonical_dump() == before
+    assert store.append_turns([turn]) == [2]
+
+
 def test_turn_text_answers_the_last_batch_from_memory(tmp_path):
     """The texts of the batch just committed are not read back; older
-    turns, and ids of a batch whose commit failed, are read from SQLite."""
+    turns, and ids of a batch that was refused, are read from SQLite."""
     store = Store.open(str(tmp_path / "db.sqlite"))
     [first] = store.append_turns([_turn(ordinal=0, text="first")])
     [second] = store.append_turns([_turn(ordinal=1, text="second")])
-    with pytest.raises(sqlite3.IntegrityError):
+    with pytest.raises(ValidationFailure):
         store.append_turns([_turn(ordinal=2, text="x"), _turn(ordinal=2, text="y")])
     statements = []
     store._conn.set_trace_callback(statements.append)
@@ -364,6 +379,18 @@ def test_search_text_of_each_kind(store):
 def test_append_log_holds_only_base_rows(case1_store):
     for _sequence, payload in case1_store.append_log():
         assert set(payload["rows"]) <= set(WHITELISTED_TABLES)
+
+
+def test_case1_rows_and_log_keep_their_bytes(case1_store):
+    """The row and log format of schema version 2, pinned: a change to either
+    changes these hashes, and the replay of stored logs with them."""
+    def sha256(data):
+        return hashlib.sha256(data).hexdigest()
+
+    assert sha256(case1_store.canonical_dump()) == (
+        "7d7801b268ae9c614d06db8d3e8f1c095d8b2eb524bed8874533ab1733e2ed5c")
+    assert sha256(json.dumps(case1_store.append_log()).encode()) == (
+        "a3f7fc5f2e97eed9ee88155c1894835a59645fbf23e07e17776192c835a0db26")
 
 
 def test_open_rejects_version_1_store(tmp_path):
