@@ -135,12 +135,21 @@ def test_append_turns_names_the_first_repeat_within_its_batch(store):
 
 def test_turn_text_answers_the_last_batch_from_memory(tmp_path):
     """The texts of the batch just committed are not read back; older
-    turns, and ids of a batch that was refused, are read from SQLite."""
-    store = Store.open(str(tmp_path / "db.sqlite"))
+    turns, and ids of a batch that was refused or whose commit failed, are
+    read from SQLite."""
+    path = str(tmp_path / "db.sqlite")
+    store = Store.open(path)
     [first] = store.append_turns([_turn(ordinal=0, text="first")])
     [second] = store.append_turns([_turn(ordinal=1, text="second")])
     with pytest.raises(ValidationFailure):
         store.append_turns([_turn(ordinal=2, text="x"), _turn(ordinal=2, text="y")])
+    store._conn.execute("PRAGMA busy_timeout = 50")
+    other = sqlite3.connect(path, isolation_level=None)
+    other.execute("BEGIN IMMEDIATE")
+    with pytest.raises(IoFailure):
+        store.append_turns([_turn(ordinal=2, text="x")])
+    other.execute("ROLLBACK")
+    other.close()
     statements = []
     store._conn.set_trace_callback(statements.append)
     assert store.turn_text(second) == "second"
