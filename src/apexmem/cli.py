@@ -11,6 +11,7 @@ import json
 import os
 import shlex
 import sys
+from contextlib import closing
 from typing import Optional
 
 import click
@@ -25,10 +26,10 @@ from .agent import (
     render_transcript,
     run_agent,
 )
-from .errors import ParseError, ProviderFailure, ValidationFailure
+from .errors import ApexMemError, IoFailure, ParseError, ProviderFailure, ValidationFailure
 from .extract import ReferenceExtractor
 from .index import VectorIndex
-from .ontology import Turn
+from .ontology import Turn, parse_iso_datetime
 from .providers import (
     SubprocessDecisionProvider,
     SubprocessEmbedder,
@@ -77,6 +78,17 @@ def build_pipeline(config: dict):
         else None
     )
     return extractor, decider, embedder
+
+
+def _open_store(path: str, create_if_missing: bool) -> Store:
+    """The store at ``path``, closed when the command ends, however it ends.
+    A store that cannot be opened ends the command with exit 1."""
+    try:
+        store = Store.open(path, create_if_missing=create_if_missing)
+    except IoFailure as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
+    return click.get_current_context().with_resource(closing(store))
 
 
 def open_index(store_path: str, embedder=None) -> VectorIndex:
@@ -151,20 +163,24 @@ def ingest(config, transcript, store_path, as_json):
         sys.exit(1)
 
     extractor, decider, embedder = build_pipeline(config)
-    store = Store.open(store_path)
+    store = _open_store(store_path, create_if_missing=True)
     index = open_index(store_path, embedder)
 
     failures = []
     turns = 0
-    for session_id in sorted(sessions):
-        outcomes = extract_mod.ingest_session(
-            store, index, extractor, decider, decider,
-            sessions[session_id],
-        )
-        turns += len(outcomes)
-        failures.extend(o for o in outcomes if not o.ok)
+    try:
+        for session_id in sorted(sessions):
+            outcomes = extract_mod.ingest_session(
+                store, index, extractor, decider, decider,
+                sessions[session_id],
+            )
+            turns += len(outcomes)
+            failures.extend(o for o in outcomes if not o.ok)
+        index.save()
+    except ApexMemError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
     counts = store.row_counts()
-    index.save()
     summary = {
         "turns": turns,
         "events": counts["events"],
@@ -188,7 +204,16 @@ def ingest(config, transcript, store_path, as_json):
                 f"{failure['error']}",
                 err=True,
             )
-    store.close()
+
+
+def _iso_timestamp(_ctx, _param, value: Optional[str]) -> Optional[str]:
+    """``value``, refused as a bad parameter unless it is ISO-8601."""
+    if value is not None:
+        try:
+            parse_iso_datetime(value)
+        except ValidationFailure as exc:
+            raise click.BadParameter(str(exc)) from None
+    return value
 
 
 def _load_policy(spec: Optional[str]):
@@ -196,8 +221,12 @@ def _load_policy(spec: Optional[str]):
         return HeuristicPolicy()
     if spec.startswith("script:"):
         path = spec[len("script:"):]
-        with open(path, "r", encoding="utf-8") as handle:
-            raw_steps = json.load(handle)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                raw_steps = json.load(handle)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise click.BadParameter(
+                f"policy script {path}: {exc}", param_hint="'--policy'") from None
         return ScriptedPolicy([policy_from_response(raw) for raw in raw_steps])
     return SubprocessPolicy(shlex.split(spec))
 
@@ -205,7 +234,7 @@ def _load_policy(spec: Optional[str]):
 @main.command()
 @click.argument("question")
 @click.option("--store", "store_path", required=True)
-@click.option("--question-date", default=None)
+@click.option("--question-date", default=None, callback=_iso_timestamp)
 @click.option("--max-tool-calls", default=40, type=int)
 @click.option("--trace", is_flag=True)
 @click.option("--policy", "policy_spec", default=None,
@@ -217,8 +246,9 @@ def _load_policy(spec: Optional[str]):
 @click.pass_obj
 def qa(config, question, store_path, question_date, max_tool_calls, trace,
        policy_spec, corpus_path, theta_rel, as_json):
-    """Answer a question using the agent loop. Exit 0 answered, 2 budget
-    exhausted, 3 provider failure."""
+    """Answer a question using the agent loop. Exit 0 answered, 1 no such
+    store or a bad corpus, 2 budget exhausted or a bad argument, 3 provider
+    failure. Only --online creates a store."""
     try:
         corpus = read_corpus(corpus_path) if corpus_path else None
     except ParseError as exc:
@@ -226,7 +256,7 @@ def qa(config, question, store_path, question_date, max_tool_calls, trace,
         sys.exit(1)
 
     extractor, decider, embedder = build_pipeline(config)
-    store = Store.open(store_path)
+    store = _open_store(store_path, create_if_missing=corpus is not None)
     index = open_index(store_path, embedder)
 
     if corpus is not None:
@@ -262,59 +292,63 @@ def qa(config, question, store_path, question_date, max_tool_calls, trace,
         }, sort_keys=True))
     else:
         click.echo(transcript.answer.text)
-    store.close()
+
+
+# each inspect subcommand's arguments
+_INSPECT_ARGS = {"schema": (), "stats": (), "entity": ("<id>",),
+                 "history": ("<entity>", "<property>")}
 
 
 @main.command()
-@click.argument("subcommand")
+@click.argument("subcommand", type=click.Choice(list(_INSPECT_ARGS)))
 @click.argument("args", nargs=-1)
 @click.option("--store", "store_path", required=True)
 @click.option("--json", "as_json", is_flag=True)
 def inspect(subcommand, args, store_path, as_json):
     """Inspect a store: schema | entity <id> | history <entity> <property> | stats."""
-    store = Store.open(store_path, create_if_missing=False)
-    try:
-        if subcommand == "schema":
-            click.echo(schema_viewer().text)
-        elif subcommand == "stats":
-            counts = store.row_counts()
-            if as_json:
-                click.echo(json.dumps(counts, sort_keys=True))
-            else:
-                for table in sorted(counts):
-                    click.echo(f"{table}: {counts[table]}")
-        elif subcommand == "entity":
-            raw = args[0]
-            entity_id = int(raw.split(":")[-1])
-            doc = build_entity_document(store, entity_id)
-            if doc is None:
-                click.echo(f"unknown entity: {raw}", err=True)
-                sys.exit(1)
-            click.echo(doc)
-        elif subcommand == "history":
-            name, prop = args[0], args[1]
-            row = store.find_entity_by_name(name)
-            if row is None:
-                click.echo(f"unknown entity: {name}", err=True)
-                sys.exit(1)
-            history = store.fact_history(row["entity_id"], prop)
-            if as_json:
-                click.echo(json.dumps([
-                    {"value": str(f.value), "valid_from": f.valid_from,
-                     "valid_to": f.valid_to, "created_at": f.created_at}
-                    for f in history
-                ]))
-            else:
-                for fact in history:
-                    click.echo(
-                        f"{fact.valid_from or '-'} .. {fact.valid_to or 'open'}: "
-                        f"{fact.value}"
-                    )
+    wanted = _INSPECT_ARGS[subcommand]
+    if len(args) != len(wanted):
+        raise click.UsageError(f"expected: inspect {' '.join((subcommand, *wanted))}")
+    if subcommand == "entity":
+        try:
+            entity_id = int(args[0].split(":")[-1])
+        except ValueError:
+            raise click.UsageError(f"not an entity id: {args[0]!r}") from None
+    store = _open_store(store_path, create_if_missing=False)
+    if subcommand == "schema":
+        click.echo(schema_viewer().text)
+    elif subcommand == "stats":
+        counts = store.row_counts()
+        if as_json:
+            click.echo(json.dumps(counts, sort_keys=True))
         else:
-            click.echo(f"unknown subcommand: {subcommand}", err=True)
+            for table in sorted(counts):
+                click.echo(f"{table}: {counts[table]}")
+    elif subcommand == "entity":
+        doc = build_entity_document(store, entity_id)
+        if doc is None:
+            click.echo(f"unknown entity: {args[0]}", err=True)
             sys.exit(1)
-    finally:
-        store.close()
+        click.echo(doc)
+    else:
+        name, prop = args
+        row = store.find_entity_by_name(name)
+        if row is None:
+            click.echo(f"unknown entity: {name}", err=True)
+            sys.exit(1)
+        history = store.fact_history(row["entity_id"], prop)
+        if as_json:
+            click.echo(json.dumps([
+                {"value": str(f.value), "valid_from": f.valid_from,
+                 "valid_to": f.valid_to, "created_at": f.created_at}
+                for f in history
+            ]))
+        else:
+            for fact in history:
+                click.echo(
+                    f"{fact.valid_from or '-'} .. {fact.valid_to or 'open'}: "
+                    f"{fact.value}"
+                )
 
 
 @main.command("synth-eval")

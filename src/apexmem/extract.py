@@ -285,7 +285,12 @@ def extract_turn(
     request: ExtractionRequest,
 ) -> CommittedBundle:
     """Run the full pipeline for one committed turn: extract, normalize,
-    resolve, validate, commit. Nothing is committed if validation fails."""
+    resolve, validate, commit. All that depends only on the extractor's
+    output (spans, confidences, participant types and roles, property names,
+    validity expressions, date values and dtype names) is checked before the
+    first write, so a turn that fails it commits nothing. A turn that fails
+    at resolution (a provider's "none", an unresolvable subject) keeps the
+    entities resolved before it."""
     turn = request.turn
     if turn.id is None or store.turn_text(turn.id) is None:
         raise ValidationFailure("turn must be committed before extraction")
@@ -295,6 +300,16 @@ def extract_turn(
     except Exception as exc:
         raise ExtractorFailure(str(exc)) from exc
 
+    anchor = turn.anchor_datetime
+    event_anchor = anchor
+    if bundle.temporal_expression:
+        event_anchor, _ = normalize_temporal(bundle.temporal_expression, anchor)
+    participants = [
+        (participant.mention, ontology.validate_entity_type(participant.etype_name),
+         ontology.validate_role(participant.role_name))
+        for participant in bundle.participants
+    ]
+    checked = []
     for raw in bundle.facts:
         if raw.span is not None:
             start, end = raw.span
@@ -304,32 +319,27 @@ def extract_turn(
                 )
         if not 0.0 <= raw.confidence <= 1.0:
             raise ValidationFailure(f"confidence out of range: {raw.confidence}")
-
-    anchor = turn.anchor_datetime
-    event_anchor = anchor
-    if bundle.temporal_expression:
-        event_anchor, _ = normalize_temporal(bundle.temporal_expression, anchor)
+        value, valid_from, valid_to = _resolve_temporal_value(raw, anchor)
+        resolve.normalize_snake_case(raw.property_name)
+        checked.append((raw, value, valid_from, valid_to, DType(raw.dtype_name)))
 
     index_mod.upsert_embeddings(store, index)
 
     # resolve participant mentions to entity ids
     entity_ids = {}
     participant_rows = []
-    for participant in bundle.participants:
-        etype = ontology.validate_entity_type(participant.etype_name)
-        role = ontology.validate_role(participant.role_name)
+    for mention, etype, role in participants:
         entity_id = _resolve_or_create(
-            store, index, entity_provider, participant.mention, turn.text, etype,
-            created_at=anchor,
+            store, index, entity_provider, mention, turn.text, etype, created_at=anchor,
         )
         if entity_id is None:
             continue
-        entity_ids[ontology.normalize_name(participant.mention).lower()] = entity_id
+        entity_ids[ontology.normalize_name(mention).lower()] = entity_id
         participant_rows.append((entity_id, role))
 
     facts: List[Fact] = []
     evidence: List[Evidence] = []
-    for position, raw in enumerate(bundle.facts):
+    for position, (raw, value, valid_from, valid_to, raw_dtype) in enumerate(checked):
         key = ontology.normalize_name(raw.subject_mention).lower()
         subject_id = entity_ids.get(key)
         if subject_id is None:
@@ -343,7 +353,6 @@ def extract_turn(
                 )
             entity_ids[key] = subject_id
 
-        value, valid_from, valid_to = _resolve_temporal_value(raw, anchor)
         prop_decision = resolve.resolve_property(
             store, index, property_provider, raw.property_name, value
         )
@@ -351,7 +360,7 @@ def extract_turn(
             raise ResolutionFailure(
                 f"property resolution undecided for {raw.property_name!r}"
             )
-        dtype = prop_decision.dtype or DType(raw.dtype_name)
+        dtype = prop_decision.dtype or raw_dtype
         if prop_decision.decision == "propose_new":
             store.append_property(
                 prop_decision.normalized_name, dtype, created_at=anchor

@@ -87,9 +87,7 @@ def cosine(a, b) -> float:
     return float(np.dot(a, b) / (norm_a * norm_b))
 
 
-def bm25_scores(
-    corpus: List[Tuple[int, str]], query: str, k1: float = BM25_K1, b: float = BM25_B
-) -> Dict[int, float]:
+def bm25_scores(corpus: List[Tuple[int, str]], query: str) -> Dict[int, float]:
     """BM25 over (doc_id, text) pairs. Only docs with positive score appear."""
     if not corpus:
         return {}
@@ -113,8 +111,9 @@ def bm25_scores(
                 continue
             df = doc_freq[term]
             idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-            denom = freq + k1 * (1.0 - b + b * length / avgdl) if avgdl else freq
-            score += idf * freq * (k1 + 1.0) / denom
+            denom = (freq + BM25_K1 * (1.0 - BM25_B + BM25_B * length / avgdl)
+                     if avgdl else freq)
+            score += idf * freq * (BM25_K1 + 1.0) / denom
         if score > 0.0:
             scores[doc_id] = score
     return scores
@@ -595,14 +594,11 @@ def hybrid_search(
     kinds: Iterable[str],
     query: str,
     k: int,
-    query_vector: Optional[np.ndarray] = None,
 ) -> List[Tuple[int, str, HybridScore]]:
-    """Fused ranking over the union of dense and lexical candidate pools.
-    ``query_vector``, when given, is ``index.embed(query)``."""
+    """Fused ranking over the union of dense and lexical candidate pools."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if query_vector is None:
-        query_vector = index.embed(query)
+    query_vector = index.embed(query)
     pool = POOL_MULTIPLIER * k
     # (-fused, kind, doc_id, dense, lexical) of every candidate; kind and
     # doc_id are unique, so the raw scores never decide the order

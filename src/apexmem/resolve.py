@@ -93,12 +93,10 @@ def _candidates(ranked: List[Tuple[int, float]], described: dict) -> List[Candid
 
 
 def retrieve_entity_candidates(
-    store: Store, index: VectorIndex, mention: str, k: int = DEFAULT_K
+    store: Store, index: VectorIndex, mention: str
 ) -> List[Candidate]:
-    """Top-k stored entities by cosine similarity to the mention embedding."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ranked = index.nearest("entity", mention, k)
+    """Top-DEFAULT_K stored entities by cosine similarity to the mention embedding."""
+    ranked = index.nearest("entity", mention, DEFAULT_K)
     rows = store.entity_rows(entity_id for entity_id, _ in ranked)
     return _candidates(ranked, {
         entity_id: (row["entity_name"], render_entity_text(
@@ -108,9 +106,9 @@ def retrieve_entity_candidates(
 
 
 def retrieve_property_candidates(
-    store: Store, index: VectorIndex, name: str, k: int = DEFAULT_K
+    store: Store, index: VectorIndex, name: str
 ) -> List[Candidate]:
-    ranked = index.nearest("property", name, k)
+    ranked = index.nearest("property", name, DEFAULT_K)
     rows = store.property_rows(property_id for property_id, _ in ranked)
     return _candidates(ranked, {
         property_id: (name, f"{name} ({dtype})") for property_id, (name, dtype) in rows.items()

@@ -898,9 +898,9 @@ class Store:
         ]
 
     @classmethod
-    def replay(cls, log: list, path: str = ":memory:") -> "Store":
-        """Rebuild a store by re-applying a recorded append log."""
-        store = cls.open(path, create_if_missing=True)
+    def replay(cls, log: list) -> "Store":
+        """Rebuild a store in memory by re-applying a recorded append log."""
+        store = cls.open(":memory:")
         for sequence, payload in log:
             store._write(sequence, payload)
         store._conn.commit()

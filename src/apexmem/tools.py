@@ -10,7 +10,7 @@ import re
 import sqlite3
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .index import VectorIndex, hybrid_search
 from .ontology import temporal_sort_key
@@ -20,56 +20,61 @@ from .store import WHITELISTED_TABLES, Store, table_columns
 ROW_CAP = 200
 CHAR_CAP = 20_000
 
-TOOL_NAMES = ("schema_viewer", "entity_lookup", "graph_sql", "search", "property_search")
+DEFAULT_K = 5
+_MINIMUM = 1  # of every integer argument
 
-# wire contract for external policy providers
-TOOL_ARG_SCHEMAS: Dict[str, dict] = {
-    "schema_viewer": {
-        "type": "object",
-        "properties": {
-            "include_examples": {"type": "boolean"},
-            "include_guide": {"type": "boolean"},
-        },
-        "additionalProperties": False,
-    },
-    "entity_lookup": {
-        "type": "object",
-        "properties": {
-            "query": {"type": "string"},
-            "k": {"type": "integer", "minimum": 1},
-        },
-        "required": ["query"],
-        "additionalProperties": False,
-    },
-    "graph_sql": {
-        "type": "object",
-        "properties": {
-            "sql": {"type": "string"},
-            "params": {"type": "object"},
-        },
-        "required": ["sql"],
-        "additionalProperties": False,
-    },
-    "search": {
-        "type": "object",
-        "properties": {
-            "query": {"type": "string"},
-            "k": {"type": "integer", "minimum": 1},
-        },
-        "required": ["query"],
-        "additionalProperties": False,
-    },
-    "property_search": {
-        "type": "object",
-        "properties": {
-            "query": {"type": "string"},
-            "k": {"type": "integer", "minimum": 1},
-        },
-        "required": ["query"],
-        "additionalProperties": False,
-    },
+
+@dataclass(frozen=True)
+class _Tool:
+    """One agent tool. ``args`` are its arguments as (name, JSON type,
+    required). ``run(toolkit, args, named)`` runs it on checked ``args``
+    and the run's named parameters that ``reads`` lists (None: all)."""
+    args: Tuple[Tuple[str, str, bool], ...]
+    run: Callable[["ToolKit", dict, dict], "ToolResult"]
+    reads: Optional[Tuple[str, ...]] = ()
+
+
+_QUERY_ARGS = (("query", "string", True), ("k", "integer", False))
+
+# Every runner looks its tool up in this module when it runs, so that a
+# wrapper set on the module later (a tracer's) sees the call.
+_TOOLS: Dict[str, _Tool] = {
+    "schema_viewer": _Tool(
+        (("include_examples", "boolean", False), ("include_guide", "boolean", False)),
+        lambda kit, args, named: schema_viewer(**args)),
+    "entity_lookup": _Tool(
+        _QUERY_ARGS,
+        lambda kit, args, named: entity_lookup(
+            kit.store, kit.index, **args, as_of=named.get("question_date")),
+        reads=("question_date",)),
+    "graph_sql": _Tool(
+        (("sql", "string", True), ("params", "object", False)),
+        lambda kit, args, named: graph_sql(
+            kit.store, args["sql"], {**named, **args.get("params", {})}),
+        reads=None),
+    "search": _Tool(
+        _QUERY_ARGS, lambda kit, args, named: search(kit.store, kit.index, **args)),
+    "property_search": _Tool(
+        _QUERY_ARGS, lambda kit, args, named: property_search(kit.store, kit.index, **args)),
 }
 
+TOOL_NAMES = tuple(_TOOLS)
+
+
+def _arg_schema(args: Tuple[Tuple[str, str, bool], ...]) -> dict:
+    schema: dict = {"type": "object", "properties": {
+        name: {"type": kind, "minimum": _MINIMUM} if kind == "integer" else {"type": kind}
+        for name, kind, _required in args
+    }}
+    required = [name for name, _kind, is_required in args if is_required]
+    if required:
+        schema["required"] = required
+    schema["additionalProperties"] = False
+    return schema
+
+
+# wire contract for external policy providers
+TOOL_ARG_SCHEMAS: Dict[str, dict] = {name: _arg_schema(tool.args) for name, tool in _TOOLS.items()}
 
 # JSON Schema's types, as jsonschema checks them: 1.0 is an integer, True is not
 _TYPE_CHECKS = {
@@ -80,54 +85,29 @@ _TYPE_CHECKS = {
         isinstance(value, int) or isinstance(value, float) and value.is_integer()
     ),
 }
-_KEYWORDS = {"type", "properties", "required", "additionalProperties", "minimum"}
 
 
-def _schema_error(schema: dict, value: Any) -> Optional[str]:
-    """The first way ``value`` breaks ``schema``, or None. Only the keywords
-    in ``_KEYWORDS`` are checked; ``_check_supported`` refuses any other."""
-    if "type" in schema and not _TYPE_CHECKS[schema["type"]](value):
-        return f"{value!r} is not of type {schema['type']!r}"
-    if (
-        "minimum" in schema
-        and isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and value < schema["minimum"]
-    ):
-        return f"{value!r} is less than the minimum of {schema['minimum']!r}"
-    if not isinstance(value, dict):
-        return None
-    properties = schema.get("properties", {})
-    for name in schema.get("required", ()):
-        if name not in value:
+def _arg_error(tool: str, args: Any) -> Optional[str]:
+    """The first way ``args`` breaks the named tool's schema, in
+    jsonschema's words, or None."""
+    declared = _TOOLS[tool].args
+    if not isinstance(args, dict):
+        return f"{args!r} is not of type 'object'"
+    for name, _kind, required in declared:
+        if required and name not in args:
             return f"{name!r} is a required property"
-    if schema.get("additionalProperties") is False:
-        extra = [repr(name) for name in value if name not in properties]
-        if extra:
-            return f"additional properties are not allowed ({', '.join(extra)} unexpected)"
-    for name, subschema in properties.items():
-        if name in value:
-            error = _schema_error(subschema, value[name])
-            if error:
-                return f"{name}: {error}"
+    names = [name for name, _kind, _required in declared]
+    extra = [repr(name) for name in args if name not in names]
+    if extra:
+        return f"additional properties are not allowed ({', '.join(extra)} unexpected)"
+    for name, kind, _required in declared:
+        if name in args:
+            value = args[name]
+            if not _TYPE_CHECKS[kind](value):
+                return f"{name}: {value!r} is not of type {kind!r}"
+            if kind == "integer" and value < _MINIMUM:
+                return f"{name}: {value!r} is less than the minimum of {_MINIMUM!r}"
     return None
-
-
-def _check_supported(schema: dict) -> None:
-    """Raise unless ``_schema_error`` checks all of ``schema``."""
-    unknown = set(schema) - _KEYWORDS
-    if schema.get("additionalProperties", False) is not False:
-        unknown.add("additionalProperties")
-    if schema.get("type", "object") not in _TYPE_CHECKS:
-        unknown.add(f"type {schema['type']!r}")
-    if unknown:
-        raise ValueError(f"unsupported JSON Schema keywords: {sorted(unknown)}")
-    for subschema in schema.get("properties", {}).values():
-        _check_supported(subschema)
-
-
-for _schema in TOOL_ARG_SCHEMAS.values():
-    _check_supported(_schema)
 
 
 @dataclass(frozen=True)
@@ -340,7 +320,7 @@ def entity_lookup(
     store: Store,
     index: VectorIndex,
     query: str,
-    k: int = 5,
+    k: int = DEFAULT_K,
     as_of: Optional[str] = None,
 ) -> ToolResult:
     if k < 1:
@@ -432,17 +412,15 @@ _SEARCH_SECTIONS = (
 )
 
 
-def search(store: Store, index: VectorIndex, query: str, k: int = 5) -> ToolResult:
+def search(store: Store, index: VectorIndex, query: str, k: int = DEFAULT_K) -> ToolResult:
     """Four ranked sections: entities, properties, events/evidence, turns.
     A hit whose row the store lacks is left out."""
     if k < 1:
         return ToolResult(ok=False, error="k must be >= 1")
     sections = []
-    query_vector = index.embed(query)
     for title, headers, kinds in _SEARCH_SECTIONS:
         rows = []
-        for doc_id, kind, score in hybrid_search(store, index, kinds, query, k,
-                                                 query_vector=query_vector):
+        for doc_id, kind, score in hybrid_search(store, index, kinds, query, k):
             columns, cells = kinds[kind]
             row = store.kind_row(kind, doc_id, columns)
             if row is not None:
@@ -451,7 +429,7 @@ def search(store: Store, index: VectorIndex, query: str, k: int = 5) -> ToolResu
     return ToolResult(ok=True, text=_cap_text("\n\n".join(sections)))
 
 
-def property_search(store: Store, index: VectorIndex, query: str, k: int = 5) -> ToolResult:
+def property_search(store: Store, index: VectorIndex, query: str, k: int = DEFAULT_K) -> ToolResult:
     if k < 1:
         return ToolResult(ok=False, error="k must be >= 1")
     hits = hybrid_search(store, index, ["property"], query, k)
@@ -478,36 +456,17 @@ class ToolKit:
         self.index = index
 
     def dispatch(self, call: ToolCall, default_params: Optional[dict] = None) -> ToolResult:
-        """Run one call. ``default_params`` are the run's named parameters:
-        GraphSQL binds them, and entity_lookup shows the entity as of their
-        question_date."""
+        """Run one call. ``default_params`` are the run's named parameters;
+        each tool gets those its entry in ``_TOOLS`` reads."""
         if call.tool not in TOOL_NAMES:
             return ToolResult(ok=False, error=f"unknown tool: {call.tool!r}")
-        error = _validate_args(call)
+        error = _arg_error(call.tool, call.args)
         if error:
-            return ToolResult(ok=False, error=error)
-        args = call.args
-        if call.tool == "schema_viewer":
-            return schema_viewer(
-                bool(args.get("include_examples", False)),
-                bool(args.get("include_guide", False)),
-            )
-        if call.tool == "entity_lookup":
-            return entity_lookup(
-                self.store, self.index, args["query"], int(args.get("k", 5)),
-                (default_params or {}).get("question_date"),
-            )
-        if call.tool == "graph_sql":
-            params = dict(default_params or {})
-            params.update(args.get("params") or {})
-            return graph_sql(self.store, args["sql"], params)
-        if call.tool == "search":
-            return search(self.store, self.index, args["query"], int(args.get("k", 5)))
-        return property_search(
-            self.store, self.index, args["query"], int(args.get("k", 5))
-        )
-
-
-def _validate_args(call: ToolCall) -> Optional[str]:
-    error = _schema_error(TOOL_ARG_SCHEMAS[call.tool], call.args)
-    return f"invalid arguments for {call.tool}: {error}" if error else None
+            return ToolResult(ok=False, error=f"invalid arguments for {call.tool}: {error}")
+        tool = _TOOLS[call.tool]
+        args = {name: int(call.args[name]) if kind == "integer" else call.args[name]
+                for name, kind, _required in tool.args if name in call.args}
+        params = default_params or {}
+        if tool.reads is not None:
+            params = {name: params[name] for name in tool.reads if name in params}
+        return tool.run(self, args, params)

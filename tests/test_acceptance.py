@@ -120,7 +120,7 @@ def test_acceptance_2_append_only_invariants():
                 if current[table][: len(rows)] != rows:
                     violations += 1
             previous = current
-        replica = Store.replay(store.append_log(), ":memory:")
+        replica = Store.replay(store.append_log())
         if replica.canonical_dump() != store.canonical_dump():
             violations += 1
         replica.close()

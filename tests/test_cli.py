@@ -244,3 +244,84 @@ def test_conversion_fixture_ingests(runner, tmp_path):
     report = json.loads(result.output)
     assert report["turns"] == 3
     assert report["failed_turns"] == []
+
+
+@pytest.mark.parametrize("args", [["entity"], ["history", "Alice"], ["entity", "abc"]])
+def test_inspect_bad_arguments_are_usage_errors(runner, tmp_path, args):
+    store_path = _ingest_case1(runner, tmp_path)
+    result = runner.invoke(main, ["inspect", *args, "--store", store_path])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Usage:" in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--question-date", "garbage"], "not an ISO-8601 timestamp: 'garbage'"),
+    (["--policy", "script:missing.json"], "policy script missing.json"),
+])
+def test_qa_bad_arguments_are_usage_errors(runner, tmp_path, args, message):
+    store_path = _ingest_case1(runner, tmp_path)
+    result = runner.invoke(main, ["qa", "q", "--store", store_path, *args])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["inspect", "stats"],
+    ["qa", "What is Alice's favorite restaurant?"],
+])
+def test_a_missing_store_is_named_and_not_created(runner, tmp_path, command):
+    store_path = tmp_path / "missing.sqlite"
+    result = runner.invoke(main, [*command, "--store", str(store_path)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: store does not exist: {store_path}" in result.output
+    assert not store_path.exists()
+
+
+@pytest.fixture
+def open_stores(monkeypatch):
+    """The stores opened and not closed yet."""
+    live = []
+    open_store, close_store = Store.open.__func__, Store.close
+
+    def tracked_open(cls, *args, **kwargs):
+        live.append(open_store(cls, *args, **kwargs))
+        return live[-1]
+
+    def tracked_close(self):
+        live.remove(self)
+        close_store(self)
+
+    monkeypatch.setattr(Store, "open", classmethod(tracked_open))
+    monkeypatch.setattr(Store, "close", tracked_close)
+    return live
+
+
+@pytest.mark.parametrize("steps, exit_code", [
+    ([{"tool": "schema_viewer", "args": {}}] * 3, 2),  # budget exhausted
+    ([{"tool": "schema_viewer", "args": {}}], 3),  # the script runs out
+])
+def test_qa_closes_its_store_on_a_failure_exit(runner, tmp_path, open_stores, steps, exit_code):
+    store_path = _ingest_case1(runner, tmp_path)
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(steps))
+    result = runner.invoke(main, [
+        "qa", "q", "--store", store_path, "--max-tool-calls", "3", "--policy", f"script:{script}",
+    ])
+    assert result.exit_code == exit_code, result.output
+    assert open_stores == []
+
+
+def test_ingest_failure_ends_in_a_message_and_closes_its_store(runner, tmp_path, open_stores):
+    gap = tmp_path / "gap.jsonl"
+    gap.write_text("".join(json.dumps({
+        "session_id": "s", "ordinal": ordinal, "speaker": "A", "listener": "B",
+        "text": "hi", "anchor_datetime": "2024-01-01T00:00:00Z",
+    }) + "\n" for ordinal in (0, 2)))
+    result = runner.invoke(main, ["ingest", str(gap), "--store", str(tmp_path / "s.sqlite")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error: session ordinals are not contiguous" in result.output
+    assert open_stores == []

@@ -1,8 +1,11 @@
 import pytest
 
-from apexmem.errors import UnparseableTemporal, ValidationFailure
+from apexmem.errors import ApexMemError, UnparseableTemporal, ValidationFailure
 from apexmem.extract import (
     ExtractionRequest,
+    RawEventBundle,
+    RawFact,
+    RawParticipant,
     ReferenceExtractor,
     extract_turn,
     ingest_session,
@@ -106,6 +109,33 @@ def test_extract_turn_event_anchored_to_resolved_temporal(store, index):
     fact = store.latest_fact(melanie["entity_id"], "activities_participated",
                              "2030-01-01T00:00:00Z")
     assert fact.value == "pottery class"
+
+
+class _FixedExtractor:
+    def __init__(self, bundle):
+        self.bundle = bundle
+
+    def extract(self, request):
+        return self.bundle
+
+
+@pytest.mark.parametrize("fact", [
+    RawFact("Alice", "!!!", "tea", "str"),
+    RawFact("Alice", "favorite_drink", "tea", "str", validity_expression="someday"),
+    RawFact("Alice", "birthday", "soon", "date"),
+])
+def test_a_turn_that_fails_validation_commits_nothing(store, index, fact):
+    """A fact the extractor's output alone makes invalid fails the turn
+    before its participants or the fact's subject are committed."""
+    [turn_id] = store.append_turns([Turn(None, "s", "Zed", "Zed", "hello", ANCHOR, 0)])
+    bundle = RawEventBundle(
+        "conversation", participants=(RawParticipant("Zed", "Person", "Speaker"),),
+        facts=(fact,))
+    provider = RuleBasedProvider()
+    with pytest.raises(ApexMemError):
+        extract_turn(store, index, _FixedExtractor(bundle), provider, provider,
+                     ExtractionRequest(Turn(turn_id, "s", "Zed", "Zed", "hello", ANCHOR, 0)))
+    assert {table: n for table, n in store.row_counts().items() if n} == {"turns": 1}
 
 
 def test_extract_links_evidence_spans(store, index):

@@ -119,7 +119,7 @@ def test_a_provider_that_returns_no_decision_is_refused(store, index, resolve):
 
 def test_retrieve_entity_candidates_scores_in_unit_interval(store, index):
     ingest_case1(store, index)
-    for candidate in retrieve_entity_candidates(store, index, "garden", 10):
+    for candidate in retrieve_entity_candidates(store, index, "garden"):
         assert 0.0 <= candidate.score <= 1.0
 
 

@@ -336,7 +336,7 @@ def test_replay_reconstructs_store(store, tmp_path):
                 "2024-01-01", None, 1.0, "2024-01-01T00:00:00Z")
     store.append_event_bundle(_event(), [fact], [], [(subject, Role.Speaker)])
     log = store.append_log()
-    replica = Store.replay(log, ":memory:")
+    replica = Store.replay(log)
     assert replica.canonical_dump() == store.canonical_dump()
     replica.close()
 
