@@ -158,8 +158,14 @@ def ingest(config, transcript, store_path, as_json):
     """Ingest a JSONL transcript into a store."""
     try:
         sessions = read_transcript(transcript)
+        # every session is checked before the first one is committed
+        sessions = [extract_mod.in_ordinal_order(sessions[session_id])
+                    for session_id in sorted(sessions)]
     except ParseError as exc:
         click.echo(f"parse error: {exc}", err=True)
+        sys.exit(1)
+    except ValidationFailure as exc:
+        click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 
     extractor, decider, embedder = build_pipeline(config)
@@ -169,10 +175,9 @@ def ingest(config, transcript, store_path, as_json):
     failures = []
     turns = 0
     try:
-        for session_id in sorted(sessions):
+        for session in sessions:
             outcomes = extract_mod.ingest_session(
-                store, index, extractor, decider, decider,
-                sessions[session_id],
+                store, index, extractor, decider, decider, session,
             )
             turns += len(outcomes)
             failures.extend(o for o in outcomes if not o.ok)
@@ -302,22 +307,26 @@ _INSPECT_ARGS = {"schema": (), "stats": (), "entity": ("<id>",),
 @main.command()
 @click.argument("subcommand", type=click.Choice(list(_INSPECT_ARGS)))
 @click.argument("args", nargs=-1)
-@click.option("--store", "store_path", required=True)
+@click.option("--store", "store_path", default=None,
+              help="store file path; schema, which is static, needs none")
 @click.option("--json", "as_json", is_flag=True)
 def inspect(subcommand, args, store_path, as_json):
     """Inspect a store: schema | entity <id> | history <entity> <property> | stats."""
     wanted = _INSPECT_ARGS[subcommand]
     if len(args) != len(wanted):
         raise click.UsageError(f"expected: inspect {' '.join((subcommand, *wanted))}")
+    if subcommand == "schema":
+        click.echo(schema_viewer().text)
+        return
+    if store_path is None:
+        raise click.UsageError(f"Missing option '--store' for inspect {subcommand}.")
     if subcommand == "entity":
         try:
             entity_id = int(args[0].split(":")[-1])
         except ValueError:
             raise click.UsageError(f"not an entity id: {args[0]!r}") from None
     store = _open_store(store_path, create_if_missing=False)
-    if subcommand == "schema":
-        click.echo(schema_viewer().text)
-    elif subcommand == "stats":
+    if subcommand == "stats":
         counts = store.row_counts()
         if as_json:
             click.echo(json.dumps(counts, sort_keys=True))

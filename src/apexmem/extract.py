@@ -441,6 +441,18 @@ class TurnOutcome:
     error: Optional[str] = None
 
 
+def in_ordinal_order(session: List[Turn]) -> List[Turn]:
+    """The session's turns sorted by ordinal. Their ordinals must be
+    contiguous; ``ValidationFailure`` names the session otherwise."""
+    session = sorted(session, key=lambda t: t.ordinal)
+    ordinals = [t.ordinal for t in session]
+    if ordinals and ordinals != list(range(ordinals[0], ordinals[0] + len(ordinals))):
+        raise ValidationFailure(
+            f"session ordinals are not contiguous: session {session[0].session_id!r} "
+            f"has ordinals {ordinals}")
+    return session
+
+
 def ingest_session(
     store: Store,
     index: VectorIndex,
@@ -451,11 +463,7 @@ def ingest_session(
 ) -> List[TurnOutcome]:
     """Commit the session's turns, then extract each in ordinal order with a
     sliding context window. Per-turn failures are recorded, not raised."""
-    session = sorted(session, key=lambda t: t.ordinal)
-    ordinals = [t.ordinal for t in session]
-    if ordinals and ordinals != list(range(ordinals[0], ordinals[0] + len(ordinals))):
-        raise ValidationFailure("session ordinals are not contiguous")
-
+    session = in_ordinal_order(session)
     turn_ids = store.append_turns(session)
     committed_turns = [
         Turn(

@@ -12,6 +12,7 @@ row. Scores are bit-identical to scoring every row.
 """
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -349,6 +350,21 @@ class _Entries(Mapping):
         return self._vectors[kind].vector(doc_id)
 
 
+def _record(kind: str, doc_id: int, vector: np.ndarray) -> str:
+    """One sidecar line. ``buckets`` is base64 of the little-endian int32
+    positions of the vector's nonzero entries, and ``values`` base64 of those
+    entries as little-endian float64. Entries are picked by bit pattern, so
+    -0.0 is kept and every vector reloads bit for bit. Earlier sidecars hold
+    the whole vector as a JSON list, ``vector``, which still loads."""
+    buckets = np.flatnonzero(vector.view(np.int64)).astype("<i4")
+    return json.dumps({
+        "kind": kind,
+        "doc_id": doc_id,
+        "buckets": base64.b64encode(buckets.tobytes()).decode("ascii"),
+        "values": base64.b64encode(vector[buckets].astype("<f8").tobytes()).decode("ascii"),
+    }) + "\n"
+
+
 def kind_documents(store: Store, kind: str, after_id: int = 0) -> List[Tuple[int, str]]:
     """The (doc_id, text) rows of one kind that ``upsert_embeddings`` embeds,
     limited to ids above ``after_id``. The lexical channel reads the same
@@ -370,10 +386,12 @@ class VectorIndex:
         self.entries = _Entries(self._vectors)
         # highest doc_id held per kind; rows are immutable and ids only grow
         self.high_water: Dict[str, int] = {}
-        # keys embedded since the last save, which save() appends to the
-        # sidecar; an index without a file keeps no such list
-        self._unsaved: Optional[List[Tuple[str, int]]] = None
-        # bytes of whole records in the sidecar; anything past them is torn
+        # (kind, doc_id, vector) embedded since the last save, which save()
+        # appends to the sidecar; an index without a file keeps no such list
+        self._unsaved: Optional[List[Tuple[str, int, np.ndarray]]] = None
+        # whether this index has loaded or created the sidecar, and the
+        # bytes of whole records in it; anything past them is torn
+        self._on_disk = False
         self._saved_bytes = 0
         # the store the postings were read from; another store resets them
         self._lexical_store = None
@@ -393,32 +411,49 @@ class VectorIndex:
     def _load(self) -> None:
         """Read the sidecar's JSON lines. A final line without its newline is
         a record torn by a crash: it is dropped here and cut off by the next
-        save, and ``upsert_embeddings`` embeds its row again. Any other
-        malformed line raises."""
+        save, and ``upsert_embeddings`` embeds its row again. A record whose
+        vector does not fit the embedder's dimension raises
+        ``DimensionMismatch``; any other malformed line raises."""
         if not os.path.exists(self.path):
             return
         with open(self.path, "rb") as handle:
-            for line in handle:
+            for line_number, line in enumerate(handle, start=1):
                 if not line.endswith(b"\n"):
                     break
                 record = json.loads(line)
-                self._put(
-                    record["kind"],
-                    record["doc_id"],
-                    np.array(record["vector"], dtype=np.float64),
-                )
+                self._put(record["kind"], record["doc_id"],
+                          self._vector(record, line_number))
                 self._saved_bytes += len(line)
+        self._on_disk = True
+
+    def _vector(self, record: dict, line_number: int) -> np.ndarray:
+        """The vector of a sidecar record, in either form ``_record`` names."""
+        where = f"sidecar {self.path} line {line_number}"
+        if "vector" in record:
+            vector = np.array(record["vector"], dtype=np.float64)
+            if vector.shape != (self.dimension,):
+                raise DimensionMismatch(
+                    f"{where}: vector of shape {vector.shape}, expected ({self.dimension},)")
+            return vector
+        buckets = np.frombuffer(base64.b64decode(record["buckets"], validate=True), "<i4")
+        values = np.frombuffer(base64.b64decode(record["values"], validate=True), "<f8")
+        if buckets.size and not 0 <= buckets.min() <= buckets.max() < self.dimension:
+            raise DimensionMismatch(
+                f"{where}: buckets {buckets.min()}..{buckets.max()} "
+                f"outside dimension {self.dimension}")
+        vector = np.zeros(self.dimension)
+        vector[buckets] = values
+        return vector
 
     def save(self) -> None:
         """Append the vectors embedded since the last save to the sidecar,
-        one JSON line each, in the order they were embedded. The file exists
-        afterwards even when nothing was new."""
-        if self.path is None:
+        one ``_record`` line each, in the order they were embedded. The first
+        save creates the file even when nothing is new; a later one with
+        nothing new does not open it."""
+        if self.path is None or (self._on_disk and not self._unsaved):
             return
         payload = "".join(
-            json.dumps({"kind": kind, "doc_id": doc_id,
-                        "vector": self.entries[kind, doc_id].tolist()}) + "\n"
-            for kind, doc_id in self._unsaved
+            _record(kind, doc_id, vector) for kind, doc_id, vector in self._unsaved
         ).encode("utf-8")
         with open(self.path, "a+b") as handle:
             size = handle.tell()
@@ -433,6 +468,7 @@ class VectorIndex:
                     raise IoFailure(f"sidecar {self.path} was appended to by another writer")
                 handle.truncate(self._saved_bytes)
             handle.write(payload)
+        self._on_disk = True
         self._saved_bytes += len(payload)
         self._unsaved.clear()
 
@@ -463,9 +499,10 @@ class VectorIndex:
     def upsert(self, kind: str, doc_id: int, text: str) -> bool:
         if (kind, doc_id) in self.entries:
             return False
-        self._put(kind, doc_id, self.embed(text))
+        vector = self.embed(text)
+        self._put(kind, doc_id, vector)
         if self._unsaved is not None:
-            self._unsaved.append((kind, doc_id))
+            self._unsaved.append((kind, doc_id, vector))
         return True
 
     def _put(self, kind: str, doc_id: int, vector: np.ndarray) -> None:

@@ -216,6 +216,26 @@ def test_inspect_entity_document(runner, tmp_path):
     assert result.exit_code == 0
 
 
+def test_inspect_schema_needs_no_store(runner, tmp_path):
+    missing = tmp_path / "missing.sqlite"
+    for store_args in ([], ["--store", str(missing)]):
+        result = runner.invoke(main, ["inspect", "schema", *store_args])
+        assert result.exit_code == 0, result.output
+        assert "- entities(entity_id, entity_name" in result.output
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["stats"], ["entity", "1"], ["history", "Alice", "favorite_restaurant"],
+])
+def test_inspect_of_a_store_without_store_is_a_usage_error(runner, args):
+    result = runner.invoke(main, ["inspect", *args])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Usage:" in result.output
+    assert "Missing option '--store'" in result.output
+
+
 def test_synth_eval_command_deterministic(runner):
     args = ["synth-eval", "--seed", "7", "--n-sessions", "6", "--json"]
     first = runner.invoke(main, args)
@@ -325,3 +345,40 @@ def test_ingest_failure_ends_in_a_message_and_closes_its_store(runner, tmp_path,
     assert isinstance(result.exception, SystemExit)
     assert "error: session ordinals are not contiguous" in result.output
     assert open_stores == []
+
+
+def test_an_ingest_failure_in_a_session_closes_its_store(runner, tmp_path, open_stores):
+    """A gap in the ordinals ends the run before the store opens; a turn
+    committed twice fails after it."""
+    store_path = _ingest_case1(runner, tmp_path)
+    result = runner.invoke(main, ["ingest", fixture_path("case1.jsonl"), "--store", store_path])
+    assert result.exit_code == 1, result.output
+    assert "error: duplicate turn" in result.output
+    assert open_stores == []
+
+
+def test_ingest_checks_every_session_before_it_commits_one(runner, tmp_path):
+    """Session b's ordinals skip 1: the run ends before session a is
+    committed, so the mended file can be ingested afterwards."""
+    bad = fixture_path("bad_ordinals.jsonl")
+    fresh = tmp_path / "fresh.sqlite"
+    result = runner.invoke(main, ["ingest", bad, "--store", str(fresh)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error: session ordinals are not contiguous: session 'b' has ordinals [0, 2]" \
+        in result.output
+    assert not fresh.exists()
+
+    store_path = _ingest_case1(runner, tmp_path)
+    stats = runner.invoke(main, ["inspect", "stats", "--store", store_path, "--json"]).output
+    sidecar = open(VectorIndex.sidecar_path(store_path), "rb").read()
+    result = runner.invoke(main, ["ingest", bad, "--store", store_path])
+    assert result.exit_code == 1, result.output
+    assert runner.invoke(main, ["inspect", "stats", "--store", store_path, "--json"]).output == stats
+    assert open(VectorIndex.sidecar_path(store_path), "rb").read() == sidecar
+
+    mended = tmp_path / "mended.jsonl"
+    mended.write_text(open(bad, encoding="utf-8").read().replace('"ordinal": 2', '"ordinal": 1'))
+    result = runner.invoke(main, ["ingest", str(mended), "--store", store_path, "--json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["turns"] == 4

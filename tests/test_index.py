@@ -1,7 +1,10 @@
+import base64
 import gc
 import json
 import math
 import os
+import re
+import struct
 import tempfile
 import weakref
 from collections import Counter
@@ -371,6 +374,125 @@ def test_in_memory_index_keeps_no_unsaved_list(store, index):
     assert index.entries
     assert index._unsaved is None
     index.save()  # no file: nothing to do
+
+
+def test_save_with_nothing_new_does_not_open_the_sidecar(tmp_path, monkeypatch):
+    disk_store, index = _disk_case1(tmp_path)
+    reopened = VectorIndex(path=index.path)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the sidecar was opened")
+
+    monkeypatch.setattr(index_mod, "open", refused, raising=False)
+    index.save()  # created the file
+    reopened.save()  # loaded it
+    disk_store.close()
+
+
+def test_a_record_holds_the_bytes_of_its_nonzero_buckets(tmp_path):
+    """Little-endian int32 buckets and float64 values, base64 encoded; a
+    -0.0 is a nonzero bit pattern and is kept."""
+    vector = np.zeros(TrigramEmbedder.dimension)
+    vector[[1, 3, 200]] = [-0.0, 0.5, 5e-324]
+    index = VectorIndex(_TableEmbedder({"v": vector}), path=str(tmp_path / "db.sqlite.vec"))
+    index.upsert("entity", 7, "v")
+    index.save()
+    (line,) = _sidecar_lines(index)
+    assert json.loads(line) == {
+        "kind": "entity", "doc_id": 7,
+        "buckets": base64.b64encode(struct.pack("<3i", 1, 3, 200)).decode("ascii"),
+        "values": base64.b64encode(struct.pack("<3d", -0.0, 0.5, 5e-324)).decode("ascii"),
+    }
+    assert VectorIndex(path=index.path).entries["entity", 7].tobytes() == vector.tobytes()
+
+
+def _write_sidecar(path, records):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(json.dumps(record) + "\n" for record in records)
+
+
+def test_an_old_form_vector_of_another_dimension_is_refused(tmp_path):
+    path = str(tmp_path / "db.sqlite.vec")
+    _write_sidecar(path, [
+        {"kind": "entity", "doc_id": 1, "vector": TrigramEmbedder().embed("Alice").tolist()},
+        {"kind": "entity", "doc_id": 2, "vector": [0.5] * 10},
+    ])
+    with pytest.raises(DimensionMismatch, match=f"sidecar {re.escape(path)} line 2: "):
+        VectorIndex(path=path)
+
+
+def test_a_bucket_outside_the_dimension_is_refused(tmp_path):
+    path = str(tmp_path / "db.sqlite.vec")
+    _write_sidecar(path, [{
+        "kind": "entity", "doc_id": 1,
+        "buckets": base64.b64encode(struct.pack("<2i", 3, 256)).decode("ascii"),
+        "values": base64.b64encode(struct.pack("<2d", 0.6, 0.8)).decode("ascii"),
+    }])
+    with pytest.raises(DimensionMismatch, match=f"sidecar {re.escape(path)} line 1: "):
+        VectorIndex(path=path)
+
+
+class _TableEmbedder:
+    """Maps each text to the vector it was given."""
+
+    dimension = TrigramEmbedder.dimension
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def embed(self, text):
+        return self.vectors[text]
+
+
+def _sparse(entries):
+    vector = np.zeros(_TableEmbedder.dimension)
+    for bucket, value in entries.items():
+        vector[bucket] = value
+    return vector
+
+
+# every float64: NaNs, infinities, subnormals and both zeros
+_FLOATS = st.floats(width=64)
+_ANY_VECTOR = st.one_of(
+    # sparse, as the trigram embedder's are
+    st.dictionaries(st.integers(0, _TableEmbedder.dimension - 1), _FLOATS, max_size=8)
+    .map(_sparse),
+    # dense, as a plugin embedder's may be
+    st.lists(_FLOATS, min_size=_TableEmbedder.dimension, max_size=_TableEmbedder.dimension)
+    .map(np.array),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_ANY_VECTOR, min_size=1, max_size=4), st.integers(min_value=0))
+@example([_sparse({5: -0.0})], 0)
+@example([_sparse({0: 5e-324, 9: -1e-310})], 17)
+@example([np.linspace(-1.0, 1.0, _TableEmbedder.dimension), _sparse({200: 1.0})], 3)
+def test_any_vector_reloads_bit_for_bit_and_a_torn_last_record_is_written_again(vectors, cut):
+    """Save then reload gives every vector's bytes back. Cutting the file
+    at any offset inside its last record drops exactly that record, and
+    the next ``upsert_embeddings`` writes it again, byte for byte."""
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "db.sqlite.vec")
+        embedder = _TableEmbedder({f"v{number}": v for number, v in enumerate(vectors)})
+        store = Store.open(":memory:")
+        _add_entities(store, list(embedder.vectors))
+        index = VectorIndex(embedder, path=path)
+        assert upsert_embeddings(store, index) == len(vectors)
+        keys = list(index.entries)
+        reloaded = VectorIndex(embedder, path=path)
+        assert list(reloaded.entries) == keys
+        assert [reloaded.entries[key].tobytes() for key in keys] == [
+            vector.tobytes() for vector in vectors]
+        saved = open(path, "rb").read()
+        last = saved.rfind(b"\n", 0, len(saved) - 1) + 1
+        with open(path, "r+b") as handle:
+            handle.truncate(last + cut % (len(saved) - last))
+        torn = VectorIndex(embedder, path=path)
+        assert list(torn.entries) == keys[:-1]
+        assert upsert_embeddings(store, torn) == 1
+        assert open(path, "rb").read() == saved
+        store.close()
 
 
 def test_hybrid_search_finds_entity(store, index):
