@@ -181,7 +181,6 @@ def ingest(config, transcript, store_path, as_json):
             )
             turns += len(outcomes)
             failures.extend(o for o in outcomes if not o.ok)
-        index.save()
     except ApexMemError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
@@ -252,8 +251,8 @@ def _load_policy(spec: Optional[str]):
 def qa(config, question, store_path, question_date, max_tool_calls, trace,
        policy_spec, corpus_path, theta_rel, as_json):
     """Answer a question using the agent loop. Exit 0 answered, 1 no such
-    store or a bad corpus, 2 budget exhausted or a bad argument, 3 provider
-    failure. Only --online creates a store."""
+    store or a bad corpus, 2 a bad argument, 3 provider failure, 4 budget
+    exhausted. Only --online creates a store."""
     try:
         corpus = read_corpus(corpus_path) if corpus_path else None
     except ParseError as exc:
@@ -288,7 +287,7 @@ def qa(config, question, store_path, question_date, max_tool_calls, trace,
         sys.exit(3)
     if transcript.terminated_reason == "budget_exhausted":
         click.echo("budget exhausted without an answer", err=True)
-        sys.exit(2)
+        sys.exit(4)
     if as_json:
         click.echo(json.dumps({
             "answer": transcript.answer.text,

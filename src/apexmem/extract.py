@@ -462,8 +462,26 @@ def ingest_session(
     session: List[Turn],
 ) -> List[TurnOutcome]:
     """Commit the session's turns, then extract each in ordinal order with a
-    sliding context window. Per-turn failures are recorded, not raised."""
+    sliding context window, all in one write session of the store. Per-turn
+    failures are recorded, not raised, and each rolls back only its own
+    appends. The vectors of the new rows are appended to the sidecar once,
+    after the session's commit. If the commit fails (``IoFailure``), or an
+    exception escapes, nothing of the session is kept: the store rolls it
+    back and the index goes back to its sidecar, or to nothing without one."""
     session = in_ordinal_order(session)
+    try:
+        with store.write_session():
+            outcomes = _extract_session(
+                store, index, extractor, entity_provider, property_provider, session)
+    except BaseException:
+        index.reload()
+        raise
+    index.save()
+    return outcomes
+
+
+def _extract_session(store, index, extractor, entity_provider, property_provider,
+                     session: List[Turn]) -> List[TurnOutcome]:
     turn_ids = store.append_turns(session)
     committed_turns = [
         Turn(

@@ -382,6 +382,15 @@ class VectorIndex:
         self.embedder = embedder or TrigramEmbedder()
         self.path = path
         self.dimension = self.embedder.dimension
+        # text -> its vector, for the last EMBEDDINGS_KEPT texts embedded
+        self._embedded: Dict[str, np.ndarray] = {}
+        self.reload()
+
+    def reload(self) -> None:
+        """Drop every vector and posting the index holds, and read the
+        sidecar again: the index then holds what is durable, the sidecar's
+        vectors or none. The vectors of embedded texts are kept, since the
+        embedder maps a text to the same vector whatever the store holds."""
         self._vectors: Dict[str, _Vectors] = {}
         self.entries = _Entries(self._vectors)
         # highest doc_id held per kind; rows are immutable and ids only grow
@@ -398,9 +407,7 @@ class VectorIndex:
         self._postings: Dict[str, _Postings] = {}
         # per kind, the vector count and the nearest() results taken at it
         self._nearest: Dict[str, Tuple[int, Dict[Tuple[str, int], list]]] = {}
-        # text -> its vector, for the last EMBEDDINGS_KEPT texts embedded
-        self._embedded: Dict[str, np.ndarray] = {}
-        if path is not None:
+        if self.path is not None:
             self._unsaved = []
             self._load()
 
@@ -576,8 +583,11 @@ def _has_rows_above(last_ids: Dict[str, int], kind: str, high_water: int) -> boo
 
 def upsert_embeddings(store: Store, index: VectorIndex) -> int:
     """Index every row above the index's highest doc_id of its kind. Rows
-    are read in ascending id order, so this is idempotent and resumable:
-    partial progress is saved before an embedder failure propagates."""
+    are read in ascending id order, so this is idempotent and resumable.
+    Outside a write session the new vectors are saved, even those of a
+    call that fails part way, an embedder failure say. Inside one nothing is
+    saved, so that the sidecar never holds a vector of a row that is not
+    committed: whoever ends the session saves after its commit."""
     indexed = 0
     last_ids = store.last_ids()
     try:
@@ -588,10 +598,9 @@ def upsert_embeddings(store: Store, index: VectorIndex) -> int:
             for doc_id, text in kind_documents(store, kind, after_id):
                 if index.upsert(kind, doc_id, text):
                     indexed += 1
-    except EmbedderFailure:
-        index.save()
-        raise
-    index.save()
+    finally:
+        if not store.in_write_session:
+            index.save()
     return indexed
 
 

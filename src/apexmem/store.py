@@ -11,9 +11,10 @@ import json
 import sqlite3
 from bisect import bisect_right
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from urllib.parse import quote
 
 from . import ontology
@@ -232,6 +233,14 @@ class _Subject:
     lines: Dict[int, Tuple[str, str]] = field(default_factory=dict)
 
 
+def _io_failure(path: str, outcome: str, exc: sqlite3.Error) -> IoFailure:
+    """The error of a write that did not happen, naming the store; a lock
+    held by another connection is named as such."""
+    if "locked" in str(exc):
+        return IoFailure(f"store {path} is locked by another writer; {outcome}: {exc}")
+    return IoFailure(f"store {path}: {outcome}: {exc}")
+
+
 def _cutoff(as_of: Optional[str]) -> Optional[str]:
     return None if as_of is None else temporal_sort_key(as_of)
 
@@ -249,6 +258,8 @@ class Store:
         # PRAGMA data_version they were read at
         self._last_ids: Dict[str, int] = {}
         self._data_version: Optional[int] = None
+        # whether a write_session() transaction is open
+        self._writing = False
         # base rows are never updated, so each entities and properties row
         # is read from SQLite once per store and kept decoded: an entity as
         # its dict, a property as its (property_name, dtype)
@@ -343,8 +354,10 @@ class Store:
     def _sync_ids(self) -> None:
         """Reload the ids if another connection has committed since they
         were read; a commit on this connection leaves data_version as it is.
-        A ``:memory:`` store has no other connection, so it reads nothing."""
-        if self.path == ":memory:":
+        A ``:memory:`` store has no other connection, and no other writer
+        can commit while a write session holds the lock, so neither reads
+        anything."""
+        if self.path == ":memory:" or self._writing:
             return
         if self._conn.execute("PRAGMA data_version").fetchone()[0] != self._data_version:
             self._load_ids()
@@ -368,21 +381,84 @@ class Store:
 
     # -- commits -------------------------------------------------------
 
+    @property
+    def in_write_session(self) -> bool:
+        """Whether a ``write_session`` is open, so that appends are not yet
+        durable."""
+        return self._writing
+
+    @contextmanager
+    def write_session(self) -> Iterator[None]:
+        """Run the body as one write transaction: ``BEGIN IMMEDIATE`` takes
+        the write lock, the ids are synced once, each append is a savepoint
+        that a failure rolls back alone, and one ``COMMIT`` ends it. If the
+        COMMIT fails, or an exception escapes the body, the whole session
+        rolls back and the store forgets what it kept since it began: the
+        ids are read again and the kept rows and histories dropped. A failed
+        COMMIT raises ``IoFailure``; a store that another writer has locked
+        raises it before any write."""
+        try:
+            self._conn.execute("BEGIN IMMEDIATE")
+        except sqlite3.OperationalError as exc:
+            raise _io_failure(self.path, "no write session was begun", exc) from exc
+        try:
+            # once the lock is held no other writer can commit, so the ids
+            # are synced here, and not again until the session ends
+            self._sync_ids()
+            self._writing = True
+            yield
+        except BaseException:
+            self._roll_back()
+            raise
+        try:
+            self._conn.execute("COMMIT")
+        except BaseException as exc:
+            self._roll_back()
+            if isinstance(exc, sqlite3.Error):
+                raise _io_failure(self.path, "the write session was rolled back", exc) from exc
+            raise
+        self._writing = False
+
+    def _roll_back(self) -> None:
+        """End a write session without its rows, and drop everything kept
+        since it began."""
+        self._writing = False
+        self._conn.rollback()
+        self._load_ids()
+        self._entity_memo.clear()
+        self._property_memo.clear()
+        self._subjects.clear()
+        self._batch_texts = {}
+
     def _commit(self, payload: dict) -> None:
-        """Apply one logged batch of row inserts atomically. The caller has
-        synced the ids and numbered the rows from them; the ids advance only
-        once the commit has succeeded."""
+        """Apply one logged batch of row inserts atomically: in a write
+        session as a savepoint, which a failure rolls back alone, otherwise
+        as its own transaction. The caller has synced the ids and numbered
+        the rows from them; the ids advance only once the batch is applied."""
         sequence = self._last_ids["append_log"] + 1
+        in_session = self._writing
+        if in_session:
+            # SQLite may roll a whole transaction back on an I/O error; an
+            # append must not then commit on its own
+            if not self._conn.in_transaction:
+                raise IoFailure(f"store {self.path}: the write session was rolled back"
+                                " by an earlier failed write")
+            self._conn.execute("SAVEPOINT append")
         try:
             self._write(sequence, payload)
-            self._conn.commit()
+            if in_session:
+                self._conn.execute("RELEASE append")
+            else:
+                self._conn.commit()
         except Exception as exc:
-            self._conn.rollback()
+            if not in_session:
+                self._conn.rollback()
+            elif self._conn.in_transaction:
+                self._conn.execute("ROLLBACK TO append")
+                self._conn.execute("RELEASE append")
             if isinstance(exc, sqlite3.OperationalError) and "locked" in str(exc):
-                raise IoFailure(
-                    f"store {self.path} is locked by another writer;"
-                    f" {payload['op']} commit rolled back: {exc}"
-                ) from exc
+                raise _io_failure(
+                    self.path, f"{payload['op']} commit rolled back", exc) from exc
             raise
         self._last_ids["append_log"] = sequence
         for table, rows in payload["rows"].items():

@@ -376,7 +376,8 @@ def graph_sql(store: Store, statement: str, params: Optional[dict] = None) -> To
         cursor.execute(statement + _GRAPH_SQL_MARK, bound)
         headers = [d[0] for d in cursor.description or []]
         rows = cursor.fetchmany(ROW_CAP + 1)
-    except sqlite3.Error as exc:
+    # OverflowError: a parameter is an integer SQLite cannot hold
+    except (sqlite3.Error, OverflowError) as exc:
         return ToolResult(ok=False, error=f"SqlRuntimeError: {exc}")
     finally:
         authorizer.active = False

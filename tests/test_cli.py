@@ -149,7 +149,7 @@ def test_qa_budget_exhaustion_exit_code(runner, tmp_path):
         "qa", "q", "--store", store_path,
         "--max-tool-calls", "3", "--policy", f"script:{script}",
     ])
-    assert result.exit_code == 2
+    assert result.exit_code == 4
 
 
 def test_qa_provider_failure_exit_code(runner, tmp_path):
@@ -320,7 +320,7 @@ def open_stores(monkeypatch):
 
 
 @pytest.mark.parametrize("steps, exit_code", [
-    ([{"tool": "schema_viewer", "args": {}}] * 3, 2),  # budget exhausted
+    ([{"tool": "schema_viewer", "args": {}}] * 3, 4),  # budget exhausted
     ([{"tool": "schema_viewer", "args": {}}], 3),  # the script runs out
 ])
 def test_qa_closes_its_store_on_a_failure_exit(runner, tmp_path, open_stores, steps, exit_code):

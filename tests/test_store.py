@@ -22,7 +22,7 @@ from apexmem.extract import ingest_session
 from apexmem.index import VectorIndex, upsert_embeddings
 from apexmem.ontology import DType, Event, Evidence, Fact, Role, Turn, temporal_sort_key
 from apexmem.store import SCHEMA_VERSION, Store, WHITELISTED_TABLES
-from apexmem.tools import entity_lookup, graph_sql
+from apexmem.tools import entity_lookup, graph_sql, search
 from conftest import corpus_sessions, ingest_case1, load_gen, reference_pipeline
 
 
@@ -900,6 +900,181 @@ def test_file_backed_ingest_statements_per_turn(tmp_path):
     assert corpus.n_turns == 120
     assert len(statements) / corpus.n_turns <= 17
     assert [sql for sql in statements if "MAX(" in sql.upper()] == []
+    store.close()
+
+
+def test_a_file_backed_session_commits_once(tmp_path):
+    """A 6-turn session is one write transaction: one BEGIN IMMEDIATE, one
+    COMMIT and a savepoint per append. The ids are synced once, as soon as
+    the write lock is held, and no append reads data_version."""
+    path = str(tmp_path / "db.sqlite")
+    corpus = load_gen().make_corpus(1, 8, 3, 6, tag="file")
+    first, second = corpus_sessions(corpus)[:2]
+    assert len(second) == 6
+    # another handle commits first, so the session must sync its ids
+    other = Store.open(path)
+    _ingest(other, VectorIndex(), [first])
+    store = Store.open(path)
+    _ingest(other, VectorIndex(), [[_turn("elsewhere", 0)]])
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    _ingest(store, VectorIndex(), [second])
+    store._conn.set_trace_callback(None)
+    transactions = [sql for sql in statements if sql.startswith(("BEGIN", "COMMIT"))]
+    assert transactions == ["BEGIN IMMEDIATE", "COMMIT"]
+    begun = statements.index("BEGIN IMMEDIATE")
+    assert statements[begun + 1] == "PRAGMA data_version"
+    first_append = statements.index("SAVEPOINT append")
+    assert not any("data_version" in sql for sql in statements[first_append:])
+    assert statements.count("SAVEPOINT append") == statements.count("RELEASE append") > 6
+    log = store.append_log()
+    assert [sequence for sequence, _ in log] == list(range(1, len(log) + 1))
+    assert other.last_ids() == store.last_ids()
+    other.close()
+    store.close()
+
+
+class _FailingCommit:
+    """A connection whose COMMIT statement fails; all else goes through."""
+
+    def __init__(self, conn, seen):
+        self._conn = conn
+        self._seen = seen
+
+    def execute(self, sql, *args):
+        if sql == "COMMIT":
+            self._seen()
+            raise sqlite3.OperationalError("disk I/O error")
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def _session_of(session_id, speaker, color, band, day):
+    return [
+        Turn(None, session_id, speaker, "Assistant", f"My favorite color is {color}.",
+             f"2024-02-{day:02d}T10:00:00Z", 0),
+        Turn(None, session_id, speaker, "Assistant", f"I love {band}!",
+             f"2024-02-{day:02d}T10:05:00Z", 1),
+    ]
+
+
+_FIRST_SESSION = [_turn("s1", 0, "I love Italian Garden! Their pasta is good.")]
+_SECOND_SESSION = _session_of("s2", "Bob", "ultramarine", "Zanzibar Quartet", 1)
+
+
+def _sidecar_records(path):
+    with open(path, "rb") as handle:
+        return [json.loads(line) for line in handle]
+
+
+def test_a_failed_session_commit_keeps_nothing_of_the_session(tmp_path):
+    """When the session's COMMIT fails, the store and the sidecar keep what
+    they held before it and the index serves no row of it; the same handles
+    then ingest another session, which gets the ids the failed one had and
+    reads as a freshly opened store does."""
+    path = str(tmp_path / "db.sqlite")
+    store = Store.open(path)
+    index = VectorIndex(path=VectorIndex.sidecar_path(path))
+    _ingest(store, index, [_FIRST_SESSION])
+    before, committed = store.canonical_dump(), store.last_ids()
+    sidecar = open(index.path, "rb").read()
+
+    failed_ids = []
+    real = store._conn
+    store._conn = _FailingCommit(real, lambda: failed_ids.append(dict(store._last_ids)))
+    with pytest.raises(IoFailure, match=re.escape(path)):
+        ingest_session(store, index, *reference_pipeline(), _SECOND_SESSION)
+    store._conn = real
+    assert failed_ids and failed_ids[0]["entities"] > committed["entities"]
+
+    assert store.last_ids() == committed
+    assert store.canonical_dump() == before
+    reopened = Store.open(path, create_if_missing=False)
+    assert reopened.canonical_dump() == before
+    reopened.close()
+    assert open(index.path, "rb").read() == sidecar
+    table = {kind: text[0] for kind, text in apexmem.store.SEARCH_TEXT.items()}
+    for record in _sidecar_records(index.path):
+        assert record["doc_id"] <= committed[table[record["kind"]]]
+    assert all(doc_id <= committed[table[kind]] for kind, doc_id in index.entries)
+    text = search(store, index, "Bob ultramarine Zanzibar Quartet", k=10).text
+    assert "ultramarine" not in text and "Zanzibar" not in text
+
+    other = _session_of("s3", "Carol", "vermilion", "Yodel Brass", 2)
+    _ingest(store, index, [other])
+    assert store.last_ids() == failed_ids[0]
+    text = search(store, index, "Carol vermilion Yodel Brass", k=10).text
+    assert "Yodel Brass" in text and "Zanzibar" not in text
+    fresh = Store.open(path, create_if_missing=False)
+    ids = range(1, failed_ids[0]["entities"] + 1)
+    assert store.entity_rows(ids) == fresh.entity_rows(ids)
+    assert store.property_rows(range(1, 5)) == fresh.property_rows(range(1, 5))
+    assert [store.subject_history(i) for i in ids] == [fresh.subject_history(i) for i in ids]
+    assert len(_sidecar_records(index.path)) == len(index.entries)
+    fresh.close()
+    store.close()
+
+
+def test_a_session_on_a_locked_store_fails_before_any_write(tmp_path):
+    """A session that cannot take the write lock raises IoFailure naming
+    the store, and leaves its ids and kept rows as they were."""
+    path = str(tmp_path / "db.sqlite")
+    store = Store.open(path)
+    index = VectorIndex()
+    _ingest(store, index, [[_turn("s1", 0, "I love Italian Garden! Their pasta is good.")]])
+    store.entity_rows(range(1, 4))
+    kept = (dict(store._last_ids), dict(store._entity_memo), dict(store._property_memo),
+            dict(store._batch_texts))
+    before = store.canonical_dump()
+    store._conn.execute("PRAGMA busy_timeout = 50")
+    other = sqlite3.connect(path, isolation_level=None)
+    other.execute("BEGIN IMMEDIATE")
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    with pytest.raises(IoFailure) as caught:
+        ingest_session(store, index, *reference_pipeline(), _SECOND_SESSION)
+    store._conn.set_trace_callback(None)
+    assert f"store {path} is locked" in str(caught.value)
+    assert not any(sql.startswith(("INSERT", "SAVEPOINT")) for sql in statements)
+    assert (dict(store._last_ids), dict(store._entity_memo), dict(store._property_memo),
+            dict(store._batch_texts)) == kept
+    other.execute("ROLLBACK")
+    other.close()
+    assert store.canonical_dump() == before
+    assert all(o.ok for o in ingest_session(store, index, *reference_pipeline(),
+                                             _SECOND_SESSION))
+    store.close()
+
+
+def test_a_failed_append_in_a_session_rolls_back_only_itself(tmp_path, monkeypatch):
+    """An append that fails inside a session fails its turn alone; the other
+    turns commit, with ids and log sequences that leave no gap."""
+    path = str(tmp_path / "db.sqlite")
+    store = Store.open(path)
+    write = Store._write
+    failed = []
+
+    def failing_write(self, sequence, payload):
+        if payload["op"] == "event_bundle" and not failed:
+            failed.append(sequence)
+            write(self, sequence, payload)  # the batch is written, then fails
+            raise sqlite3.OperationalError("injected write failure")
+        write(self, sequence, payload)
+
+    monkeypatch.setattr(Store, "_write", failing_write)
+    outcomes = ingest_session(store, VectorIndex(), *reference_pipeline(), _SECOND_SESSION)
+    monkeypatch.undo()
+    assert [outcome.ok for outcome in outcomes] == [False, True]
+    assert outcomes[0].error == "injected write failure"
+    assert outcomes[1].committed.event_id == 1
+    reopened = Store.open(path, create_if_missing=False)
+    assert reopened.row_counts()["events"] == 1
+    assert [sequence for sequence, _ in reopened.append_log()] == list(
+        range(1, store.sequence + 1))
+    assert reopened.canonical_dump() == store.canonical_dump()
+    reopened.close()
     store.close()
 
 

@@ -10,7 +10,7 @@ from collections import Counter
 from datetime import date
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from apexmem import tools
 from apexmem.extract import ingest_session
@@ -447,6 +447,52 @@ def test_arg_checker_agrees_with_jsonschema(tool, args):
     schema = TOOL_ARG_SCHEMAS[tool]
     valid = jsonschema.Draft202012Validator(schema).is_valid(args)
     assert (_arg_error(tool, args) is None) == valid
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers() | st.sampled_from([10**30, -(10**30), 2**63, 1e300, 2.5, 0.5])
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+_SQL = st.sampled_from([
+    "SELECT :v AS v",
+    "SELECT entity_name FROM entities WHERE entity_id = :id",
+    "SELECT * FROM facts WHERE valid_from <= :question_date",
+    "DELETE FROM facts",
+]) | st.text(max_size=12)
+_CALL_ARGS = st.fixed_dictionaries({}, optional={
+    "query": st.text(max_size=12) | _JSON,
+    "k": st.integers(-2, 10) | st.sampled_from([10**30, 2**63, 1e300, 2.0, 2.5]) | _JSON,
+    "sql": _SQL | _JSON,
+    "params": st.dictionaries(st.sampled_from(["v", "id", "question_date", "x"]),
+                              _JSON, max_size=3) | _JSON,
+    "include_examples": st.booleans() | _JSON,
+    "include_guide": st.booleans() | _JSON,
+    "extra": _JSON,
+})
+
+
+def test_dispatch_answers_every_json_call_in_band(case1_store, index):
+    """Any JSON-shaped call, whatever its tool name, argument types, nested
+    parameters or size of ``k``, is answered with a ToolResult. The run's
+    named parameters come from the program, so they are well formed."""
+    kit = ToolKit(case1_store, index)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(TOOL_NAMES) | st.text(max_size=8), _CALL_ARGS | _JSON,
+           st.sampled_from([None, {}, {"question_date": "2024-02-01"},
+                            {"question_date": "2024-04-01", "range_start": "2024-03-01",
+                             "range_end": "2024-03-31"}]))
+    # an integer SQLite cannot hold, bound as a GraphSQL parameter
+    @example("graph_sql", {"sql": "SELECT :v AS v", "params": {"v": 10**30}}, None)
+    def check(tool, args, default_params):
+        result = kit.dispatch(ToolCall(tool, args), default_params)
+        assert isinstance(result, ToolResult)
+
+    check()
 
 
 def test_search_reads_each_row_once(monkeypatch):
