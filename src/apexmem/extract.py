@@ -467,14 +467,17 @@ def ingest_session(
     appends. The vectors of the new rows are appended to the sidecar once,
     after the session's commit. If the commit fails (``IoFailure``), or an
     exception escapes, nothing of the session is kept: the store rolls it
-    back and the index goes back to its sidecar, or to nothing without one."""
+    back, and an index that holds a row of it goes back to its sidecar, or
+    to nothing without one. A failure before the session indexed any row,
+    such as a turn already in the store, leaves the index as it was."""
     session = in_ordinal_order(session)
     try:
         with store.write_session():
             outcomes = _extract_session(
                 store, index, extractor, entity_provider, property_provider, session)
     except BaseException:
-        index.reload()
+        if index.holds_rows_above(store.last_ids()):
+            index.reload()
         raise
     index.save()
     return outcomes

@@ -411,6 +411,15 @@ class VectorIndex:
             self._unsaved = []
             self._load()
 
+    def holds_rows_above(self, last_ids: Dict[str, int]) -> bool:
+        """Whether the index holds a vector or a posting of a row above the
+        store's ``last_ids``, such as a row of a write session that was
+        rolled back. A kind with no table in the store counts as such a row."""
+        held = [*self.high_water.items(),
+                *((kind, postings.high_water) for kind, postings in self._postings.items())]
+        return any(kind not in SEARCH_TEXT or high_water > last_ids[SEARCH_TEXT[kind][0]]
+                   for kind, high_water in held)
+
     @classmethod
     def sidecar_path(cls, store_path: str) -> str:
         return store_path + ".vec"

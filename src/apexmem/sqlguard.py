@@ -7,12 +7,19 @@ third: a SQLite authorizer that allows only reads of the whitelisted tables.
 The ``Store`` holds it with the connection it is installed on
 (``Store.guarded_reader``): the ``mode=ro`` connection for a file store and
 the writer for a ``:memory:`` store.
+
+``validate_sql`` keeps the verdicts of the last ``VERDICTS_KEPT`` statement
+texts, keyed by the exact text. A verdict depends on nothing but the text
+and this module's constants, so a kept verdict is the one the text would get
+again, and the reports are immutable, so no caller can change one another
+caller reads. This weakens no layer: the keyword blacklist is part of every
+verdict, and the authorizer still checks each statement when it is prepared.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import store
 
@@ -41,200 +48,249 @@ FORBIDDEN_KEYWORDS = frozenset(
     }
 )
 
-# keywords that end a FROM list; the join words (LEFT, INNER, ...) do not,
-# since the table after their JOIN belongs to it
-_FROM_LIST_BREAKERS = {
+# Statement texts whose verdicts ``validate_sql`` keeps, oldest dropped
+# first. Each entry holds its text besides a report of under 1 KiB, so a
+# full memo of 1,000-character statements holds about 2 MiB; longer texts
+# take that much more.
+VERDICTS_KEPT = 1024
+
+# keywords that end a FROM clause at their own depth: the clauses after it,
+# and the heads of a subquery, which end the clause of the parenthesis they
+# open. A comma, ON, USING or an alias does not: a comma there joins one
+# more table source.
+_FROM_CLAUSE_ENDS = frozenset({
     "where", "group", "order", "limit", "having", "union", "intersect",
-    "except", "select", "on", "using", "as", "window",
-}
-
-_JOIN_INTRODUCERS = {"from", "join"}
+    "except", "window", "select", "with", "values",
+})
 
 
-@dataclass
+@dataclass(frozen=True)
 class SqlValidationReport:
     statement_kind: Optional[str]  # "select" | "with_select"
-    tables_touched: Set[str]
-    params: Set[str]
+    tables_touched: FrozenSet[str]
+    params: FrozenSet[str]
     accepted: bool
     reason: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class _Token:
     kind: str  # word | param | punct | string | number
     text: str
+    # what the parser compares: a bare word lower-cased, or a punctuation
+    # character; "" for a quoted identifier, a string, a number or a param
+    key: str = ""
 
 
 # One alternative per token form, tried in order at each position; every
-# position matches one (the last takes any character). A match with no named
-# group (whitespace, where \s is exactly str.isspace, or a comment) is
-# skipped. A string ends at its first quote that is not doubled; a quoted
-# identifier's inner text is a word.
+# position matches one (the last takes any character), and ``_tokenize``
+# tells the forms apart by their first character and length. Whitespace
+# (where \s is exactly str.isspace) and comments are skipped. A string ends
+# at its first quote that is not doubled; a quoted identifier's inner text
+# is a word. A lone quote, bracket or "/*" opens something never closed.
 _TOKEN_PATTERN = re.compile(
     r"""
       \s+ | --[^\n]* | /\*.*?\*/
-    | (?P<string> '[^']*(?:''[^']*)*'(?!') )
-    | "(?P<dquoted>[^"]*)" | `(?P<bquoted>[^`]*)` | \[(?P<bracketed>[^\]]*)\]
-    | :(?P<param>[A-Za-z_]\w*)
-    | (?P<word>[A-Za-z_]\w*)
-    | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-    | (?P<open_comment>/\*) | (?P<open_string>') | (?P<open_identifier>["`\[])
-    | (?P<punct>.)
+    | '[^']*(?:''[^']*)*'(?!') | "[^"]*" | `[^`]*` | \[[^\]]*\]
+    | :[A-Za-z_]\w* | [A-Za-z_]\w* | \d+(?:\.\d+)?(?:[eE][+-]?\d+)?
+    | /\* | .
     """,
     re.VERBOSE | re.DOTALL,
 )
-_TOKEN_KINDS = {
-    "string": "string", "dquoted": "word", "bquoted": "word", "bracketed": "word",
-    "param": "param", "word": "word", "number": "number", "punct": "punct",
-}
+_WORD_STARTS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _UNCLOSED = {
-    "open_comment": "unterminated block comment",
-    "open_string": "unterminated string literal",
-    "open_identifier": "unterminated quoted identifier",
+    "/*": "unterminated block comment",
+    "'": "unterminated string literal",
+    '"': "unterminated quoted identifier",
+    "`": "unterminated quoted identifier",
+    "[": "unterminated quoted identifier",
 }
 
 
 def _tokenize(statement: str) -> Tuple[Optional[List[_Token]], str]:
     """Tokenize, stripping comments; returns (tokens, error)."""
     tokens: List[_Token] = []
-    for match in _TOKEN_PATTERN.finditer(statement):
-        group = match.lastgroup
-        if group in _TOKEN_KINDS:
-            tokens.append(_Token(_TOKEN_KINDS[group], match[group]))
-        elif group is not None:
-            return None, _UNCLOSED[group]
+    append = tokens.append
+    for text in _TOKEN_PATTERN.findall(statement):
+        first = text[0]
+        if first in _WORD_STARTS:
+            append(_Token("word", text, text.lower()))
+        elif first.isspace():
+            continue
+        elif first.isdecimal():  # \d is exactly str.isdecimal
+            append(_Token("number", text))
+        elif len(text) == 1 or text == "/*":
+            if text in _UNCLOSED:
+                return None, _UNCLOSED[text]
+            append(_Token("punct", text, text))
+        elif first == "'":
+            append(_Token("string", text))
+        elif first == ":":
+            append(_Token("param", text[1:]))
+        elif first in "\"`[":
+            append(_Token("word", text[1:-1]))
+        # what is left is a comment
     return tokens, ""
+
+
+def _name(token: _Token) -> str:
+    """The name a word or a string gives a table. SQLite reads a string as
+    a name where only a name may stand, as after FROM."""
+    if token.kind == "string":
+        return token.text[1:-1].replace("''", "'").lower()
+    return token.key or token.text.lower()
 
 
 def _past_group(tokens: List[_Token], j: int) -> int:
     """The index after the parenthesised group that opens at ``j``, or ``j``
     if none opens there; an unclosed group runs to the end."""
-    if j >= len(tokens) or tokens[j].text != "(":
+    if j >= len(tokens) or tokens[j].key != "(":
         return j
     depth = 0
     for k in range(j, len(tokens)):
-        if tokens[k].text == "(":
+        if tokens[k].key == "(":
             depth += 1
-        elif tokens[k].text == ")":
+        elif tokens[k].key == ")":
             depth -= 1
             if depth == 0:
                 return k + 1
     return len(tokens)
 
 
-def _collect_cte_names(tokens: List[_Token]) -> Set[str]:
-    """CTE names introduced by WITH name AS (...), recursively at any level."""
-    names: Set[str] = set()
-    for position, token in enumerate(tokens):
-        if token.kind == "word" and token.text.lower() == "with":
-            j = position + 1
-            # WITH [RECURSIVE] name [(cols)] AS (...) [, name AS (...)]*
-            if j < len(tokens) and tokens[j].text.lower() == "recursive":
+def _cte_names(tokens: List[_Token], position: int) -> FrozenSet[str]:
+    """The CTE names of the WITH clause at ``position``:
+    WITH [RECURSIVE] name [(cols)] AS [[NOT] MATERIALIZED] (...) [, ...]."""
+    names = set()
+    j = position + 1
+    if j < len(tokens) and tokens[j].key == "recursive":
+        j += 1
+    while j < len(tokens) and tokens[j].kind == "word":
+        name = _name(tokens[j])
+        j = _past_group(tokens, j + 1)  # optional column list
+        if j >= len(tokens) or tokens[j].key != "as":
+            break
+        j += 1
+        for modifier in ("not", "materialized"):
+            if j < len(tokens) and tokens[j].key == modifier:
                 j += 1
-            for _ in range(10000):
-                if j >= len(tokens) or tokens[j].kind != "word":
-                    break
-                names.add(tokens[j].text.lower())
-                j = _past_group(tokens, j + 1)  # optional column list
-                if j < len(tokens) and tokens[j].kind == "word" and tokens[j].text.lower() == "as":
-                    j = _past_group(tokens, j + 1)
-                else:
-                    break
-                if j < len(tokens) and tokens[j].text == ",":
-                    j += 1
-                    continue
-                break
-    return names
+        if j >= len(tokens) or tokens[j].key != "(":
+            break
+        names.add(name)
+        j = _past_group(tokens, j)
+        if j >= len(tokens) or tokens[j].key != ",":
+            break
+        j += 1
+    return frozenset(names)
 
 
-def _collect_tables(tokens: List[_Token]) -> Set[str]:
-    """Identifiers referenced as table sources after FROM / JOIN, including
-    comma-separated FROM lists; subqueries contribute their own FROMs."""
-    tables: Set[str] = set()
-    depth = 0
-    expect_table = False
-    from_list_depth: Optional[int] = None
-    for i, token in enumerate(tokens):
-        if token.text == "(":
-            depth += 1
-            if expect_table:
-                expect_table = False  # subquery
-        elif token.text == ")":
-            depth -= 1
-            if from_list_depth is not None and depth < from_list_depth:
-                from_list_depth = None
-        elif token.kind == "word":
-            lowered = token.text.lower()
-            if lowered in _JOIN_INTRODUCERS:
-                expect_table = True
-                if lowered == "from":
-                    from_list_depth = depth
-            elif expect_table:
-                tables.add(lowered)
-                expect_table = False
-            elif (
-                from_list_depth is not None
-                and lowered in _FROM_LIST_BREAKERS
-                and depth == from_list_depth
-            ):
-                from_list_depth = None
-        elif token.text == "," and from_list_depth is not None and depth == from_list_depth:
-            # comma-separated FROM list; but only if the previous significant
-            # token closed a table source (heuristic: previous token was a
-            # word or ')')
-            prev = tokens[i - 1]
-            if prev.kind == "word" or prev.text == ")":
-                expect_table = True
-    return tables
+class _Level:
+    """What ``_collect_tables`` knows of one parenthesis level."""
+
+    __slots__ = ("in_from", "source_next", "ctes")
+
+    def __init__(self, in_from: bool, ctes: FrozenSet[str]):
+        # in a FROM clause, where a comma joins one more table source
+        self.in_from = in_from
+        # a table source may stand at the next token
+        self.source_next = in_from
+        # the CTE names in scope
+        self.ctes = ctes
+
+
+def _collect_tables(tokens: List[_Token]) -> FrozenSet[str]:
+    """The names SQLite may read as tables: each table source of a FROM
+    clause (after FROM, a JOIN, a comma of the clause, or the parenthesis of
+    a parenthesised join) and each table after IN, unless a CTE of that name
+    is in scope there. A CTE is in scope from its WITH to the end of the
+    parenthesis that holds the WITH, the bodies of its clause included."""
+    tables = set()
+    levels = [_Level(False, frozenset())]
+    table_next = False  # after IN, a table may stand at the next token
+    for position, token in enumerate(tokens):
+        level = levels[-1]
+        key = token.key
+        source_next, level.source_next = level.source_next, False
+        if key == "(":
+            levels.append(_Level(source_next, level.ctes))
+        elif (source_next or table_next) and (
+            token.kind == "string" or token.kind == "word" and key not in _FROM_CLAUSE_ENDS
+        ):
+            name = _name(token)
+            if name not in level.ctes:
+                tables.add(name)
+        elif key == ")":
+            if len(levels) > 1:
+                levels.pop()
+        elif key == ",":
+            level.source_next = level.in_from
+        elif key == "from" or key == "join":
+            level.in_from = level.source_next = True
+        elif key in _FROM_CLAUSE_ENDS:
+            level.in_from = False
+            if key == "with":
+                level.ctes = level.ctes | _cte_names(tokens, position)
+        table_next = key == "in"
+    return frozenset(tables)
+
+
+def _reject(reason: str) -> SqlValidationReport:
+    return SqlValidationReport(None, frozenset(), frozenset(), False, reason)
+
+
+def _validate(statement: str) -> SqlValidationReport:
+    """The verdict on one statement, computed afresh."""
+    if not statement or not statement.strip():
+        return _reject("empty statement")
+
+    tokens, error = _tokenize(statement)
+    if tokens is None:
+        return _reject(error)
+    if not tokens:
+        return _reject("empty statement")
+
+    # single statement: a ';' may only appear as trailing punctuation
+    for position, token in enumerate(tokens):
+        if token.key == ";":
+            if any(t.key != ";" for t in tokens[position + 1 :]):
+                return _reject("multiple statements are not allowed")
+            tokens = tokens[:position]
+            break
+    if not tokens:
+        return _reject("empty statement")
+
+    head = tokens[0].key
+    if head not in ("select", "with"):
+        return _reject("statement must start with SELECT or WITH")
+    if head == "with" and not any(t.key == "select" for t in tokens):
+        return _reject("WITH clause without a SELECT")
+
+    for token in tokens:
+        if token.kind == "word" and (token.key or token.text.lower()) in FORBIDDEN_KEYWORDS:
+            return _reject(f"forbidden keyword: {token.text.upper()}")
+
+    tables = _collect_tables(tokens)
+    unknown = sorted(tables - WHITELISTED_TABLES)
+    if unknown:
+        return _reject(f"non-whitelisted table(s): {', '.join(unknown)}")
+
+    params = frozenset(t.text for t in tokens if t.kind == "param")
+    return SqlValidationReport(
+        "select" if head == "select" else "with_select", tables, params, True, "")
+
+
+# statement text -> its verdict, for the last VERDICTS_KEPT texts validated
+_verdicts: Dict[str, SqlValidationReport] = {}
 
 
 def validate_sql(statement: str) -> SqlValidationReport:
     """Accept iff: single statement, SELECT or WITH...SELECT head, no
-    mutation/DDL keywords anywhere, every referenced table whitelisted."""
-
-    def reject(reason: str) -> SqlValidationReport:
-        return SqlValidationReport(None, set(), set(), False, reason)
-
-    if not statement or not statement.strip():
-        return reject("empty statement")
-
-    tokens, error = _tokenize(statement)
-    if tokens is None:
-        return reject(error)
-    if not tokens:
-        return reject("empty statement")
-
-    # single statement: a ';' may only appear as trailing punctuation
-    for position, token in enumerate(tokens):
-        if token.kind == "punct" and token.text == ";":
-            rest = tokens[position + 1 :]
-            if any(t.text != ";" for t in rest):
-                return reject("multiple statements are not allowed")
-            tokens = tokens[:position]
-            break
-    if not tokens:
-        return reject("empty statement")
-
-    head = tokens[0]
-    if head.kind != "word" or head.text.lower() not in ("select", "with"):
-        return reject("statement must start with SELECT or WITH")
-    statement_kind = "select" if head.text.lower() == "select" else "with_select"
-    if statement_kind == "with_select" and not any(
-        t.kind == "word" and t.text.lower() == "select" for t in tokens[1:]
-    ):
-        return reject("WITH clause without a SELECT")
-
-    for token in tokens:
-        if token.kind == "word" and token.text.lower() in FORBIDDEN_KEYWORDS:
-            return reject(f"forbidden keyword: {token.text.upper()}")
-
-    cte_names = _collect_cte_names(tokens)
-    tables = _collect_tables(tokens) - cte_names
-    params = {t.text for t in tokens if t.kind == "param"}
-
-    unknown = sorted(tables - WHITELISTED_TABLES)
-    if unknown:
-        return reject(f"non-whitelisted table(s): {', '.join(unknown)}")
-
-    return SqlValidationReport(statement_kind, tables, params, True, "")
+    mutation/DDL keywords anywhere, every referenced table whitelisted.
+    The verdicts of the last ``VERDICTS_KEPT`` texts are kept, so a
+    repeated text is parsed once."""
+    report = _verdicts.get(statement)
+    if report is None:
+        report = _validate(statement)
+        if len(_verdicts) >= VERDICTS_KEPT:
+            del _verdicts[next(iter(_verdicts))]  # the oldest
+        _verdicts[statement] = report
+    return report

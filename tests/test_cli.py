@@ -139,6 +139,20 @@ def test_qa_trace_flag(runner, tmp_path):
     assert "step 1" in result.output
 
 
+def test_qa_gives_a_repeated_graphsql_statement_the_same_verdict(runner, tmp_path):
+    """The policy sends the alias escape and the as-of lookup twice each:
+    both escapes are rejected by the validator and both lookups answer."""
+    store_path = _ingest_case1(runner, tmp_path)
+    result = runner.invoke(main, [
+        "qa", "What is Alice's favorite restaurant?", "--store", store_path,
+        "--question-date", "2024-02-01T00:00:00Z", "--trace",
+        "--policy", "script:" + fixture_path("graphsql_repeat_policy.json"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("SqlRejected: non-whitelisted table(s): append_log") == 2
+    assert result.output.count('| "Italian Garden" |') == 2
+
+
 def test_qa_budget_exhaustion_exit_code(runner, tmp_path):
     store_path = _ingest_case1(runner, tmp_path)
     script = tmp_path / "script.json"

@@ -11,9 +11,10 @@ from apexmem.extract import (
     ingest_session,
     normalize_temporal,
 )
+from apexmem.index import upsert_embeddings
 from apexmem.ontology import Turn
 from apexmem.resolve import RuleBasedProvider
-from conftest import ingest_case1
+from conftest import CASE1_SESSIONS, ingest_case1, reference_pipeline
 
 ANCHOR = "2023-05-08T14:00:00Z"
 
@@ -158,6 +159,19 @@ def test_ingest_session_rejects_gap_in_ordinals(store, index):
     with pytest.raises(ValidationFailure):
         ingest_session(store, index, ReferenceExtractor(), provider, provider,
                        turns)
+
+
+def test_a_session_that_fails_before_any_write_keeps_the_index(store, index):
+    """A session whose first turn the store already holds fails before it
+    writes a row, so the index keeps every vector it held: the next upsert
+    embeds nothing again."""
+    ingest_case1(store, index)
+    held = dict(index.entries)
+    with pytest.raises(ValidationFailure, match=r"duplicate turn \(s1, 0\)"):
+        ingest_session(store, index, *reference_pipeline(), CASE1_SESSIONS[0])
+    assert len(held) == 13
+    assert dict(index.entries).keys() == held.keys()
+    assert upsert_embeddings(store, index) == 0
 
 
 def test_ingest_session_entity_dedupe_across_sessions(store, index):

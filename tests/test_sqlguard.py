@@ -1,7 +1,17 @@
+import itertools
+import re
+import sqlite3
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apexmem.sqlguard import WHITELISTED_TABLES, _tokenize, validate_sql
+from apexmem import sqlguard
+from apexmem.index import VectorIndex
+from apexmem.sqlguard import VERDICTS_KEPT, WHITELISTED_TABLES, _tokenize, validate_sql
+from apexmem.store import Store
+
+from conftest import ingest_case1
 
 ACCEPTED = [
     "SELECT * FROM facts",
@@ -43,6 +53,19 @@ REJECTED = [
     "/**/INSERT INTO facts VALUES (1)",
     "-- comment only",
     "EXPLAIN SELECT * FROM facts",
+    # an alias, ON, USING or a parenthesis does not end the FROM list
+    "SELECT * FROM facts AS f, append_log",
+    "SELECT * FROM facts AS f, entities AS e, append_log",
+    "SELECT * FROM facts f JOIN entities e ON e.entity_id = 1, append_log",
+    "SELECT * FROM facts JOIN evidence USING (id), append_log",
+    "SELECT * FROM facts AS \"where\", append_log",
+    "SELECT * FROM (append_log AS a)",
+    "SELECT * FROM facts f JOIN (entities e, append_log) ON 1",
+    # SQLite reads a table after IN, and a string where only a name may stand
+    "SELECT * FROM facts WHERE id IN append_log",
+    "SELECT * FROM 'append_log'",
+    # a CTE's name shadows a table only inside the parenthesis of its WITH
+    "SELECT * FROM (WITH append_log AS (SELECT 1) SELECT * FROM append_log), append_log",
 ]
 
 
@@ -95,6 +118,21 @@ def test_tables_touched_reported():
     assert report.tables_touched == {"facts", "entities"}
 
 
+@pytest.mark.parametrize("statement, tables", [
+    ("SELECT * FROM facts AS f, entities AS e", {"facts", "entities"}),
+    ("SELECT * FROM facts f JOIN entities e ON e.entity_id = f.subject_id, turns",
+     {"facts", "entities", "turns"}),
+    ("SELECT * FROM (facts f JOIN entities e ON 1), (SELECT * FROM turns) t, events",
+     {"facts", "entities", "turns", "events"}),
+    ("WITH a AS (SELECT * FROM b), b AS MATERIALIZED (SELECT * FROM c),"
+     " c AS (SELECT * FROM facts) SELECT * FROM a", {"facts"}),
+])
+def test_every_table_source_is_reported(statement, tables):
+    report = validate_sql(statement)
+    assert report.accepted, report.reason
+    assert report.tables_touched == tables
+
+
 def test_cte_names_not_counted_as_tables():
     report = validate_sql("WITH recent AS (SELECT * FROM facts) SELECT * FROM recent")
     assert report.accepted
@@ -142,3 +180,176 @@ _FORBIDDEN_SNIPPETS = [
 def test_forbidden_statements_never_accepted(snippet, prefix, suffix):
     report = validate_sql(prefix + snippet + suffix)
     assert not report.accepted
+
+
+# The tokenizer as a regex of named groups, one per token form: the
+# reference ``_tokenize`` is compared against.
+_REFERENCE_PATTERN = re.compile(
+    r"""
+      \s+ | --[^\n]* | /\*.*?\*/
+    | (?P<string> '[^']*(?:''[^']*)*'(?!') )
+    | "(?P<dquoted>[^"]*)" | `(?P<bquoted>[^`]*)` | \[(?P<bracketed>[^\]]*)\]
+    | :(?P<param>[A-Za-z_]\w*)
+    | (?P<word>[A-Za-z_]\w*)
+    | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<open_comment>/\*) | (?P<open_string>') | (?P<open_identifier>["`\[])
+    | (?P<punct>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_REFERENCE_KINDS = {
+    "string": "string", "dquoted": "word", "bquoted": "word", "bracketed": "word",
+    "param": "param", "word": "word", "number": "number", "punct": "punct",
+}
+_REFERENCE_ERRORS = {
+    "open_comment": "unterminated block comment",
+    "open_string": "unterminated string literal",
+    "open_identifier": "unterminated quoted identifier",
+}
+
+
+def _reference_tokenize(statement):
+    tokens = []
+    for match in _REFERENCE_PATTERN.finditer(statement):
+        group = match.lastgroup
+        if group in _REFERENCE_KINDS:
+            tokens.append((_REFERENCE_KINDS[group], match[group]))
+        elif group is not None:
+            return None, _REFERENCE_ERRORS[group]
+    return tokens, ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("'\"`[]-/*:;(),._= \n\taZe9+\u00e9\u0663\u3000"), max_size=30))
+def test_tokenize_matches_the_reference(statement):
+    tokens, error = _tokenize(statement)
+    found = None if tokens is None else [(t.kind, t.text) for t in tokens]
+    assert (found, error) == _reference_tokenize(statement)
+
+
+# -- layer 1 against SQLite ---------------------------------------------------
+
+_SOURCE_TABLES = [*sorted(WHITELISTED_TABLES), "append_log", "sqlite_master", "main.facts"]
+_ALIASES = ["", " a", " AS a", " AS b", ' AS "a"', " AS 'b'"]
+_JOINS = [", ", " JOIN ", " LEFT JOIN ", " CROSS JOIN ", " NATURAL JOIN "]
+_CONSTRAINTS = ["", " ON 1", " ON a.id = 1", " USING (id)"]
+
+
+@st.composite
+def _sources(draw, depth):
+    """One table source: a table, a subquery or a parenthesised join."""
+    form = draw(st.sampled_from(["table", "table", "subquery", "join"] if depth else ["table"]))
+    if form == "table":
+        source = draw(st.sampled_from(_SOURCE_TABLES + ["c"]))
+    elif form == "subquery":
+        source = f"({draw(_selects(depth - 1))})"
+    else:
+        source = f"({draw(_join_clauses(depth - 1))})"
+    return source + draw(st.sampled_from(_ALIASES))
+
+
+@st.composite
+def _join_clauses(draw, depth):
+    clause = draw(_sources(depth))
+    for _ in range(draw(st.integers(0, 2))):
+        join = draw(st.sampled_from(_JOINS))
+        constraint = "" if "," in join or "NATURAL" in join else draw(st.sampled_from(_CONSTRAINTS))
+        clause += join + draw(_sources(depth)) + constraint
+    return clause
+
+
+@st.composite
+def _selects(draw, depth):
+    select = f"SELECT * FROM {draw(_join_clauses(depth))}"
+    where = draw(st.sampled_from(["", "in", "in_table", "exists"] if depth else ["", "in_table"]))
+    if where == "in":
+        select += f" WHERE 1 IN ({draw(_selects(depth - 1))})"
+    elif where == "in_table":
+        select += f" WHERE 1 IN {draw(st.sampled_from(_SOURCE_TABLES))}"
+    elif where == "exists":
+        select += f" WHERE EXISTS ({draw(_selects(depth - 1))})"
+    return select
+
+
+@st.composite
+def _statements(draw):
+    """Statements of the grammar layer 1 accepts, over whitelisted and probe
+    tables: aliases with and without AS, comma lists, joins, subqueries and
+    CTEs, some named like a table."""
+    statement = draw(_selects(2))
+    if draw(st.booleans()):
+        statement += " UNION SELECT * FROM " + draw(_join_clauses(1))
+    ctes = draw(st.lists(st.sampled_from(["c", "append_log", "facts"]), max_size=2, unique=True))
+    if ctes:
+        bodies = [f"{name} AS ({draw(_selects(1))})" for name in ctes]
+        statement = f"WITH {', '.join(bodies)} {statement}"
+    return statement
+
+
+@pytest.fixture(scope="module")
+def sqlite_reads(tmp_path_factory):
+    """The tables SQLite reads to prepare a statement on the case-1 store,
+    as a recording authorizer sees them."""
+    path = str(tmp_path_factory.mktemp("differential") / "case1.sqlite")
+    store = Store.open(path)
+    ingest_case1(store, VectorIndex())
+    store.close()
+    # no statement cache: the authorizer runs only when a statement is prepared
+    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, cached_statements=0)
+    read = []
+
+    def record(action, table, column, database, source):
+        if action == sqlite3.SQLITE_READ:
+            read.append(table)
+        return sqlite3.SQLITE_OK
+
+    conn.set_authorizer(record)
+
+    def reads(statement):
+        read.clear()
+        try:
+            conn.execute(statement).close()
+        except sqlite3.Error:
+            pass  # what was read before the error still counts
+        return set(read)
+
+    yield reads
+    conn.close()
+
+
+@settings(max_examples=250, deadline=None)
+@given(statement=_statements())
+def test_layer_one_reports_every_table_sqlite_reads(sqlite_reads, statement):
+    """Differential: whenever layer 1 accepts, each table SQLite reads for
+    the statement is in ``tables_touched`` and in the whitelist."""
+    report = validate_sql(statement)
+    if report.accepted:
+        read = sqlite_reads(statement)
+        assert read <= report.tables_touched <= WHITELISTED_TABLES, read
+
+
+_fillers = itertools.count()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(
+    st.builds(lambda snippet, prefix, suffix: prefix + snippet + suffix,
+              st.sampled_from(_FORBIDDEN_SNIPPETS),
+              st.sampled_from(["", "  ", "\n", "/* x */ ", "-- c\n"]),
+              st.sampled_from(["", ";", " ;"])),
+    _statements(),
+))
+def test_a_kept_verdict_is_the_verdict_of_a_fresh_validation(statement):
+    """A kept verdict equals one computed afresh, also after more than
+    VERDICTS_KEPT other texts have evicted it; no caller can change it."""
+    fresh = sqlguard._validate(statement)
+    kept = validate_sql(statement)
+    assert kept == fresh
+    assert validate_sql(statement) is kept
+    for _ in range(VERDICTS_KEPT + 1):
+        validate_sql(f"SELECT {next(_fillers)} FROM facts")
+    assert statement not in sqlguard._verdicts
+    assert validate_sql(statement) == fresh
+    assert isinstance(kept.tables_touched, frozenset) and isinstance(kept.params, frozenset)
+    with pytest.raises(FrozenInstanceError):
+        kept.accepted = not kept.accepted

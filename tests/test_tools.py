@@ -236,7 +236,7 @@ def test_authorizer_holds_without_the_validator(tmp_path, monkeypatch, on_disk):
     store = Store.open(str(tmp_path / "db.sqlite") if on_disk else ":memory:")
     ingest_case1(store, VectorIndex())
     monkeypatch.setattr(tools, "validate_sql",
-                        lambda statement: SqlValidationReport("select", set(), set(), True))
+                        lambda statement: SqlValidationReport("select", frozenset(), frozenset(), True))
 
     def refused():
         before = store.canonical_dump()
