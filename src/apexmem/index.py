@@ -417,7 +417,7 @@ class VectorIndex:
         rolled back. A kind with no table in the store counts as such a row."""
         held = [*self.high_water.items(),
                 *((kind, postings.high_water) for kind, postings in self._postings.items())]
-        return any(kind not in SEARCH_TEXT or high_water > last_ids[SEARCH_TEXT[kind][0]]
+        return any(kind not in SEARCH_TEXT or high_water > _last_id(last_ids, kind)
                    for kind, high_water in held)
 
     @classmethod
@@ -579,15 +579,15 @@ class VectorIndex:
         postings = self._postings.get(kind)
         if postings is None:
             postings = self._postings[kind] = _Postings()
-        if _has_rows_above(store.last_ids(), kind, postings.high_water):
+        if _last_id(store.last_ids(), kind) > postings.high_water:
             postings.extend(store.lexical_documents(kind, postings.high_water))
         return postings.scores(query)
 
 
-def _has_rows_above(last_ids: Dict[str, int], kind: str, high_water: int) -> bool:
-    """Whether the store holds a row of ``kind`` above ``high_water``: ids
-    only grow, so a table whose last id is not above it has nothing new."""
-    return last_ids[SEARCH_TEXT[kind][0]] > high_water
+def _last_id(last_ids: Dict[str, int], kind: str) -> int:
+    """The last id of ``kind``'s table in ``last_ids`` (``Store.last_ids``):
+    ids only grow, so the store holds no row of ``kind`` above it."""
+    return last_ids[SEARCH_TEXT[kind][0]]
 
 
 def upsert_embeddings(store: Store, index: VectorIndex) -> int:
@@ -602,7 +602,7 @@ def upsert_embeddings(store: Store, index: VectorIndex) -> int:
     try:
         for kind in KINDS:
             after_id = index.high_water.get(kind, 0)
-            if not _has_rows_above(last_ids, kind, after_id):
+            if _last_id(last_ids, kind) <= after_id:
                 continue
             for doc_id, text in kind_documents(store, kind, after_id):
                 if index.upsert(kind, doc_id, text):

@@ -8,8 +8,8 @@ The ``Store`` holds it with the connection it is installed on
 (``Store.guarded_reader``): the ``mode=ro`` connection for a file store and
 the writer for a ``:memory:`` store.
 
-``validate_sql`` keeps the verdicts of the last ``VERDICTS_KEPT`` statement
-texts, keyed by the exact text. A verdict depends on nothing but the text
+``validate_sql`` keeps the verdicts of the last ``VERDICTS_KEPT`` (64)
+statement texts, keyed by the exact text. A verdict depends on nothing but the text
 and this module's constants, so a kept verdict is the one the text would get
 again, and the reports are immutable, so no caller can change one another
 caller reads. This weakens no layer: the keyword blacklist is part of every
@@ -49,15 +49,19 @@ FORBIDDEN_KEYWORDS = frozenset(
 )
 
 # Statement texts whose verdicts ``validate_sql`` keeps, oldest dropped
-# first. Each entry holds its text besides a report of under 1 KiB, so a
-# full memo of 1,000-character statements holds about 2 MiB; longer texts
-# take that much more.
-VERDICTS_KEPT = 1024
+# first. The bound counts texts, not bytes: each entry holds its whole text
+# besides a report of under 1 KiB, and ``graph_sql`` puts no limit on a
+# statement's length, so a full memo holds 64 such texts, about 100 KiB at
+# 1,000 characters each. Every measured workload repeats a single text (the
+# guide's as-of lookup), which one entry keeps; the rest leaves room for the
+# few templates a script or a model may repeat.
+VERDICTS_KEPT = 64
 
 # keywords that end a FROM clause at their own depth: the clauses after it,
 # and the heads of a subquery, which end the clause of the parenthesis they
 # open. A comma, ON, USING or an alias does not: a comma there joins one
-# more table source.
+# more table source. SQLite reads WITH and WINDOW as names where a name may
+# stand, so they end a clause only where ``_is_clause_keyword`` says.
 _FROM_CLAUSE_ENDS = frozenset({
     "where", "group", "order", "limit", "having", "union", "intersect",
     "except", "window", "select", "with", "values",
@@ -183,6 +187,22 @@ def _cte_names(tokens: List[_Token], position: int) -> FrozenSet[str]:
     return frozenset(names)
 
 
+def _is_clause_keyword(tokens: List[_Token], position: int) -> bool:
+    """Whether the word at ``position`` is one of ``_FROM_CLAUSE_ENDS`` that
+    SQLite reads as a keyword. WITH is one only where a SELECT may begin: at
+    the start of the statement or after a parenthesis; elsewhere, as in
+    ``FROM facts with, append_log``, it is a name. WINDOW is one only before
+    a name and AS, as SQLite's tokenizer decides; elsewhere it is a name."""
+    key = tokens[position].key
+    if key == "with":
+        return position == 0 or tokens[position - 1].key == "("
+    if key == "window":
+        return (position + 2 < len(tokens)
+                and tokens[position + 1].kind in ("word", "string")
+                and tokens[position + 2].key == "as")
+    return key in _FROM_CLAUSE_ENDS
+
+
 class _Level:
     """What ``_collect_tables`` knows of one parenthesis level."""
 
@@ -213,7 +233,8 @@ def _collect_tables(tokens: List[_Token]) -> FrozenSet[str]:
         if key == "(":
             levels.append(_Level(source_next, level.ctes))
         elif (source_next or table_next) and (
-            token.kind == "string" or token.kind == "word" and key not in _FROM_CLAUSE_ENDS
+            token.kind == "string"
+            or token.kind == "word" and not _is_clause_keyword(tokens, position)
         ):
             name = _name(token)
             if name not in level.ctes:
@@ -225,7 +246,7 @@ def _collect_tables(tokens: List[_Token]) -> FrozenSet[str]:
             level.source_next = level.in_from
         elif key == "from" or key == "join":
             level.in_from = level.source_next = True
-        elif key in _FROM_CLAUSE_ENDS:
+        elif key in _FROM_CLAUSE_ENDS and _is_clause_keyword(tokens, position):
             level.in_from = False
             if key == "with":
                 level.ctes = level.ctes | _cte_names(tokens, position)

@@ -59,6 +59,10 @@ REJECTED = [
     "SELECT * FROM facts f JOIN entities e ON e.entity_id = 1, append_log",
     "SELECT * FROM facts JOIN evidence USING (id), append_log",
     "SELECT * FROM facts AS \"where\", append_log",
+    # SQLite reads WITH and WINDOW as an alias here
+    "SELECT * FROM facts with, append_log",
+    "SELECT * FROM facts AS with, append_log",
+    "SELECT * FROM facts window, append_log",
     "SELECT * FROM (append_log AS a)",
     "SELECT * FROM facts f JOIN (entities e, append_log) ON 1",
     # SQLite reads a table after IN, and a string where only a name may stand
@@ -230,7 +234,7 @@ def test_tokenize_matches_the_reference(statement):
 # -- layer 1 against SQLite ---------------------------------------------------
 
 _SOURCE_TABLES = [*sorted(WHITELISTED_TABLES), "append_log", "sqlite_master", "main.facts"]
-_ALIASES = ["", " a", " AS a", " AS b", ' AS "a"', " AS 'b'"]
+_ALIASES = ["", " a", " AS a", " AS b", ' AS "a"', " AS 'b'", " with", " AS with", " window"]
 _JOINS = [", ", " JOIN ", " LEFT JOIN ", " CROSS JOIN ", " NATURAL JOIN "]
 _CONSTRAINTS = ["", " ON 1", " ON a.id = 1", " USING (id)"]
 
