@@ -9,7 +9,7 @@ from __future__ import annotations
 import calendar
 import re
 from dataclasses import dataclass
-from datetime import MINYEAR, date, timedelta
+from datetime import date, timedelta
 from typing import Any, List, Optional, Protocol, Tuple
 
 from . import index as index_mod
@@ -51,10 +51,37 @@ def _previous_month(anchor: date) -> Tuple[date, date]:
 
 def _months_back(anchor: date, months: int) -> date:
     year, month = divmod(anchor.year * 12 + anchor.month - 1 - months, 12)
-    if year < MINYEAR:
-        raise ValueError(f"year {year} is out of range")
     day = min(anchor.day, calendar.monthrange(year, month + 1)[1])
     return date(year, month + 1, day)
+
+
+def _relative_range(text: str, anchor: date) -> Optional[Tuple[date, Optional[date]]]:
+    """The (start, end) days of a relative expression (lower-cased, trimmed)
+    at the anchor's day, or None for text that is not one; end is set for
+    an interval. Raises OverflowError or ValueError for a day outside the
+    calendar."""
+    if text == "yesterday":
+        return anchor - timedelta(days=1), None
+    if text == "today":
+        return anchor, None
+    if text == "tomorrow":
+        return anchor + timedelta(days=1), None
+    if text == "last week":
+        start = anchor - timedelta(days=anchor.weekday() + 7)
+        return start, start + timedelta(days=6)
+    if text == "last month":
+        return _previous_month(anchor)
+    ago = _AGO_RE.match(text)
+    if ago:
+        amount, unit = int(ago.group(1)), ago.group(2)
+        if unit == "month":
+            return _months_back(anchor, amount), None
+        return anchor - timedelta(days=amount * (7 if unit == "week" else 1)), None
+    if text in _WEEKDAYS:
+        # most recent past occurrence, strictly before the anchor date
+        delta = (anchor.weekday() - _WEEKDAYS[text]) % 7 or 7
+        return anchor - timedelta(days=delta), None
+    return None
 
 
 def normalize_temporal(expression: str, anchor: str) -> Tuple[str, Optional[str]]:
@@ -74,39 +101,15 @@ def normalize_temporal(expression: str, anchor: str) -> Tuple[str, Optional[str]
         parsed = ontology.parse_iso_datetime(expression.strip())
         return ontology.format_iso_datetime(parsed), None
 
-    if text == "yesterday":
-        return (anchor_date - timedelta(days=1)).isoformat(), None
-    if text == "today":
-        return anchor_date.isoformat(), None
-    if text == "tomorrow":
-        return (anchor_date + timedelta(days=1)).isoformat(), None
-    if text == "last week":
-        this_monday = anchor_date - timedelta(days=anchor_date.weekday())
-        start = this_monday - timedelta(days=7)
-        return start.isoformat(), (start + timedelta(days=6)).isoformat()
-    if text == "last month":
-        start, end = _previous_month(anchor_date)
-        return start.isoformat(), end.isoformat()
-
-    ago = _AGO_RE.match(text)
-    if ago:
-        unit = ago.group(2)
-        try:
-            amount = int(ago.group(1))
-            if unit == "month":
-                resolved = _months_back(anchor_date, amount)
-            else:
-                resolved = anchor_date - timedelta(days=amount * (7 if unit == "week" else 1))
-        except (OverflowError, ValueError) as exc:
-            raise UnparseableTemporal(f"{expression!r} is outside the calendar") from exc
-        return resolved.isoformat(), None
-
-    if text in _WEEKDAYS:
-        # most recent past occurrence, strictly before the anchor date
-        delta = (anchor_date.weekday() - _WEEKDAYS[text]) % 7 or 7
-        return (anchor_date - timedelta(days=delta)).isoformat(), None
-
-    raise UnparseableTemporal(f"unrecognized temporal expression: {expression!r}")
+    # the one range check of every relative expression
+    try:
+        resolved = _relative_range(text, anchor_date)
+    except (OverflowError, ValueError) as exc:
+        raise UnparseableTemporal(f"{expression!r} is outside the calendar") from exc
+    if resolved is None:
+        raise UnparseableTemporal(f"unrecognized temporal expression: {expression!r}")
+    start, end = resolved
+    return start.isoformat(), None if end is None else end.isoformat()
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,13 @@ class Scores:
         order = np.lexsort((doc_ids, -values))[:k]
         return list(zip(doc_ids[order].tolist(), values[order].tolist()))
 
+    def known(self, known: np.ndarray) -> "Scores":
+        """The scores of the rows whose doc_id is ``known``
+        (``Store.known_rows``), a mask whose last entry is False, so that a
+        doc_id past it is clipped to it and not known."""
+        kept = known.take(self.doc_ids, mode="clip")
+        return Scores(self.doc_ids[kept], self.values[kept])
+
 
 class _Postings:
     """Incremental BM25 statistics of one kind, kept per distinct text: each
@@ -649,8 +656,11 @@ def hybrid_search(
     kinds: Iterable[str],
     query: str,
     k: int,
+    as_of: Optional[str] = None,
 ) -> List[Tuple[int, str, HybridScore]]:
-    """Fused ranking over the union of dense and lexical candidate pools."""
+    """Fused ranking over the union of dense and lexical candidate pools.
+    With ``as_of``, each channel drops the rows not known then before its
+    pool is taken, so a pool is never short of known rows."""
     if k < 1:
         raise ValueError("k must be >= 1")
     query_vector = index.embed(query)
@@ -662,8 +672,12 @@ def hybrid_search(
         if kind not in KINDS:
             raise UnknownView(f"unknown kind: {kind}")
         dense_all = index.dense_scores(kind, query_vector)
+        lexical_all = index.lexical_scores(store, kind, query)
+        known = None if as_of is None else store.known_rows(kind, as_of)
+        if known is not None:
+            dense_all, lexical_all = dense_all.known(known), lexical_all.known(known)
         dense = dict(dense_all.top(pool))
-        lexical = dict(index.lexical_scores(store, kind, query).top(pool))
+        lexical = dict(lexical_all.top(pool))
         for doc_id in lexical:
             if doc_id not in dense:
                 # a row committed but not yet embedded has no dense score

@@ -126,7 +126,11 @@ def parse_iso_datetime(value: str) -> datetime:
         raise ValidationFailure(f"not an ISO-8601 timestamp: {value!r}") from None
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc).replace(microsecond=0)
+    try:
+        parsed = parsed.astimezone(timezone.utc)
+    except OverflowError:  # 0001-01-01T00:00:00+05:00, say
+        raise ValidationFailure(f"not an instant of the UTC calendar: {value!r}") from None
+    return parsed.replace(microsecond=0)
 
 
 def format_iso_datetime(value: datetime) -> str:
@@ -148,6 +152,32 @@ def temporal_sort_key(iso: Optional[str]) -> str:
     if shape == "--" and len(iso) == 10:
         return iso + "T00:00:00Z"
     return format_iso_datetime(parse_iso_datetime(iso))
+
+
+def as_of_cutoff(as_of: Optional[str]) -> Optional[str]:
+    """The as-of rule's cutoff for a question date D, as a
+    ``temporal_sort_key``: D is an instant, and a date-only D is the last
+    second of its UTC day, so that what was stated on the day the question
+    is asked counts. None, for no D, cuts nothing. A row is known at D when
+    its known-at stamp is at or before the cutoff (``known_at``); a fact is
+    in force at D when its ``valid_from`` is unset or at or before it."""
+    if as_of is None:
+        return None
+    if len(as_of) == 10 and as_of[4::3] == "--":  # the form run_agent hands out
+        return as_of + "T23:59:59Z"
+    key = temporal_sort_key(as_of)
+    try:
+        date.fromisoformat(as_of.strip())
+    except ValueError:
+        return key
+    return key[:11] + "23:59:59Z"
+
+
+def known_at(key, cutoff: Optional[str]):
+    """Whether a row whose known-at stamp has the ``temporal_sort_key``
+    ``key`` is known at ``cutoff`` (``as_of_cutoff``); element-wise for an
+    array of keys. Every as-of cut of the engine is this comparison."""
+    return cutoff is None or key <= cutoff
 
 
 _SCALAR_TYPES = (str, int, float, bool)
@@ -302,6 +332,12 @@ class Entity:
 
 @dataclass(frozen=True)
 class Fact:
+    """One stated value of a subject's property. ``created_at`` is when the
+    memory learned it, which decides whether it is known at a question date;
+    ``valid_from`` is when it took effect, which decides whether it is in
+    force then (see ``as_of_cutoff``). ``valid_to`` ends the window of an
+    imprecise date, such as 2024-02-01 .. 2024-02-29 for "last month"; it is
+    stored and shown, and no as-of rule reads it."""
     id: Optional[int]
     subject_id: int
     property_name: str
@@ -336,15 +372,7 @@ class Event:
     location: Optional[str] = None
 
     def __post_init__(self):
-        if "T" in self.anchor_datetime:
-            parse_iso_datetime(self.anchor_datetime)
-        else:
-            try:
-                date.fromisoformat(self.anchor_datetime)
-            except ValueError:
-                raise ValidationFailure(
-                    f"anchor_datetime not ISO-8601: {self.anchor_datetime!r}"
-                ) from None
+        parse_iso_datetime(self.anchor_datetime)
 
 
 @dataclass(frozen=True)

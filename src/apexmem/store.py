@@ -17,6 +17,8 @@ from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from urllib.parse import quote
 
+import numpy as np
+
 from . import ontology
 from .errors import (
     DanglingReference,
@@ -33,6 +35,8 @@ from .ontology import (
     Fact,
     Role,
     Turn,
+    as_of_cutoff,
+    known_at,
     temporal_sort_key,
 )
 
@@ -159,19 +163,23 @@ def _read_schema() -> Tuple[Dict[str, Tuple[str, ...]], Dict[str, str], Dict[str
 _COLUMNS, _ID_COLUMNS, _INSERTS = _read_schema()
 
 
-# The search text of each index kind, derived from its base rows when read:
-# kind -> (table, text columns, render), where render maps a row
-# (id, *text columns) to the text.
+# The search text of each index kind, derived from its base rows when read,
+# and the stamp that decides when a row of the kind is known (``known_at``):
+# kind -> (table, text columns, render, known-at stamp), where render maps a
+# row (id, *text columns) to the text, and the stamp is an SQL expression
+# over the kind's table.
 SEARCH_TEXT = {
     "entity": (
         "entities", "entity_name, aliases_json",
         lambda row: " ".join([row[1], *json.loads(row[2])]),
+        "created_at",
     ),
     "property": (
         "properties", "property_name, dtype, description",
         lambda row: (
             f"{row[1].replace('_', ' ')} {row[1]} {row[2]} {row[3] or ''}".strip()
         ),
+        "created_at",
     ),
     "event": (
         "events", "event_type, location",
@@ -179,9 +187,13 @@ SEARCH_TEXT = {
         lambda row: (
             f"{row[1]} {row[2]}" if row[1] and row[2] else row[1] or row[2] or ""
         ),
+        "created_at",
     ),
-    "evidence": ("evidence", "quoted_text", itemgetter(1)),
-    "turn": ("turns", "text", itemgetter(1)),
+    "evidence": (
+        "evidence", "quoted_text", itemgetter(1),
+        "(SELECT anchor_datetime FROM turns WHERE turns.id = evidence.turn_id)",
+    ),
+    "turn": ("turns", "text", itemgetter(1), "anchor_datetime"),
 }
 
 
@@ -224,12 +236,12 @@ class _Subject:
     """What a store keeps of one entity for its own life, each part with
     the last id it covers and extended with the rows above it: the
     entity's facts as subject (see ``_kept_history``), the anchors of its
-    events, and the rendered lines of its facts by fact id, which the
-    entity document fills."""
+    events (see ``entity_anchors``), and the rendered lines of its facts by
+    fact id, which the entity document fills."""
     facts_to: int = 0
     facts: Dict[str, List[tuple]] = field(default_factory=dict)
     events_to: int = 0
-    anchors: Tuple[str, ...] = ()
+    anchors: List[Tuple[str, str, str]] = field(default_factory=list)
     lines: Dict[int, Tuple[str, str]] = field(default_factory=dict)
 
 
@@ -239,10 +251,6 @@ def _io_failure(path: str, outcome: str, exc: sqlite3.Error) -> IoFailure:
     if "locked" in str(exc):
         return IoFailure(f"store {path} is locked by another writer; {outcome}: {exc}")
     return IoFailure(f"store {path}: {outcome}: {exc}")
-
-
-def _cutoff(as_of: Optional[str]) -> Optional[str]:
-    return None if as_of is None else temporal_sort_key(as_of)
 
 
 class Store:
@@ -269,6 +277,9 @@ class Store:
         # the turns that extraction checks and quotes next
         self._batch_texts: Dict[int, str] = {}
         self._subjects: Dict[int, _Subject] = defaultdict(_Subject)
+        # per index kind, the last id covered, the known-at keys by doc_id
+        # and the latest of them
+        self._known_keys: Dict[str, Tuple[int, np.ndarray, str]] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -428,6 +439,7 @@ class Store:
         self._entity_memo.clear()
         self._property_memo.clear()
         self._subjects.clear()
+        self._known_keys.clear()
         self._batch_texts = {}
 
     def _commit(self, payload: dict) -> None:
@@ -746,16 +758,17 @@ class Store:
 
     @staticmethod
     def _in_force(entries: Sequence[tuple], cutoff: Optional[str]) -> List[Fact]:
-        """The as-of rule of the engine: with ``cutoff``, the
-        ``temporal_sort_key`` of an as-of date, only the kept facts whose
-        valid_from is unset (keyed "", before every cutoff) or at or before
-        it. Since valid_from leads the kept order, they are a prefix of it.
+        """The kept facts in force and known at ``cutoff`` (``as_of_cutoff``):
+        those whose valid_from is unset (keyed "", before every cutoff) or at
+        or before it, which are a prefix of the kept order since valid_from
+        leads it, and of them those whose created_at is at or before it.
         A fact with a list value is handed out with its own list."""
         end = len(entries) if cutoff is None else bisect_right(
             entries, cutoff, key=itemgetter(0))
         return [
             replace(fact, value=list(fact.value)) if fact.dtype is DType.list else fact
-            for fact in map(itemgetter(3), entries[:end])
+            for _valid_from, created_at, _id, fact in entries[:end]
+            if known_at(created_at, cutoff)
         ]
 
     def fact_history(
@@ -765,16 +778,17 @@ class Store:
         as_of: Optional[str] = None,
     ) -> list:
         """Matching facts, ascending by (valid_from, created_at, id) as
-        instants, cut to ``as_of`` by the as-of rule (``_in_force``)."""
+        instants, cut to those in force and known at ``as_of``
+        (``_in_force``)."""
         return self._in_force(self._kept_history(subject_id).get(property_name, ()),
-                              _cutoff(as_of))
+                              as_of_cutoff(as_of))
 
     def subject_history(
         self, subject_id: int, as_of: Optional[str] = None
     ) -> Dict[str, List[Fact]]:
         """``fact_history`` of each property the subject has a fact of, even
         if none is in force at ``as_of``, by property name in name order."""
-        cutoff = _cutoff(as_of)
+        cutoff = as_of_cutoff(as_of)
         return {
             prop: self._in_force(entries, cutoff)
             for prop, entries in self._kept_history(subject_id).items()
@@ -811,13 +825,42 @@ class Store:
         ``after_id``, ascending by doc_id."""
         if kind not in SEARCH_TEXT:
             raise UnknownView(f"unknown kind: {kind}")
-        table, columns, render = SEARCH_TEXT[kind]
+        table, columns, render, _stamp = SEARCH_TEXT[kind]
         key = _ID_COLUMNS[table]
         rows = self._conn.execute(
             f"SELECT {key}, {columns} FROM {table} WHERE {key} > ? ORDER BY {key}",
             (after_id,),
         )
         return [(row[0], render(row)) for row in rows]
+
+    def known_rows(self, kind: str, as_of: str) -> Optional[np.ndarray]:
+        """Which rows of one index kind are known at ``as_of``, as a mask by
+        doc_id, or None when every row is. Each row's known-at key (the
+        stamp ``SEARCH_TEXT`` names) is derived once, kept for the life of
+        the store in an array by doc_id, and extended with the rows above
+        the last id it covers, with the latest key among them. An id with
+        no row, 0 and the one past the last included, holds "~", after
+        every cutoff, so that a doc_id clipped to the mask's end is not
+        known."""
+        table, _columns, _render, stamp = SEARCH_TEXT[kind]
+        self._sync_ids()
+        last = self._last_ids[table]
+        covered, keys, latest = self._known_keys.get(
+            kind, (0, np.full(2, "~", dtype="U20"), ""))
+        if covered < last:
+            key = _ID_COLUMNS[table]
+            grown = np.full(last + 2, "~", dtype="U20")
+            grown[:covered + 1] = keys[:covered + 1]
+            for doc_id, known in self._conn.execute(
+                f"SELECT {key}, {stamp} FROM {table} WHERE {key} > ? AND {key} <= ?",
+                (covered, last),
+            ):
+                grown[doc_id] = known = temporal_sort_key(known)
+                latest = max(latest, known)
+            keys = grown
+            self._known_keys[kind] = (last, keys, latest)
+        cutoff = as_of_cutoff(as_of)
+        return None if known_at(latest, cutoff) else known_at(keys, cutoff)
 
     def kind_row(self, kind: str, doc_id: int, columns: Sequence[str]) -> Optional[tuple]:
         """The named columns of the base row behind one index document, or
@@ -900,38 +943,55 @@ class Store:
             property_ids, itemgetter(slice(1, None)),
         )
 
-    def property_usage(self, names: Iterable[str]) -> Dict[str, int]:
-        """Number of facts of each property name, in one statement. The
-        NOCASE term selects the names' range of facts_property; the exact
-        term keeps the count case-sensitive."""
-        rows = self._conn.execute(
-            "SELECT names.value, (SELECT COUNT(*) FROM facts"
-            " WHERE property_name = names.value COLLATE NOCASE"
-            " AND property_name = names.value) FROM json_each(?) AS names",
-            (json.dumps(list(names)),),
-        )
-        return dict(rows.fetchall())
+    def property_usage(self, names: Iterable[str],
+                       as_of: Optional[str] = None) -> Dict[str, int]:
+        """Number of facts of each property name known at ``as_of``, in one
+        statement. The NOCASE term selects the names' range of
+        facts_property; the exact term keeps the count case-sensitive."""
+        cutoff = as_of_cutoff(as_of)
+        usage: Dict[str, int] = {}
+        for name, created_at in self._conn.execute(
+            "SELECT names.value, facts.created_at FROM json_each(?) AS names"
+            " LEFT JOIN facts ON facts.property_name = names.value COLLATE NOCASE"
+            " AND facts.property_name = names.value",
+            (json.dumps(list(dict.fromkeys(names))),),
+        ):
+            usage[name] = usage.get(name, 0) + (
+                created_at is not None and known_at(temporal_sort_key(created_at), cutoff))
+        return usage
 
-    def entity_anchors(self, entity_id: int) -> Tuple[str, ...]:
+    def entity_anchors(self, entity_id: int, as_of: Optional[str] = None) -> Tuple[str, ...]:
         """The distinct anchors of the events the entity takes part in, in
         time order: ascending by (``temporal_sort_key``, text), so that two
-        spellings of one instant sort as text. Kept like a subject's facts,
+        spellings of one instant sort as text. With ``as_of``, only the
+        anchors at or before it of events known at it. Kept like a subject's
+        facts, each anchor with the earliest known-at key of its events,
         and extended with the events above the last id it covers."""
         self._sync_ids()
         last = self._last_ids["events"]
         kept = self._subjects[entity_id]
         if kept.events_to < last:
-            added = {row[0] for row in self._conn.execute(
-                "SELECT e.anchor_datetime FROM event_participants p"
+            known = {anchor: key for _at, anchor, key in kept.anchors}
+            changed = False
+            for anchor, created_at in self._conn.execute(
+                "SELECT e.anchor_datetime, e.created_at FROM event_participants p"
                 " JOIN events e ON e.id = p.event_id"
                 " WHERE p.entity_id = ? AND p.event_id > ? AND p.event_id <= ?",
                 (entity_id, kept.events_to, last),
-            )}.difference(kept.anchors)
-            if added:
-                kept.anchors = tuple(sorted(
-                    (*kept.anchors, *added), key=lambda a: (temporal_sort_key(a), a)))
+            ):
+                key = temporal_sort_key(created_at)
+                if key < known.get(anchor, "~"):
+                    known[anchor] = key
+                    changed = True
+            if changed:
+                kept.anchors = sorted(
+                    (temporal_sort_key(anchor), anchor, key) for anchor, key in known.items())
             kept.events_to = last
-        return kept.anchors
+        cutoff = as_of_cutoff(as_of)
+        end = len(kept.anchors) if cutoff is None else bisect_right(
+            kept.anchors, cutoff, key=itemgetter(0))
+        return tuple([anchor for _at, anchor, key in kept.anchors[:end]
+                      if known_at(key, cutoff)])
 
     def find_entity_by_name(self, name: str) -> Optional[dict]:
         """Case-insensitive match on canonical name or any alias; the lowest

@@ -8,12 +8,12 @@ import datetime
 import json
 import re
 import sqlite3
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .index import VectorIndex, hybrid_search
-from .ontology import temporal_sort_key
+from .ontology import as_of_cutoff, known_at, temporal_sort_key
 from .sqlguard import validate_sql
 from .store import WHITELISTED_TABLES, Store, table_columns
 
@@ -28,10 +28,10 @@ _MINIMUM = 1  # of every integer argument
 class _Tool:
     """One agent tool. ``args`` are its arguments as (name, JSON type,
     required). ``run(toolkit, args, named)`` runs it on checked ``args``
-    and the run's named parameters that ``reads`` lists (None: all)."""
+    and the run's named parameters; every tool that reads rows cuts them to
+    ``question_date``, and GraphSQL binds them all."""
     args: Tuple[Tuple[str, str, bool], ...]
     run: Callable[["ToolKit", dict, dict], "ToolResult"]
-    reads: Optional[Tuple[str, ...]] = ()
 
 
 _QUERY_ARGS = (("query", "string", True), ("k", "integer", False))
@@ -45,17 +45,19 @@ _TOOLS: Dict[str, _Tool] = {
     "entity_lookup": _Tool(
         _QUERY_ARGS,
         lambda kit, args, named: entity_lookup(
-            kit.store, kit.index, **args, as_of=named.get("question_date")),
-        reads=("question_date",)),
+            kit.store, kit.index, **args, as_of=named.get("question_date"))),
     "graph_sql": _Tool(
         (("sql", "string", True), ("params", "object", False)),
         lambda kit, args, named: graph_sql(
-            kit.store, args["sql"], {**named, **args.get("params", {})}),
-        reads=None),
+            kit.store, args["sql"], {**named, **args.get("params", {})})),
     "search": _Tool(
-        _QUERY_ARGS, lambda kit, args, named: search(kit.store, kit.index, **args)),
+        _QUERY_ARGS,
+        lambda kit, args, named: search(
+            kit.store, kit.index, **args, as_of=named.get("question_date"))),
     "property_search": _Tool(
-        _QUERY_ARGS, lambda kit, args, named: property_search(kit.store, kit.index, **args)),
+        _QUERY_ARGS,
+        lambda kit, args, named: property_search(
+            kit.store, kit.index, **args, as_of=named.get("question_date"))),
 }
 
 TOOL_NAMES = tuple(_TOOLS)
@@ -140,6 +142,15 @@ def render_markdown_table(headers: List[str], rows: List[List[Any]]) -> str:
     return "\n".join(lines)
 
 
+# The as-of rule in SQL, over facts aliased ``f`` and a date-only
+# :question_date: the facts in force and known at the end of that UTC day.
+# SQLite's date() reads an offset stamp as its UTC day, so this picks the
+# facts that ``Store.fact_history`` keeps at the same question date.
+AS_OF_FACTS = (
+    "(f.valid_from IS NULL OR date(f.valid_from) <= date(:question_date))"
+    " AND date(f.created_at) <= date(:question_date)"
+)
+
 _SCHEMA_COLUMNS = {
     table: ", ".join(columns) for table, columns in table_columns().items()
 }
@@ -170,36 +181,43 @@ _EXAMPLE_QUERIES = {
         "/7 AS INTEGER) as weeks_approx "
         "FROM facts f WHERE f.subject_id = :user_id "
         "AND f.property_name = :property_id "
-        "AND julianday(f.valid_from) <= julianday(:question_date) "
-        "AND julianday(f.created_at) <= julianday(:question_date) "
-        "ORDER BY julianday(f.created_at) DESC LIMIT 1"
+        f"AND {AS_OF_FACTS} "
+        "ORDER BY julianday(f.valid_from) DESC, julianday(f.created_at) DESC LIMIT 1"
     ),
 }
 
-_USAGE_GUIDE = """\
+_USAGE_GUIDE = f"""\
 Usage guide
 -----------
+- As of the question date: memory is append-only, so every read sees the
+  store as it stood at the end of :question_date (a UTC day). A row is
+  known then when it was stored by then: created_at for entities,
+  properties, facts and events, anchor_datetime for turns, the turn's for
+  evidence. A fact is in force then when its valid_from is unset or on or
+  before that day. valid_to only ends the window of an imprecise date
+  ("last month"), and no rule reads it.
 - entity_lookup: call first to canonicalize a person/place/thing name to an
-  entity id and see its property values in force at the question date.
-- search: broad hybrid retrieval; use for open-ended questions, or when you
-  do not know which entity, event, or property holds the answer.
+  entity id and see its property values known and in force at the
+  question date, and the anchors of its events by then.
+- search: broad hybrid retrieval over the rows known at the question date;
+  use for open-ended questions, or when you do not know which entity,
+  event, or property holds the answer.
 - property_search: find the canonical snake_case property name before
-  filtering facts by property_name in SQL.
+  filtering facts by property_name in SQL; usage counts the facts known at
+  the question date.
 - graph_sql: precise reasoning - joins across entities/facts/events,
   aggregation (COUNT/SUM/AVG), and temporal arithmetic. Only single
   read-only SELECT (or WITH ... SELECT) statements over the whitelisted
   tables are accepted. Named parameters (:question_date etc.) are bound
-  from the arguments.
+  from the arguments. GraphSQL reads every row, so apply the rule
+  yourself: with facts aliased f, filter by
+  {AS_OF_FACTS}
 - Temporal SQL: anchor_datetime and valid_from/valid_to are ISO-8601 text
-  that may carry a UTC offset, so compare them with julianday(), never as
-  strings; julianday(:question_date) -
+  that may carry a UTC offset, so compare them with date() or julianday(),
+  never as strings; julianday(:question_date) -
   julianday(json_extract(f.value_json, '$')) gives a difference in days. To
-  get the current value of a property, ORDER BY julianday(valid_from) DESC,
-  julianday(created_at) DESC LIMIT 1. Superseded facts remain in the table:
-  to reconstruct the state at the question date, filter by both
-  julianday(valid_from) <= julianday(:question_date) and
-  julianday(created_at) <= julianday(:question_date), since a fact stated
-  after that date about an earlier time was not yet known then.
+  get the value in force, filter as above and ORDER BY
+  julianday(f.valid_from) DESC, julianday(f.created_at) DESC LIMIT 1.
 """
 
 
@@ -231,21 +249,15 @@ def _fact_lines(fact) -> Tuple[str, str]:
     return latest, _table_line(cells)
 
 
-def _day(iso: str) -> str:
-    return temporal_sort_key(iso)[:10]
-
-
 def build_entity_document(
     store: Store, entity_id: int, as_of: Optional[str] = None
 ) -> Optional[str]:
     """The rendered entity as known at ``as_of`` (a question date): its facts
-    in force then, and the anchors of its events on or before that day. None
-    for an entity the store lacks, or one first created after that day."""
+    in force and known then, and the anchors of its events known then, at or
+    before it. None for an entity the store lacks, or one not known then."""
     row = store.entity_row(entity_id)
-    if row is None:
-        return None
-    day = None if as_of is None else _day(as_of)
-    if day is not None and _day(row["created_at"]) > day:
+    if row is None or not known_at(temporal_sort_key(row["created_at"]),
+                                   as_of_cutoff(as_of)):
         return None
     kept = store.fact_lines(entity_id)
     latest_lines = [_LATEST_HEAD]
@@ -258,10 +270,7 @@ def build_entity_document(
             history_lines.append(lines[1])
         if history:  # the last fact in force holds the latest value
             latest_lines.append(lines[0])
-    # anchors are in time order, so those on or before the day are a prefix
-    anchors = store.entity_anchors(entity_id)
-    if day is not None:
-        anchors = anchors[:bisect_right(anchors, day, key=_day)]
+    anchors = store.entity_anchors(entity_id, as_of)
     last_anchor = None
     if anchors:
         # of two spellings of the latest instant, the first as text
@@ -325,7 +334,7 @@ def entity_lookup(
 ) -> ToolResult:
     if k < 1:
         return ToolResult(ok=False, error="k must be >= 1")
-    hits = hybrid_search(store, index, ["entity"], query, k)
+    hits = hybrid_search(store, index, ["entity"], query, k, as_of)
     documents = []
     for doc_id, _kind, _score in hits:
         doc = build_entity_document(store, doc_id, as_of)
@@ -413,15 +422,17 @@ _SEARCH_SECTIONS = (
 )
 
 
-def search(store: Store, index: VectorIndex, query: str, k: int = DEFAULT_K) -> ToolResult:
-    """Four ranked sections: entities, properties, events/evidence, turns.
-    A hit whose row the store lacks is left out."""
+def search(store: Store, index: VectorIndex, query: str, k: int = DEFAULT_K,
+           as_of: Optional[str] = None) -> ToolResult:
+    """Four ranked sections of the rows known at ``as_of``: entities,
+    properties, events/evidence, turns. A hit whose row the store lacks is
+    left out."""
     if k < 1:
         return ToolResult(ok=False, error="k must be >= 1")
     sections = []
     for title, headers, kinds in _SEARCH_SECTIONS:
         rows = []
-        for doc_id, kind, score in hybrid_search(store, index, kinds, query, k):
+        for doc_id, kind, score in hybrid_search(store, index, kinds, query, k, as_of):
             columns, cells = kinds[kind]
             row = store.kind_row(kind, doc_id, columns)
             if row is not None:
@@ -430,12 +441,15 @@ def search(store: Store, index: VectorIndex, query: str, k: int = DEFAULT_K) -> 
     return ToolResult(ok=True, text=_cap_text("\n\n".join(sections)))
 
 
-def property_search(store: Store, index: VectorIndex, query: str, k: int = DEFAULT_K) -> ToolResult:
+def property_search(store: Store, index: VectorIndex, query: str, k: int = DEFAULT_K,
+                    as_of: Optional[str] = None) -> ToolResult:
+    """The properties known at ``as_of`` that best match ``query``, each
+    with the number of its facts known then."""
     if k < 1:
         return ToolResult(ok=False, error="k must be >= 1")
-    hits = hybrid_search(store, index, ["property"], query, k)
+    hits = hybrid_search(store, index, ["property"], query, k, as_of)
     found = store.property_rows(doc_id for doc_id, _kind, _score in hits)
-    usage = store.property_usage(name for name, _dtype in found.values())
+    usage = store.property_usage((name for name, _dtype in found.values()), as_of)
     rows = []
     for doc_id, _kind, score in hits:
         if doc_id in found:
@@ -457,8 +471,7 @@ class ToolKit:
         self.index = index
 
     def dispatch(self, call: ToolCall, default_params: Optional[dict] = None) -> ToolResult:
-        """Run one call. ``default_params`` are the run's named parameters;
-        each tool gets those its entry in ``_TOOLS`` reads."""
+        """Run one call with the run's named parameters, ``default_params``."""
         if call.tool not in TOOL_NAMES:
             return ToolResult(ok=False, error=f"unknown tool: {call.tool!r}")
         error = _arg_error(call.tool, call.args)
@@ -467,7 +480,4 @@ class ToolKit:
         tool = _TOOLS[call.tool]
         args = {name: int(call.args[name]) if kind == "integer" else call.args[name]
                 for name, kind, _required in tool.args if name in call.args}
-        params = default_params or {}
-        if tool.reads is not None:
-            params = {name: params[name] for name in tool.reads if name in params}
-        return tool.run(self, args, params)
+        return tool.run(self, args, default_params or {})

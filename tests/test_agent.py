@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from apexmem import extract
 from apexmem.agent import (
     DEFAULT_MAX_TOOL_CALLS,
     AgentConfig,
@@ -77,6 +78,52 @@ def test_an_ago_before_the_calendar_resolves_no_range(amount, unit, asked):
         expected = date.fromordinal(day).isoformat() if day >= 1 else None
         got = params.get("range_start")
     assert got == expected
+
+
+_EXPRESSIONS = st.sampled_from([
+    *extract.RELATIVE_EXPRESSIONS, "monday", "sunday",
+    "1 day ago", "2 weeks ago", "1 month ago", "13 months ago", "99999999 days ago",
+])
+
+
+def test_run_agent_answers_at_every_question_date(case1_store, index):
+    """Questions holding each relative expression, asked at instants from
+    0001-01-01 to 9999-12-31 written in several UTC offsets (or as a date):
+    ``run_agent`` answers, and never raises. An expression whose day falls
+    outside the calendar resolves no range."""
+    @settings(max_examples=80, deadline=None)
+    @given(_EXPRESSIONS,
+           st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59),
+                        timezones=st.just(timezone.utc)),
+           st.sampled_from(["Z", "+05:00", "-05:00", "+14:00", "-12:00", "date"]))
+    # each of these ended run_agent with a bare OverflowError
+    @example("tomorrow", datetime(9999, 12, 31, tzinfo=timezone.utc), "Z")
+    @example("yesterday", datetime(1, 1, 1, tzinfo=timezone.utc), "Z")
+    @example("yesterday", datetime(1, 1, 1, 2, tzinfo=timezone.utc), "+05:00")
+    @example("last week", datetime(1, 1, 3, tzinfo=timezone.utc), "Z")
+    @example("last month", datetime(1, 1, 15, tzinfo=timezone.utc), "date")
+    def check(expression, asked, zone):
+        hours = {"+05:00": 5, "-05:00": -5, "+14:00": 14, "-12:00": -12}.get(zone, 0)
+        try:
+            local = asked + timedelta(hours=hours)
+        except OverflowError:  # the instant has no local time in this offset
+            local, zone = asked, "Z"
+        if zone == "date":
+            question_date = asked.date().isoformat()
+        else:
+            question_date = (local.replace(tzinfo=None).isoformat(timespec="seconds")
+                             + (zone if hours else "Z"))
+        question = f"What did Alice's favorite restaurant become {expression}?"
+        transcript = run_agent(case1_store, index, HeuristicPolicy(), question,
+                               AgentConfig(question_date=question_date))
+        assert transcript.terminated_reason == "answered"
+        params = transcript.named_params
+        assert params["question_date"] == asked.date().isoformat()
+        if "range_start" in params:
+            assert date.fromisoformat(params["range_start"]) <= date.fromisoformat(
+                params["range_end"])
+
+    check()
 
 
 def test_scripted_policy_answers(store, index):

@@ -153,6 +153,23 @@ def test_qa_gives_a_repeated_graphsql_statement_the_same_verdict(runner, tmp_pat
     assert result.output.count('| "Italian Garden" |') == 2
 
 
+def test_qa_before_a_later_session_shows_nothing_it_stored(runner, tmp_path):
+    """Asked at 2024-02-01, the answer and the search know nothing of the
+    session of 2024-03-20: not the closure of Italian Garden it states, nor
+    Sakura Sushi or any row stored then."""
+    store_path = _ingest_case1(runner, tmp_path)
+    ask = ["--store", store_path, "--question-date", "2024-02-01T00:00:00Z"]
+    result = runner.invoke(main, ["qa", "What is Italian Garden's closure date?", *ask])
+    assert result.exit_code == 0, result.output
+    assert result.output == "I could not find an answer in memory.\n"
+    result = runner.invoke(main, [
+        "qa", "What is Alice's favorite restaurant?", *ask, "--trace",
+        "--policy", "script:" + fixture_path("search_policy.json")])
+    assert result.exit_code == 0, result.output
+    assert "| ent:1 | Alice | Person |" in result.output
+    assert "Sakura Sushi" not in result.output and "2024-03-20" not in result.output
+
+
 def test_qa_budget_exhaustion_exit_code(runner, tmp_path):
     store_path = _ingest_case1(runner, tmp_path)
     script = tmp_path / "script.json"
@@ -292,6 +309,9 @@ def test_inspect_bad_arguments_are_usage_errors(runner, tmp_path, args):
 @pytest.mark.parametrize("args, message", [
     (["--question-date", "garbage"], "not an ISO-8601 timestamp: 'garbage'"),
     (["--policy", "script:missing.json"], "policy script missing.json"),
+    # local midnight at +05:00 is before the first instant of the UTC calendar
+    (["--question-date", "0001-01-01T00:00:00+05:00"],
+     "not an instant of the UTC calendar: '0001-01-01T00:00:00+05:00'"),
 ])
 def test_qa_bad_arguments_are_usage_errors(runner, tmp_path, args, message):
     store_path = _ingest_case1(runner, tmp_path)

@@ -50,6 +50,19 @@ def test_normalize_temporal_last_month_clamps_day():
     assert (got_from, got_to) == ("2024-02-01", "2024-02-29")
 
 
+@pytest.mark.parametrize("expression,anchor", [
+    ("tomorrow", "9999-12-31T00:00:00Z"),
+    ("yesterday", "0001-01-01T00:00:00Z"),
+    ("last week", "0001-01-03T00:00:00Z"),
+    ("last month", "0001-01-15T00:00:00Z"),
+    ("monday", "0001-01-01"),
+    ("1 month ago", "0001-01-31"),
+])
+def test_a_relative_expression_outside_the_calendar_is_unparseable(expression, anchor):
+    with pytest.raises(UnparseableTemporal, match="outside the calendar"):
+        normalize_temporal(expression, anchor)
+
+
 def test_normalize_temporal_rejects_unknown():
     with pytest.raises(UnparseableTemporal):
         normalize_temporal("once upon a time", ANCHOR)

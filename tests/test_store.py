@@ -23,7 +23,18 @@ from apexmem.index import VectorIndex, upsert_embeddings
 from apexmem.ontology import DType, Event, Evidence, Fact, Role, Turn, temporal_sort_key
 from apexmem.store import SCHEMA_VERSION, Store, WHITELISTED_TABLES
 from apexmem.tools import entity_lookup, graph_sql, search
-from conftest import corpus_sessions, ingest_case1, load_gen, reference_pipeline
+import as_of_oracle as oracle
+from conftest import (
+    AS_OF_DAYS,
+    AS_OF_INSTANTS,
+    AS_OF_OPS,
+    corpus_sessions,
+    ingest_case1,
+    load_gen,
+    reference_pipeline,
+    spell,
+    write_as_of_ops,
+)
 
 
 def _turn(session="s1", ordinal=0, text="hello world",
@@ -326,6 +337,79 @@ def test_subject_history_is_the_fact_history_of_each_property(facts, cutoffs):
             assert list(history) == props
             assert history == {p: store.fact_history(subject, p, as_of) for p in props}
     store.close()
+
+
+def test_a_fact_stated_after_the_question_date_is_not_in_force(case1_store):
+    """Case 1 states on 2024-03-20 that Italian Garden closed on 2024-02-01
+    (valid 2024-02-01 .. 2024-02-29): asked at 2024-02-01 the store did not
+    know it yet, so no closure date is in force then."""
+    garden = case1_store.find_entity_by_name("Italian Garden")["entity_id"]
+    for as_of in ("2024-02-01", "2024-02-01T00:00:00Z", "2024-03-20T09:59:59Z"):
+        assert case1_store.latest_fact(garden, "closure_date", as_of) is None
+        assert case1_store.subject_history(garden, as_of) == {"closure_date": []}
+    for as_of in ("2024-03-20", "2024-04-01", None):
+        assert case1_store.latest_fact(garden, "closure_date", as_of).id == 3
+    assert case1_store.property_usage(["closure_date"], "2024-02-01") == {"closure_date": 0}
+    assert case1_store.entity_anchors(garden, "2024-02-01") == ("2024-01-15T10:00:00Z",)
+
+
+def _store_reads(store, as_of):
+    """Every as-of read of the store at ``as_of``: each subject's facts in
+    force by property, as ids (checked against the latest of each), its
+    anchors, and each property's usage."""
+    subjects = [row["entity_id"] for row in store.all_rows("entities")]
+    histories = {subject: {prop: [fact.id for fact in facts] for prop, facts in
+                           store.subject_history(subject, as_of).items()}
+                 for subject in subjects}
+    for subject, by_property in histories.items():
+        for prop, ids in by_property.items():
+            assert [f.id for f in store.fact_history(subject, prop, as_of)] == ids
+            latest = store.latest_fact(subject, prop, as_of)
+            assert (latest and latest.id) == (ids[-1] if ids else None)
+    anchors = {subject: store.entity_anchors(subject, as_of) for subject in subjects}
+    return histories, anchors, store.property_usage(_PROPERTIES, as_of)
+
+
+def _instants(anchors):
+    """Each subject's anchors as the distinct instants they name: two
+    spellings of one instant are two anchors, and one in another offset."""
+    return {subject: sorted(set(map(oracle.instant, listed)))
+            for subject, listed in anchors.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(AS_OF_OPS, st.lists(st.none() | AS_OF_DAYS | AS_OF_INSTANTS.map(
+    lambda instant: spell(instant, "-03:00")), min_size=1, max_size=4))
+def test_store_reads_follow_the_as_of_oracle(ops, dates):
+    """The store's as-of reads are the oracle's, at question dates that are
+    days and instants; they grow with the question date; and they do not
+    change when every stored stamp is written in another UTC offset."""
+    stores = [Store.open(":memory:") for _rewrite in range(2)]
+    for rewrite, store in enumerate(stores):
+        write_as_of_ops(store, ops, rewrite)
+    dates = sorted(set(dates), key=lambda as_of: (as_of is None, oracle.cutoff(as_of)))
+    earlier = None
+    for as_of in dates:
+        reads = [_store_reads(store, as_of) for store in stores]
+        for store, (histories, anchors, usage) in zip(stores, reads):
+            facts = oracle.facts_in_force(store, as_of)
+            assert [i for by_property in histories.values() for ids in by_property.values()
+                    for i in ids] == [fact["id"] for fact in facts]
+            assert anchors == {subject: oracle.anchors(store, subject, as_of)
+                               for subject in histories}
+            assert usage == oracle.usage(store, _PROPERTIES, as_of)
+        histories, anchors, usage = reads[0]
+        anchors = _instants(anchors)
+        assert (histories, anchors, usage) == (reads[1][0], _instants(reads[1][1]), reads[1][2])
+        if earlier is not None:  # monotone in the question date
+            for subject in histories:
+                for prop, ids in earlier[0][subject].items():
+                    assert set(ids) <= set(histories[subject][prop])
+                assert set(earlier[1][subject]) <= set(anchors[subject])
+            assert all(earlier[2][prop] <= usage[prop] for prop in usage)
+        earlier = histories, anchors, usage
+    for store in stores:
+        store.close()
 
 
 def test_replay_reconstructs_store(store, tmp_path):

@@ -36,7 +36,17 @@ from apexmem.tools import (
     schema_viewer,
     search,
 )
-from conftest import corpus_sessions, ingest_case1, load_gen, reference_pipeline
+import as_of_oracle as oracle
+from conftest import (
+    AS_OF_DAYS,
+    AS_OF_OPS,
+    corpus_sessions,
+    fixture_path,
+    ingest_case1,
+    load_gen,
+    reference_pipeline,
+    write_as_of_ops,
+)
 
 
 @pytest.fixture
@@ -148,24 +158,30 @@ def test_graph_sql_binds_default_params(toolkit):
 def test_the_guides_as_of_filter_hides_a_fact_stated_later(toolkit):
     """Case 1 states on 2024-03-20 that Italian Garden closed on 2024-02-01:
     asked at 2024-02-01, the guide's filter and its TEMPORAL example find no
-    closure_date row, while the valid_from half alone finds one."""
+    closure_date row, while the valid_from half alone finds one. The guide,
+    the example and the GraphSQL fixtures spell the rule as one fragment."""
     guide = " ".join(schema_viewer(include_guide=True).text.split())
-    valid = "julianday(valid_from) <= julianday(:question_date)"
-    known = "julianday(created_at) <= julianday(:question_date)"
-    assert valid in guide and known in guide
+    assert tools.AS_OF_FACTS in guide and tools.AS_OF_FACTS in tools._EXAMPLE_QUERIES["TEMPORAL"]
+    for name in ("graphsql_policy.json", "graphsql_repeat_policy.json"):
+        with open(fixture_path(name)) as handle:
+            lookups = [step["args"]["sql"] for step in json.load(handle)
+                       if "question_date" in step.get("args", {}).get("sql", "")]
+        assert lookups and all(tools.AS_OF_FACTS in sql for sql in lookups)
+    valid = "(f.valid_from IS NULL OR date(f.valid_from) <= date(:question_date))"
+    assert tools.AS_OF_FACTS.startswith(valid + " AND ")
 
     def closure_rows(as_of, question_date):
         result = toolkit.dispatch(
             ToolCall("graph_sql", {"sql": (
-                "SELECT value_json FROM facts WHERE subject_id = (SELECT entity_id"
+                "SELECT value_json FROM facts f WHERE subject_id = (SELECT entity_id"
                 " FROM entities WHERE entity_name = 'Italian Garden')"
                 f" AND property_name = 'closure_date' AND {as_of}")}),
             default_params={"question_date": question_date})
         assert result.ok, result.error
         return result.text.count('"2024-02-01"')
 
-    assert closure_rows(f"{valid} AND {known}", "2024-02-01") == 0
-    assert closure_rows(f"{valid} AND {known}", "2024-04-01") == 1
+    assert closure_rows(tools.AS_OF_FACTS, "2024-02-01") == 0
+    assert closure_rows(tools.AS_OF_FACTS, "2024-04-01") == 1
     assert closure_rows(valid, "2024-02-01") == 1
 
     # the TEMPORAL example applies the same rule
@@ -362,6 +378,119 @@ def test_search_and_property_search_text_is_pinned(toolkit):
         ok=True, text=CASE1_SEARCH_TEXT)
     assert toolkit.dispatch(ToolCall("property_search", {"query": "restaurant"})) == ToolResult(
         ok=True, text=CASE1_PROPERTY_SEARCH_TEXT)
+
+
+CASE1_SEARCH_TEXT_ON_FEB_1 = """\
+Entities:
+| id | name | type | score |
+| --- | --- | --- | --- |
+| ent:1 | Alice | Person | 1.0000 |
+| ent:2 | Assistant | Person | 0.3066 |
+| ent:3 | Italian Garden | Place | 0.0000 |
+
+Properties:
+| property_name | dtype | score |
+| --- | --- | --- |
+| favorite_restaurant | str | 1.0000 |
+
+Events and evidence:
+| kind | id | summary | score |
+| --- | --- | --- | --- |
+| event | 1 | conversation @ 2024-01-15T10:00:00Z | 1.0000 |
+| evidence | 1 | I love Italian Garden | 1.0000 |
+
+Turns:
+| id | speaker | text | anchor_datetime | score |
+| --- | --- | --- | --- | --- |
+| 1 | Alice | I love Italian Garden! Their pasta is the best in town. | 2024-01-15T10:00:00Z | 1.0000 |"""
+
+
+def test_every_tool_reads_case1_as_known_at_the_question_date(toolkit):
+    """Asked at 2024-02-01, before the session of 2024-03-20, no tool shows
+    a row that session stored: not Sakura Sushi, its event, turn and
+    evidence, nor the closure_date property and fact; asked at 2024-04-01,
+    every row is shown as without a question date."""
+    def dispatch(tool, args, day):
+        return toolkit.dispatch(ToolCall(tool, args), {"question_date": day})
+
+    assert dispatch("search", {"query": "Alice restaurant"}, "2024-02-01") == ToolResult(
+        ok=True, text=CASE1_SEARCH_TEXT_ON_FEB_1)
+    assert dispatch("property_search", {"query": "restaurant"}, "2024-02-01").text == (
+        "| property_name | dtype | usage_count | score |\n| --- | --- | --- | --- |\n"
+        "| favorite_restaurant | str | 1 | 1.0000 |")
+    lookup = dispatch("entity_lookup", {"query": "Italian Garden"}, "2024-02-01").text
+    assert "closure_date" not in lookup and "2024-03-20" not in lookup
+    assert "Sakura Sushi" not in lookup
+    assert dispatch("search", {"query": "Alice restaurant"}, "2024-04-01") == ToolResult(
+        ok=True, text=CASE1_SEARCH_TEXT)
+    assert dispatch("property_search", {"query": "restaurant"}, "2024-04-01") == ToolResult(
+        ok=True, text=CASE1_PROPERTY_SEARCH_TEXT)
+    assert dispatch("entity_lookup", {"query": "Italian Garden"}, "2024-04-01") == (
+        toolkit.dispatch(ToolCall("entity_lookup", {"query": "Italian Garden"})))
+
+
+_AS_OF_QUERY = "note Ann Lee favorite color hometown conversation"
+
+
+@settings(max_examples=25, deadline=None)
+@given(AS_OF_OPS, st.lists(AS_OF_DAYS, min_size=1, max_size=3, unique=True))
+def test_no_tool_shows_a_row_unknown_at_the_question_date(ops, days):
+    """Each of the five tools, dispatched with a question date, shows only
+    rows known then, as the oracle finds them: search and entity_lookup
+    read as the oracle's, property_search counts its facts, and GraphSQL
+    filtered by ``AS_OF_FACTS`` picks the facts ``Store.fact_history``
+    keeps. What they show grows with the question date, and does not change
+    when every stored stamp is written in another UTC offset."""
+    kits = []
+    for rewrite in range(2):
+        store, index = Store.open(":memory:"), VectorIndex()
+        write_as_of_ops(store, ops, rewrite)
+        upsert_embeddings(store, index)
+        kits.append(ToolKit(store, index))
+    earlier = set()
+    for day in sorted(days):
+        named = {"question_date": day}
+        shown = []
+        for kit in kits:
+            store, index = kit.store, kit.index
+            known = oracle.known_ids(store, day)
+            in_force = [fact["id"] for fact in oracle.facts_in_force(store, day)]
+            assert kit.dispatch(ToolCall("schema_viewer", {"include_examples": True}),
+                                named) == schema_viewer(include_examples=True)
+            found = kit.dispatch(ToolCall("search", {"query": _AS_OF_QUERY, "k": 40}), named)
+            assert found.text == oracle.search_text(store, index, _AS_OF_QUERY, 40, day)
+            hits = hybrid_search(store, index, KINDS, _AS_OF_QUERY, 40, day)
+            # k is above every row's count, so every known row is a hit
+            assert {(kind, doc_id) for doc_id, kind, _score in hits} == {
+                (kind, doc_id) for kind, ids in known.items() for doc_id in ids}
+            looked_up = kit.dispatch(ToolCall("entity_lookup", {"query": "Ann Ben Cal Lee"}),
+                                     named)
+            assert looked_up.text == oracle.lookup(store, index, "Ann Ben Cal Lee", 5, day)
+            values = {row[3] for row in read_latest_values(looked_up.text)}
+            assert values <= {json.loads(fact["value_json"])
+                              for fact in oracle.facts_in_force(store, day)}
+            properties = kit.dispatch(ToolCall("property_search", {"query": "favorite hometown"}),
+                                      named)
+            rows = [row.split(" | ") for row in properties.text.split("\n")[2:]]
+            usage = {cells[0].strip("| "): int(cells[2]) for cells in rows}
+            names = {row["property_name"] for row in oracle.known_rows(store, day)["properties"]}
+            assert set(usage) == names
+            assert usage == oracle.usage(store, names, day)
+            sql = kit.dispatch(ToolCall("graph_sql", {
+                "sql": f"SELECT f.id FROM facts f WHERE {tools.AS_OF_FACTS} ORDER BY f.id"}), named)
+            picked = [int(row.strip("| ")) for row in sql.text.split("\n")[2:]]
+            by_rule = [fact.id for row in store.all_rows("entities") for facts in
+                       store.subject_history(row["entity_id"], day).values() for fact in facts]
+            assert picked == sorted(in_force) == sorted(by_rule)
+            shown.append((sorted((kind, doc_id, score) for doc_id, kind, score in hits),
+                          properties.text, picked,
+                          [row[:4] for row in read_latest_values(looked_up.text)]))
+        assert shown[0] == shown[1]
+        hit_ids = {(kind, doc_id) for kind, doc_id, _score in shown[0][0]}
+        assert earlier <= hit_ids
+        earlier = hit_ids
+    for kit in kits:
+        kit.store.close()
 
 
 def test_search_leaves_out_hits_the_store_lacks(toolkit, index):
@@ -622,80 +751,6 @@ def test_read_latest_values_of_a_lookup_cut_by_the_character_cap(store, index):
 
 # -- entity documents: kept fact lines and anchors in time order ------------
 
-def _oracle_table(headers, rows):
-    """``render_markdown_table`` as it was before fact lines were kept."""
-    def cell(value):
-        if isinstance(value, str):
-            return value.replace("|", "\\|").replace("\n", " ")
-        return json.dumps(value)
-
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "| " + " | ".join("---" for _ in headers) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(cell(value) for value in row) + " |")
-    return "\n".join(lines)
-
-
-def _oracle_jsonable(value):
-    return value.isoformat() if isinstance(value, date) else value
-
-
-def _oracle_document(store, entity_id, as_of=None):
-    """The entity document as ``build_entity_document`` built it before it
-    kept fact lines and cut anchors by bisection: every row rendered and
-    every anchor keyed on each call. It lists the anchors in time order
-    (the store's order before was text order) and takes as the last anchor
-    the first as text of the latest instant, as before."""
-    row = store.entity_row(entity_id)
-    if row is None:
-        return None
-    day = None if as_of is None else temporal_sort_key(as_of)[:10]
-    if day is not None and temporal_sort_key(row["created_at"])[:10] > day:
-        return None
-    latest_rows = []
-    history_rows = []
-    for prop, history in store.subject_history(entity_id, as_of).items():
-        if history:
-            latest = history[-1]
-            latest_rows.append(
-                [prop, json.dumps(_oracle_jsonable(latest.value)), latest.valid_from or ""])
-        for fact in history:
-            history_rows.append([prop, json.dumps(_oracle_jsonable(fact.value)),
-                                 fact.valid_from or "", fact.valid_to or "",
-                                 fact.created_at or ""])
-    anchors = sorted(store.entity_anchors(entity_id), key=lambda a: (temporal_sort_key(a), a))
-    if day is not None:
-        anchors = tuple(a for a in anchors if temporal_sort_key(a)[:10] <= day)
-    last_anchor = max(sorted(anchors), key=temporal_sort_key) if anchors else None
-    return "\n".join([
-        f"### {row['entity_name']} ({row['entity_type']}) — ent:{entity_id}",
-        f"last_anchor: {last_anchor or 'n/a'}",
-        f"anchors: {', '.join(anchors) or 'n/a'}",
-        "",
-        "Latest property values:",
-        _oracle_table(["property", "value", "valid_from"], latest_rows),
-        "",
-        "Full fact history:",
-        _oracle_table(["property", "value", "valid_from", "valid_to", "created_at"],
-                      history_rows),
-    ])
-
-
-def _oracle_lookup(store, index, query, k, as_of):
-    documents = [
-        document for doc_id, _kind, _score in hybrid_search(store, index, ["entity"], query, k)
-        if (document := _oracle_document(store, doc_id, as_of)) is not None
-    ]
-    if not documents:
-        return "No matching entities."
-    text = "\n\n".join(documents)
-    if len(text) <= CHAR_CAP:
-        return text
-    return text[:CHAR_CAP] + f"\n... truncated at {CHAR_CAP} characters"
-
-
 # instants that differ, coincide, or only compare right as UTC instants
 _DOC_STAMPS = st.builds(
     lambda day, hour, zone: f"2024-01-{day:02d}T{hour:02d}:00:00{zone}",
@@ -744,7 +799,7 @@ def test_entity_lookup_reads_as_the_oracle(ops):
         def check(store, index, as_of):
             upsert_embeddings(store, index)
             got = entity_lookup(store, index, query, k=3, as_of=as_of)
-            assert got.ok and got.text == _oracle_lookup(store, index, query, 3, as_of)
+            assert got.ok and got.text == oracle.lookup(store, index, query, 3, as_of)
 
         for who, action, subject, prop, (dtype, value), valid_from, valid_to, stamp, \
                 as_of in ops:
@@ -764,7 +819,7 @@ def test_entity_lookup_reads_as_the_oracle(ops):
             for as_of in _DOC_QUESTION_DATES:
                 check(store, index, as_of)
                 for subject in subjects:
-                    assert build_entity_document(store, subject, as_of) == _oracle_document(
+                    assert build_entity_document(store, subject, as_of) == oracle.document(
                         store, subject, as_of)
         for store in [*handles, replica]:
             store.close()
@@ -782,7 +837,7 @@ def test_a_fact_line_is_kept_by_store():
     for store, value in zip(stores, ["Italian Garden", "Sakura Sushi"]):
         latest, history = build_entity_document(store, 1).split("\n\nFull fact history:\n")
         assert f'| favorite_restaurant | "{value}" | 2024-01-15 |' in latest
-        assert history == _oracle_table(
+        assert history == oracle.table(
             ["property", "value", "valid_from", "valid_to", "created_at"],
             [["favorite_restaurant", json.dumps(value), "2024-01-15", "",
               "2024-01-15T10:00:00Z"]])
