@@ -12,7 +12,7 @@ from . import extract
 from .errors import ProviderFailure, UnparseableTemporal, ValidationFailure
 from .index import VectorIndex, tokenize
 from .ontology import parse_iso_datetime
-from .store import Store
+from .store import EPOCH, Store
 from .tools import ToolCall, ToolKit, ToolResult, read_latest_values
 
 DEFAULT_MAX_TOOL_CALLS = 40
@@ -104,7 +104,7 @@ def run_agent(
     config = config or AgentConfig()
     toolkit = toolkit or ToolKit(store, index)
 
-    question_date = config.question_date or store.max_anchor_datetime() or "1970-01-01T00:00:00Z"
+    question_date = config.question_date or store.max_anchor_datetime() or EPOCH
     named_params = resolve_question_temporals(question, question_date)
 
     transcript = AgentTranscript(question=question, named_params=named_params)
@@ -118,8 +118,10 @@ def run_agent(
 
         if isinstance(output, FinalAnswer):
             for cited in output.cited_evidence:
-                if (store.kind_row("evidence", cited, ("id",)) is None
-                        and store.kind_row("turn", cited, ("id",)) is None):
+                # an id SQLite cannot bind names no row
+                if (type(cited) is not int or not 0 < cited < 2 ** 63
+                        or (store.kind_row("evidence", cited, ("id",)) is None
+                            and store.kind_row("turn", cited, ("id",)) is None)):
                     output = FinalAnswer(output.text, (), output.confidence)
                     break
             transcript.answer = output

@@ -231,6 +231,10 @@ def _load_policy(spec: Optional[str]):
         except (OSError, json.JSONDecodeError) as exc:
             raise click.BadParameter(
                 f"policy script {path}: {exc}", param_hint="'--policy'") from None
+        if not isinstance(raw_steps, list) or not all(isinstance(raw, dict) for raw in raw_steps):
+            raise click.BadParameter(f"policy script {path}: not a list of objects",
+                                     param_hint="'--policy'")
+        # a step that is not a valid reply is a provider failure
         return ScriptedPolicy([policy_from_response(raw) for raw in raw_steps])
     return SubprocessPolicy(shlex.split(spec))
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import calendar
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from typing import Any, List, Optional, Protocol, Tuple
 
@@ -95,11 +95,8 @@ def normalize_temporal(expression: str, anchor: str) -> Tuple[str, Optional[str]
     anchor_date = anchor_dt.date()
     text = expression.strip().lower()
 
-    if _ISO_DATE_RE.match(expression.strip()):
-        return expression.strip(), None
-    if "t" in text and re.match(r"^\d{4}-\d{2}-\d{2}t", text):
-        parsed = ontology.parse_iso_datetime(expression.strip())
-        return ontology.format_iso_datetime(parsed), None
+    if re.match(r"\d{4}-\d{2}-\d{2}(t|$)", text):
+        return ontology.canonical_stamp(expression.strip()), None
 
     # the one range check of every relative expression
     try:
@@ -489,18 +486,7 @@ def ingest_session(
 def _extract_session(store, index, extractor, entity_provider, property_provider,
                      session: List[Turn]) -> List[TurnOutcome]:
     turn_ids = store.append_turns(session)
-    committed_turns = [
-        Turn(
-            id=turn_id,
-            session_id=t.session_id,
-            speaker=t.speaker,
-            listener=t.listener,
-            text=t.text,
-            anchor_datetime=t.anchor_datetime,
-            ordinal=t.ordinal,
-        )
-        for turn_id, t in zip(turn_ids, session)
-    ]
+    committed_turns = [replace(turn, id=turn_id) for turn_id, turn in zip(turn_ids, session)]
 
     outcomes = []
     for position, turn in enumerate(committed_turns):

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional
 from . import extract
 from .errors import ValidationFailure
 from .index import VectorIndex, bm25_scores, cosine, fuse, minmax_normalize
-from .ontology import Turn, parse_iso_datetime, temporal_sort_key
+from .ontology import Turn, canonical_stamp, temporal_sort_key
 from .store import Store
 
 DEFAULT_THETA_REL = 0.2
@@ -31,7 +31,7 @@ class Document:
     turns: tuple
 
     def __post_init__(self):
-        parse_iso_datetime(self.timestamp)
+        object.__setattr__(self, "timestamp", canonical_stamp(self.timestamp))
 
     def text(self) -> str:
         return "\n".join(turn.text for turn in self.turns)

@@ -134,47 +134,57 @@ def parse_iso_datetime(value: str) -> datetime:
 
 
 def format_iso_datetime(value: datetime) -> str:
-    return value.astimezone(timezone.utc).replace(microsecond=0).strftime(
-        "%Y-%m-%dT%H:%M:%SZ"
-    )
+    # isoformat, unlike strftime, writes a year below 1000 in four digits
+    return value.astimezone(timezone.utc).replace(microsecond=0, tzinfo=None).isoformat() + "Z"
 
 
-def temporal_sort_key(iso: Optional[str]) -> str:
-    """Orderable key for mixed date / datetime ISO strings: the UTC instant,
-    to the second, as ``YYYY-MM-DDTHH:MM:SSZ``; None sorts first."""
-    if iso is None:
+def canonical_stamp(text: str) -> str:
+    """The one spelling the engine stores a timestamp in, RFC 3339's UTC
+    profile: a date-only stamp as ``YYYY-MM-DD``, any other as its UTC
+    instant to the second, ``YYYY-MM-DDTHH:MM:SSZ``; one already so spelt
+    is checked and returned. Stamps so spelt sort as text in time order, a
+    date just before its midnight, so readers compare them as text."""
+    shape = text[4::3]
+    try:
+        if shape == "--" and len(text) == 10:
+            date.fromisoformat(text)
+            return text
+        if shape == "--T::Z" and len(text) == 20:
+            datetime.fromisoformat(text[:19])
+            return text
+    except ValueError:
+        raise ValidationFailure(f"not an ISO-8601 timestamp: {text!r}") from None
+    moment = parse_iso_datetime(text)
+    try:
+        return date.fromisoformat(text.strip()).isoformat()
+    except ValueError:
+        return format_iso_datetime(moment)
+
+
+def temporal_sort_key(stamp: Optional[str]) -> str:
+    """The fact order's key of a canonical stamp (``canonical_stamp``): a
+    date reads as its midnight UTC instant, so that the two tie and
+    ``created_at`` decides between them; None sorts first."""
+    if stamp is None:
         return ""
-    # timestamps are checked when they enter the engine, so the separators
-    # at every third position from 4 tell the two canonical forms apart
-    shape = iso[4::3]
-    if shape == "--T::Z" and len(iso) == 20:
-        return iso
-    if shape == "--" and len(iso) == 10:
-        return iso + "T00:00:00Z"
-    return format_iso_datetime(parse_iso_datetime(iso))
+    return stamp + "T00:00:00Z" if len(stamp) == 10 else stamp
 
 
 def as_of_cutoff(as_of: Optional[str]) -> Optional[str]:
-    """The as-of rule's cutoff for a question date D, as a
-    ``temporal_sort_key``: D is an instant, and a date-only D is the last
-    second of its UTC day, so that what was stated on the day the question
-    is asked counts. None, for no D, cuts nothing. A row is known at D when
-    its known-at stamp is at or before the cutoff (``known_at``); a fact is
-    in force at D when its ``valid_from`` is unset or at or before it."""
+    """The as-of rule's cutoff for a question date D, as a canonical stamp:
+    D is an instant, and a date-only D is the last second of its UTC day, so
+    that what was stated on the day the question is asked counts. None, for
+    no D, cuts nothing. A row is known at D when its known-at stamp is at or
+    before the cutoff (``known_at``); a fact is in force at D when its
+    ``valid_from`` is unset or at or before it."""
     if as_of is None:
         return None
-    if len(as_of) == 10 and as_of[4::3] == "--":  # the form run_agent hands out
-        return as_of + "T23:59:59Z"
-    key = temporal_sort_key(as_of)
-    try:
-        date.fromisoformat(as_of.strip())
-    except ValueError:
-        return key
-    return key[:11] + "23:59:59Z"
+    stamp = canonical_stamp(as_of)
+    return stamp + "T23:59:59Z" if len(stamp) == 10 else stamp
 
 
 def known_at(key, cutoff: Optional[str]):
-    """Whether a row whose known-at stamp has the ``temporal_sort_key``
+    """Whether a row whose known-at stamp (canonical, or its sort key) is
     ``key`` is known at ``cutoff`` (``as_of_cutoff``); element-wise for an
     array of keys. Every as-of cut of the engine is this comparison."""
     return cutoff is None or key <= cutoff
@@ -337,7 +347,8 @@ class Fact:
     ``valid_from`` is when it took effect, which decides whether it is in
     force then (see ``as_of_cutoff``). ``valid_to`` ends the window of an
     imprecise date, such as 2024-02-01 .. 2024-02-29 for "last month"; it is
-    stored and shown, and no as-of rule reads it."""
+    stored and shown, and no as-of rule reads it. The stamps are checked,
+    spelt canonically and ordered when the fact is stored."""
     id: Optional[int]
     subject_id: int
     property_name: str
@@ -357,11 +368,6 @@ class Fact:
         object.__setattr__(
             self, "value", validate_dtype_value(self.value, self.dtype)
         )
-        if self.valid_from is not None and self.valid_to is not None:
-            if temporal_sort_key(self.valid_from) > temporal_sort_key(self.valid_to):
-                raise ValidationFailure(
-                    f"valid_from {self.valid_from} after valid_to {self.valid_to}"
-                )
 
 
 @dataclass(frozen=True)
@@ -372,7 +378,7 @@ class Event:
     location: Optional[str] = None
 
     def __post_init__(self):
-        parse_iso_datetime(self.anchor_datetime)
+        object.__setattr__(self, "anchor_datetime", canonical_stamp(self.anchor_datetime))
 
 
 @dataclass(frozen=True)
@@ -392,6 +398,8 @@ class Evidence:
 
 @dataclass(frozen=True)
 class Turn:
+    """One utterance of a session. ``anchor_datetime`` is spelt canonically
+    (``canonical_stamp``) when the turn is made."""
     id: Optional[int]
     session_id: str
     speaker: str
@@ -401,6 +409,6 @@ class Turn:
     ordinal: int = 0
 
     def __post_init__(self):
-        parse_iso_datetime(self.anchor_datetime)
+        object.__setattr__(self, "anchor_datetime", canonical_stamp(self.anchor_datetime))
         if self.ordinal < 0:
             raise ValidationFailure(f"negative ordinal: {self.ordinal}")

@@ -179,18 +179,27 @@ def policy_request(question: str, history: List[AgentStep], named_params: dict) 
     }
 
 
+def _field(raw: dict, name: str, default, kind: type):
+    """``raw[name]``, or ``default`` when absent, checked to be a ``kind``."""
+    value = raw.get(name, default)
+    if not isinstance(value, kind):
+        raise ProviderFailure(f"policy response field {name!r} is not a {kind.__name__}: {value!r}")
+    return value
+
+
 def policy_from_response(raw: dict) -> Union[ToolAction, FinalAnswer]:
+    """A policy's reply as the agent's output. A reply that is not an
+    object, or a field of the wrong type, raises ProviderFailure."""
+    if not isinstance(raw, dict):
+        raise ProviderFailure(f"policy response is not an object: {raw!r}")
     if "answer" in raw:
-        return FinalAnswer(
-            text=raw["answer"],
-            cited_evidence=tuple(raw.get("cited_evidence", ())),
-            confidence=raw.get("confidence"),
-        )
+        cited = _field(raw, "cited_evidence", [], list)
+        if any(type(item) is not int for item in cited):
+            raise ProviderFailure(f"policy response cites an id that is not an int: {cited!r}")
+        return FinalAnswer(_field(raw, "answer", None, str), tuple(cited), raw.get("confidence"))
     if "tool" in raw:
-        return ToolAction(
-            reasoning=raw.get("reasoning", ""),
-            call=ToolCall(raw["tool"], raw.get("args", {})),
-        )
+        return ToolAction(_field(raw, "reasoning", "", str),
+                          ToolCall(_field(raw, "tool", None, str), _field(raw, "args", {}, dict)))
     raise ProviderFailure(f"policy response has neither tool nor answer: {raw!r}")
 
 

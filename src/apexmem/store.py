@@ -36,11 +36,12 @@ from .ontology import (
     Role,
     Turn,
     as_of_cutoff,
+    canonical_stamp,
     known_at,
     temporal_sort_key,
 )
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 WHITELISTED_TABLES = (
     "entities",
@@ -134,7 +135,8 @@ CREATE TABLE turns (
 INSERT INTO meta (key, value) VALUES ('schema_version', '{SCHEMA_VERSION}');
 {_INDEXES}"""
 
-_EPOCH = "1970-01-01T00:00:00Z"
+# the known-at stamp of a row appended without one
+EPOCH = "1970-01-01T00:00:00Z"
 
 
 def _read_schema() -> Tuple[Dict[str, Tuple[str, ...]], Dict[str, str], Dict[str, str]]:
@@ -241,7 +243,7 @@ class _Subject:
     facts_to: int = 0
     facts: Dict[str, List[tuple]] = field(default_factory=dict)
     events_to: int = 0
-    anchors: List[Tuple[str, str, str]] = field(default_factory=list)
+    anchors: List[Tuple[str, str]] = field(default_factory=list)
     lines: Dict[int, Tuple[str, str]] = field(default_factory=dict)
 
 
@@ -442,12 +444,17 @@ class Store:
         self._known_keys.clear()
         self._batch_texts = {}
 
-    def _commit(self, payload: dict) -> None:
-        """Apply one logged batch of row inserts atomically: in a write
+    def _commit(self, op: str, rows: Dict[str, List[dict]]) -> None:
+        """Apply one batch of row inserts atomically, and log it: in a write
         session as a savepoint, which a failure rolls back alone, otherwise
         as its own transaction. The caller has synced the ids and numbered
-        the rows from them; the ids advance only once the batch is applied."""
+        the rows from them; the ids advance only once the batch is applied.
+        The log holds each row as the list of its values in ``_COLUMNS``
+        order, so that ``_write`` hands it to SQLite as it is."""
         sequence = self._last_ids["append_log"] + 1
+        payload = {"op": op, "rows": {
+            table: [[row[column] for column in _COLUMNS[table]] for row in table_rows]
+            for table, table_rows in rows.items()}}
         in_session = self._writing
         if in_session:
             # SQLite may roll a whole transaction back on an I/O error; an
@@ -469,15 +476,14 @@ class Store:
                 self._conn.execute("ROLLBACK TO append")
                 self._conn.execute("RELEASE append")
             if isinstance(exc, sqlite3.OperationalError) and "locked" in str(exc):
-                raise _io_failure(
-                    self.path, f"{payload['op']} commit rolled back", exc) from exc
+                raise _io_failure(self.path, f"{op} commit rolled back", exc) from exc
             raise
         self._last_ids["append_log"] = sequence
-        for table, rows in payload["rows"].items():
+        for table, table_rows in rows.items():
             column = _ID_COLUMNS.get(table)
-            if column is not None and rows:
+            if column is not None and table_rows:
                 self._last_ids[table] = max(
-                    self._last_ids[table], *(row[column] for row in rows)
+                    self._last_ids[table], *(row[column] for row in table_rows)
                 )
 
     def _write(self, sequence: int, payload: dict) -> None:
@@ -485,9 +491,7 @@ class Store:
         its log record under ``sequence``; the caller commits."""
         for table, rows in payload["rows"].items():
             if rows:
-                columns = _COLUMNS[table]
-                self._conn.executemany(
-                    _INSERTS[table], [[row[c] for c in columns] for row in rows])
+                self._conn.executemany(_INSERTS[table], rows)
         self._conn.execute(
             _INSERTS["append_log"], (sequence, json.dumps(payload, sort_keys=True)))
 
@@ -498,31 +502,22 @@ class Store:
         role: Role = Role.Mentioned,
         aliases: Iterable[str] = (),
         external_id: Optional[str] = None,
-        created_at: str = _EPOCH,
+        created_at: str = EPOCH,
     ) -> int:
         if isinstance(etype, str):
             etype = ontology.validate_entity_type(etype)
-        # read as an instant by entity_lookup's as-of cut
-        ontology.parse_iso_datetime(created_at)
+        created_at = canonical_stamp(created_at)
         entity = Entity(None, name, etype, role, frozenset(aliases), external_id)
         entity_id = self.peek_next_entity_id()
-        payload = {
-            "op": "entity",
-            "rows": {
-                "entities": [
-                    {
-                        "entity_id": entity_id,
-                        "entity_name": entity.name,
-                        "entity_type": etype.value,
-                        "role": role.value,
-                        "aliases_json": json.dumps(sorted(entity.aliases)),
-                        "external_id": external_id,
-                        "created_at": created_at,
-                    }
-                ]
-            },
-        }
-        self._commit(payload)
+        self._commit("entity", {"entities": [{
+            "entity_id": entity_id,
+            "entity_name": entity.name,
+            "entity_type": etype.value,
+            "role": role.value,
+            "aliases_json": json.dumps(sorted(entity.aliases)),
+            "external_id": external_id,
+            "created_at": created_at,
+        }]})
         return entity_id
 
     def append_property(
@@ -530,10 +525,10 @@ class Store:
         property_name: str,
         dtype: DType,
         description: str = "",
-        created_at: str = _EPOCH,
+        created_at: str = EPOCH,
     ) -> int:
         ontology.validate_property_name(property_name)
-        ontology.parse_iso_datetime(created_at)
+        created_at = canonical_stamp(created_at)
         existing = self._conn.execute(
             "SELECT property_id FROM properties WHERE property_name = ?",
             (property_name,),
@@ -541,21 +536,13 @@ class Store:
         if existing:
             return existing[0]
         property_id = self.last_ids()["properties"] + 1
-        payload = {
-            "op": "property",
-            "rows": {
-                "properties": [
-                    {
-                        "property_id": property_id,
-                        "property_name": property_name,
-                        "dtype": dtype.value,
-                        "description": description,
-                        "created_at": created_at,
-                    }
-                ]
-            },
-        }
-        self._commit(payload)
+        self._commit("property", {"properties": [{
+            "property_id": property_id,
+            "property_name": property_name,
+            "dtype": dtype.value,
+            "description": description,
+            "created_at": created_at,
+        }]})
         return property_id
 
     def append_turns(self, turns: Iterable[Turn]) -> list:
@@ -592,7 +579,7 @@ class Store:
                 }
             )
             ids.append(turn_id)
-        self._commit({"op": "turns", "rows": {"turns": rows}})
+        self._commit("turns", {"turns": rows})
         self._batch_texts = {row["id"]: row["text"] for row in rows}
         return ids
 
@@ -608,12 +595,19 @@ class Store:
         facts = list(facts)
         evidence = list(evidence)
         participants = list(participants)
-        # checked here, not in Fact, which every fact read builds
-        for stamp in [created_at, *(stamp for fact in facts for stamp in
-                                    (fact.created_at, fact.valid_from, fact.valid_to))]:
-            if stamp is not None:
-                ontology.parse_iso_datetime(stamp)
-        created_at = created_at or event.anchor_datetime
+        # checked and spelt canonically here, not in Fact, which every fact
+        # read builds; each fact's stamps as (valid_from, valid_to, created_at)
+        created_at = (event.anchor_datetime if created_at is None
+                      else canonical_stamp(created_at))
+        stamps = []
+        for fact in facts:
+            valid_from, valid_to = (None if stamp is None else canonical_stamp(stamp)
+                                    for stamp in (fact.valid_from, fact.valid_to))
+            if (valid_from is not None and valid_to is not None
+                    and temporal_sort_key(valid_from) > temporal_sort_key(valid_to)):
+                raise ValidationFailure(f"valid_from {valid_from} after valid_to {valid_to}")
+            stamps.append((valid_from, valid_to, created_at if fact.created_at is None
+                           else canonical_stamp(fact.created_at)))
 
         known = self._entity_dicts(
             [entity_id for entity_id, _role in participants]
@@ -650,7 +644,8 @@ class Store:
             ],
         }
 
-        for fact, fact_id in zip(facts, fact_ids):
+        for fact, fact_id, (valid_from, valid_to, fact_created_at) in zip(
+                facts, fact_ids, stamps):
             value_json = json.dumps(
                 ontology.serialize_value(fact.value, fact.dtype), sort_keys=True
             )
@@ -661,10 +656,10 @@ class Store:
                     "property_name": fact.property_name,
                     "value_json": value_json,
                     "dtype": fact.dtype.value,
-                    "valid_from": fact.valid_from,
-                    "valid_to": fact.valid_to,
+                    "valid_from": valid_from,
+                    "valid_to": valid_to,
                     "confidence": fact.confidence,
-                    "created_at": fact.created_at or created_at,
+                    "created_at": fact_created_at,
                 }
             )
 
@@ -705,7 +700,7 @@ class Store:
             )
             evidence_ids.append(evidence_id)
 
-        self._commit({"op": "event_bundle", "rows": rows})
+        self._commit("event_bundle", rows)
         return CommittedBundle(event_id, fact_ids, evidence_ids)
 
     def turn_text(self, turn_id: int) -> Optional[str]:
@@ -835,13 +830,13 @@ class Store:
 
     def known_rows(self, kind: str, as_of: str) -> Optional[np.ndarray]:
         """Which rows of one index kind are known at ``as_of``, as a mask by
-        doc_id, or None when every row is. Each row's known-at key (the
-        stamp ``SEARCH_TEXT`` names) is derived once, kept for the life of
-        the store in an array by doc_id, and extended with the rows above
-        the last id it covers, with the latest key among them. An id with
-        no row, 0 and the one past the last included, holds "~", after
-        every cutoff, so that a doc_id clipped to the mask's end is not
-        known."""
+        doc_id, or None when every row is. Each row's known-at stamp (the
+        one ``SEARCH_TEXT`` names, stored canonical and so compared as
+        text) is read once, kept for the life of the store in an array by
+        doc_id, and extended with the rows above the last id it covers,
+        with the latest stamp among them. An id with no row, 0 and the one
+        past the last included, holds "~", after every cutoff, so that a
+        doc_id clipped to the mask's end is not known."""
         table, _columns, _render, stamp = SEARCH_TEXT[kind]
         self._sync_ids()
         last = self._last_ids[table]
@@ -855,7 +850,7 @@ class Store:
                 f"SELECT {key}, {stamp} FROM {table} WHERE {key} > ? AND {key} <= ?",
                 (covered, last),
             ):
-                grown[doc_id] = known = temporal_sort_key(known)
+                grown[doc_id] = known
                 latest = max(latest, known)
             keys = grown
             self._known_keys[kind] = (last, keys, latest)
@@ -957,21 +952,21 @@ class Store:
             (json.dumps(list(dict.fromkeys(names))),),
         ):
             usage[name] = usage.get(name, 0) + (
-                created_at is not None and known_at(temporal_sort_key(created_at), cutoff))
+                created_at is not None and known_at(created_at, cutoff))
         return usage
 
     def entity_anchors(self, entity_id: int, as_of: Optional[str] = None) -> Tuple[str, ...]:
         """The distinct anchors of the events the entity takes part in, in
-        time order: ascending by (``temporal_sort_key``, text), so that two
-        spellings of one instant sort as text. With ``as_of``, only the
-        anchors at or before it of events known at it. Kept like a subject's
-        facts, each anchor with the earliest known-at key of its events,
-        and extended with the events above the last id it covers."""
+        time order, which for canonical stamps is text order: one instant
+        is one anchor, however it was written. With ``as_of``, only the
+        anchors at or before it of events known at it. Kept like a
+        subject's facts, as (anchor, earliest created_at of its events)
+        pairs, and extended with the events above the last id it covers."""
         self._sync_ids()
         last = self._last_ids["events"]
         kept = self._subjects[entity_id]
         if kept.events_to < last:
-            known = {anchor: key for _at, anchor, key in kept.anchors}
+            known = dict(kept.anchors)
             changed = False
             for anchor, created_at in self._conn.execute(
                 "SELECT e.anchor_datetime, e.created_at FROM event_participants p"
@@ -979,19 +974,17 @@ class Store:
                 " WHERE p.entity_id = ? AND p.event_id > ? AND p.event_id <= ?",
                 (entity_id, kept.events_to, last),
             ):
-                key = temporal_sort_key(created_at)
-                if key < known.get(anchor, "~"):
-                    known[anchor] = key
+                if created_at < known.get(anchor, "~"):
+                    known[anchor] = created_at
                     changed = True
             if changed:
-                kept.anchors = sorted(
-                    (temporal_sort_key(anchor), anchor, key) for anchor, key in known.items())
+                kept.anchors = sorted(known.items())
             kept.events_to = last
         cutoff = as_of_cutoff(as_of)
         end = len(kept.anchors) if cutoff is None else bisect_right(
             kept.anchors, cutoff, key=itemgetter(0))
-        return tuple([anchor for _at, anchor, key in kept.anchors[:end]
-                      if known_at(key, cutoff)])
+        return tuple([anchor for anchor, created_at in kept.anchors[:end]
+                      if known_at(created_at, cutoff)])
 
     def find_entity_by_name(self, name: str) -> Optional[dict]:
         """Case-insensitive match on canonical name or any alias; the lowest
@@ -1012,16 +1005,11 @@ class Store:
         return [dict(zip(columns, row)) for row in cursor.fetchall()]
 
     def max_anchor_datetime(self) -> Optional[str]:
-        anchors = [
-            row[0]
-            for row in self._conn.execute(
-                "SELECT anchor_datetime FROM turns"
-                " UNION SELECT anchor_datetime FROM events"
-            ).fetchall()
-        ]
-        if not anchors:
-            return None
-        return max(anchors, key=temporal_sort_key)
+        """The latest turn or event anchor; canonical stamps sort as text."""
+        return self._conn.execute(
+            "SELECT MAX(anchor) FROM (SELECT MAX(anchor_datetime) AS anchor FROM turns"
+            " UNION ALL SELECT MAX(anchor_datetime) FROM events)"
+        ).fetchone()[0]
 
     # -- replay and snapshots ----------------------------------------------
 

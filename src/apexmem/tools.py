@@ -8,12 +8,11 @@ import datetime
 import json
 import re
 import sqlite3
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .index import VectorIndex, hybrid_search
-from .ontology import as_of_cutoff, known_at, temporal_sort_key
+from .ontology import as_of_cutoff, known_at
 from .sqlguard import validate_sql
 from .store import WHITELISTED_TABLES, Store, table_columns
 
@@ -212,9 +211,10 @@ Usage guide
   from the arguments. GraphSQL reads every row, so apply the rule
   yourself: with facts aliased f, filter by
   {AS_OF_FACTS}
-- Temporal SQL: anchor_datetime and valid_from/valid_to are ISO-8601 text
-  that may carry a UTC offset, so compare them with date() or julianday(),
-  never as strings; julianday(:question_date) -
+- Temporal SQL: every stamp (anchor_datetime, created_at, valid_from,
+  valid_to) is stored as UTC text, YYYY-MM-DDTHH:MM:SSZ, or as a date,
+  YYYY-MM-DD. A date and its midnight differ as strings, so compare stamps
+  with date() or julianday(); julianday(:question_date) -
   julianday(json_extract(f.value_json, '$')) gives a difference in days. To
   get the value in force, filter as above and ORDER BY
   julianday(f.valid_from) DESC, julianday(f.created_at) DESC LIMIT 1.
@@ -256,8 +256,7 @@ def build_entity_document(
     in force and known then, and the anchors of its events known then, at or
     before it. None for an entity the store lacks, or one not known then."""
     row = store.entity_row(entity_id)
-    if row is None or not known_at(temporal_sort_key(row["created_at"]),
-                                   as_of_cutoff(as_of)):
+    if row is None or not known_at(row["created_at"], as_of_cutoff(as_of)):
         return None
     kept = store.fact_lines(entity_id)
     latest_lines = [_LATEST_HEAD]
@@ -271,14 +270,9 @@ def build_entity_document(
         if history:  # the last fact in force holds the latest value
             latest_lines.append(lines[0])
     anchors = store.entity_anchors(entity_id, as_of)
-    last_anchor = None
-    if anchors:
-        # of two spellings of the latest instant, the first as text
-        latest = temporal_sort_key(anchors[-1])
-        last_anchor = anchors[bisect_left(anchors, latest, key=temporal_sort_key)]
     return "\n".join([
         f"### {row['entity_name']} ({row['entity_type']}) — {Store.entity_alias(entity_id)}",
-        f"last_anchor: {last_anchor or 'n/a'}",
+        f"last_anchor: {anchors[-1] if anchors else 'n/a'}",
         f"anchors: {', '.join(anchors) or 'n/a'}",
         "",
         "Latest property values:",

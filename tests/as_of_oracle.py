@@ -146,8 +146,8 @@ def _capped(text):
 def document(store, entity_id, as_of=None):
     """The entity document at ``as_of``, each row rendered afresh: the
     latest fact in force of each property, the whole history in force, and
-    the anchors; the last anchor is the first as text of the latest
-    instant. None for an entity the store lacks or that is not known."""
+    the anchors; the last anchor is the last listed (of a date and its
+    midnight, the midnight). None for an entity the store lacks or that is not known."""
     entity = next((row for row in store.all_rows("entities")
                    if row["entity_id"] == entity_id), None)
     if entity is None or not _by(cutoff(as_of), entity["created_at"]):
@@ -162,7 +162,7 @@ def document(store, entity_id, as_of=None):
         history_rows += [[prop, json.dumps(_jsonable(f.value)), f.valid_from or "",
                           f.valid_to or "", f.created_at or ""] for f in history]
     listed = anchors(store, entity_id, as_of)
-    last_anchor = max(sorted(listed), key=instant) if listed else None
+    last_anchor = listed[-1] if listed else None
     return "\n".join([
         f"### {entity['entity_name']} ({entity['entity_type']}) — ent:{entity_id}",
         f"last_anchor: {last_anchor or 'n/a'}",

@@ -354,6 +354,17 @@ def test_unknown_citations_are_dropped(store, index):
     assert transcript.answer.cited_evidence == ()
 
 
+def test_a_citation_that_is_no_stored_id_is_dropped(store, index):
+    """A policy's citation that SQLite cannot bind as an id names no row,
+    so it is dropped like an unknown id, and the run answers."""
+    ingest_case1(store, index)
+    for cited in ([1], 2 ** 70, -1, True, "1", 1.0):
+        policy = ScriptedPolicy([FinalAnswer("x", (cited, 3), None)])
+        transcript = run_agent(store, index, policy, "q")
+        assert transcript.terminated_reason == "answered"
+        assert transcript.answer.cited_evidence == ()
+
+
 def test_citations_of_evidence_or_turns_are_kept(store, index):
     """Case 1 holds evidence 1-3 and turns 1-2: 3 is evidence alone, and
     after two more turns, 4 is a turn alone."""

@@ -193,6 +193,30 @@ def test_qa_provider_failure_exit_code(runner, tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("steps, exit_code, message", [
+    # a file that is not a list of objects is a bad --policy argument
+    ([7], 2, "not a list of objects"),
+    ({"answer": "a"}, 2, "not a list of objects"),
+    # a step that is not a valid reply is a provider failure
+    ([{"answer": "a", "cited_evidence": [[1]]}], 3, "cites an id that is not an int"),
+    ([{"answer": "a", "cited_evidence": 5}], 3, "'cited_evidence' is not a list"),
+    ([{"tool": "search", "args": "q"}], 3, "'args' is not a dict"),
+    # an id no row can have is dropped
+    ([{"answer": "a", "cited_evidence": [2 ** 70]}], 0, '"cited_evidence": []'),
+])
+def test_qa_a_wrongly_typed_script_ends_in_a_typed_error(runner, tmp_path, steps, exit_code,
+                                                         message):
+    store_path = _ingest_case1(runner, tmp_path)
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(steps))
+    result = runner.invoke(main, [
+        "qa", "q", "--store", store_path, "--policy", f"script:{script}", "--json",
+    ])
+    assert result.exit_code == exit_code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert message in result.output
+
+
 def test_qa_script_step_without_tool_or_answer_is_a_provider_failure(runner, tmp_path):
     store_path = _ingest_case1(runner, tmp_path)
     script = tmp_path / "script.json"

@@ -10,6 +10,8 @@ from apexmem.ontology import (
     EntityType,
     Fact,
     Role,
+    as_of_cutoff,
+    canonical_stamp,
     format_iso_datetime,
     parse_iso_datetime,
     serialize_value,
@@ -64,6 +66,7 @@ def test_parse_iso_datetime_rejects_garbage():
 
 def test_temporal_sort_key_date_only_vs_datetime():
     assert temporal_sort_key("2024-01-15") < temporal_sort_key("2024-01-15T10:00:00Z")
+    assert temporal_sort_key("2024-01-15") == temporal_sort_key("2024-01-15T00:00:00Z")
     assert temporal_sort_key(None) < temporal_sort_key("1900-01-01")
 
 
@@ -99,13 +102,13 @@ def test_date_rejects_datetime_string():
         validate_dtype_value("2023-05-07T10:00:00Z", DType.date)
 
 
-def test_fact_validates_interval_and_confidence():
+def test_fact_validates_confidence():
+    """A fact's stamps and their order are checked when it is stored
+    (``test_a_fact_window_is_checked_when_stored``); its confidence when it
+    is made."""
     ok = Fact(None, 1, "favorite_color", "blue", DType.str,
               "2024-01-01", "2024-02-01", 1.0, "2024-01-01T00:00:00Z")
     assert ok.valid_from == "2024-01-01"
-    with pytest.raises(ValidationFailure):
-        Fact(None, 1, "favorite_color", "blue", DType.str,
-             "2024-02-01", "2024-01-01", 1.0, "2024-01-01T00:00:00Z")
     with pytest.raises(ValidationFailure):
         Fact(None, 1, "favorite_color", "blue", DType.str,
              "2024-01-01", None, 1.5, "2024-01-01T00:00:00Z")
@@ -150,17 +153,20 @@ def test_infer_dtype():
     assert ontology.infer_dtype("hello") is DType.str
 
 
-def test_temporal_sort_key_canonicalizes_to_utc():
-    assert temporal_sort_key("2024-05-01T22:00:00Z") == "2024-05-01T22:00:00Z"
-    assert temporal_sort_key("2024-05-02T01:00:00+05:00") == "2024-05-01T20:00:00Z"
-    assert temporal_sort_key("2024-05-01T22:00:00.5Z") == "2024-05-01T22:00:00Z"
-    assert temporal_sort_key("2024-05-01") == "2024-05-01T00:00:00Z"
+def test_canonical_stamp_spells_each_instant_in_utc():
+    assert canonical_stamp("2024-05-01T22:00:00Z") == "2024-05-01T22:00:00Z"
+    assert canonical_stamp("2024-05-02T01:00:00+05:00") == "2024-05-01T20:00:00Z"
+    assert canonical_stamp("2024-05-01T22:00:00.5Z") == "2024-05-01T22:00:00Z"
+    assert canonical_stamp("2024-05-01") == "2024-05-01"
     # same lengths as the canonical forms, other separators
-    assert temporal_sort_key("2024-05-01 22:00:00Z") == "2024-05-01T22:00:00Z"
-    assert temporal_sort_key("2024-W18-3") == "2024-05-01T00:00:00Z"
-    with pytest.raises(ValidationFailure):
-        temporal_sort_key("March 1")
-    assert temporal_sort_key("2024-05-02T01:00:00+05:00") < temporal_sort_key(
+    assert canonical_stamp("2024-05-01 22:00:00Z") == "2024-05-01T22:00:00Z"
+    assert canonical_stamp("2024-W18-3") == "2024-05-01"
+    # a year below 1000 keeps its four digits
+    assert canonical_stamp("0500-01-01T05:00:00+05:00") == "0500-01-01T00:00:00Z"
+    for text in ("March 1", "2024-13-01", "2024-05-01T24:00:00Z", "20240501T1", ""):
+        with pytest.raises(ValidationFailure):
+            canonical_stamp(text)
+    assert canonical_stamp("2024-05-02T01:00:00+05:00") < canonical_stamp(
         "2024-05-01T22:00:00Z"
     )
 
@@ -177,8 +183,9 @@ def test_temporal_sort_key_canonicalizes_to_utc():
         max_size=6,
     )
 )
-def test_temporal_sort_key_orders_as_utc_instants(stamps):
-    """Key order is UTC-instant order (to the second) for any mix of offsets."""
+def test_canonical_stamps_order_as_utc_instants(stamps):
+    """Canonical stamps, as text, are in UTC-instant order (to the second)
+    for any mix of offsets, and are their own canonical spelling."""
     instants, texts = [], []
     for local, offset_minutes in stamps:
         tz = dt.timezone(dt.timedelta(minutes=offset_minutes))
@@ -187,9 +194,29 @@ def test_temporal_sort_key_orders_as_utc_instants(stamps):
         texts.append(moment.isoformat())
     for a in range(len(texts)):
         for b in range(len(texts)):
-            assert (temporal_sort_key(texts[a]) < temporal_sort_key(texts[b])) == (
+            assert (canonical_stamp(texts[a]) < canonical_stamp(texts[b])) == (
                 instants[a] < instants[b]
             )
-            assert (temporal_sort_key(texts[a]) == temporal_sort_key(texts[b])) == (
+            assert (canonical_stamp(texts[a]) == canonical_stamp(texts[b])) == (
                 instants[a] == instants[b]
             )
+        assert canonical_stamp(canonical_stamp(texts[a])) == canonical_stamp(texts[a])
+
+
+# dates, and instants at and around the edges of their UTC days
+_DAY_EDGE_STAMPS = st.builds(
+    lambda day, time: f"2024-02-{day:02d}{time}",
+    st.integers(1, 3),
+    st.sampled_from(["", "T00:00:00Z", "T00:00:01Z", "T12:00:00Z", "T23:59:59Z"]),
+)
+
+
+@given(st.lists(_DAY_EDGE_STAMPS, min_size=2, max_size=6), _DAY_EDGE_STAMPS)
+def test_canonical_text_order_is_time_order(stamps, as_of):
+    """For canonical stamps, text order is (``temporal_sort_key``, text)
+    order, and a stamp is at or before a cutoff as text exactly when its
+    key is, so the as-of readers compare stored text."""
+    assert sorted(stamps) == sorted(stamps, key=lambda stamp: (temporal_sort_key(stamp), stamp))
+    cutoff = as_of_cutoff(as_of)
+    for stamp in stamps:
+        assert (stamp <= cutoff) == (temporal_sort_key(stamp) <= cutoff)

@@ -1,3 +1,4 @@
+import re
 import sys
 import textwrap
 
@@ -11,6 +12,7 @@ from apexmem.providers import (
     SubprocessEmbedder,
     SubprocessPolicy,
     decision_from_response,
+    policy_from_response,
 )
 from apexmem.agent import FinalAnswer, ToolAction
 from apexmem.resolve import Candidate, ResolutionDecision
@@ -93,6 +95,30 @@ def test_subprocess_policy(tmp_path):
     first = policy.step("q", [], {})
     assert isinstance(first, ToolAction)
     assert first.call.tool == "schema_viewer"
+
+
+@pytest.mark.parametrize("raw, message", [
+    (7, "policy response is not an object: 7"),
+    ([], "policy response is not an object: []"),
+    ({"answer": 5}, "field 'answer' is not a str: 5"),
+    ({"answer": "a", "cited_evidence": 5}, "field 'cited_evidence' is not a list: 5"),
+    ({"answer": "a", "cited_evidence": [1, [1]]}, "cites an id that is not an int: [1, [1]]"),
+    ({"answer": "a", "cited_evidence": [True]}, "cites an id that is not an int: [True]"),
+    ({"answer": "a", "cited_evidence": ["1"]}, "cites an id that is not an int: ['1']"),
+    ({"tool": 3}, "field 'tool' is not a str: 3"),
+    ({"tool": "search", "args": ["q"]}, "field 'args' is not a dict: ['q']"),
+    ({"tool": "search", "reasoning": None}, "field 'reasoning' is not a str: None"),
+])
+def test_a_wrongly_typed_policy_response_is_a_provider_failure(raw, message):
+    with pytest.raises(ProviderFailure, match=re.escape(message)):
+        policy_from_response(raw)
+
+
+def test_policy_response_fields_keep_their_values():
+    answer = policy_from_response({"answer": "a", "cited_evidence": [1, 2 ** 70]})
+    assert answer == FinalAnswer("a", (1, 2 ** 70), None)
+    action = policy_from_response({"tool": "search", "args": {"query": "q"}})
+    assert (action.reasoning, action.call.tool, action.call.args) == ("", "search", {"query": "q"})
 
 
 def test_subprocess_policy_crash_raises(tmp_path):

@@ -20,14 +20,15 @@ from apexmem.errors import (
 )
 from apexmem.extract import ingest_session
 from apexmem.index import VectorIndex, upsert_embeddings
-from apexmem.ontology import DType, Event, Evidence, Fact, Role, Turn, temporal_sort_key
-from apexmem.store import SCHEMA_VERSION, Store, WHITELISTED_TABLES
+from apexmem.ontology import DType, Event, Evidence, Fact, Role, Turn, canonical_stamp
+from apexmem.store import SCHEMA_VERSION, Store, WHITELISTED_TABLES, table_columns
 from apexmem.tools import entity_lookup, graph_sql, search
 import as_of_oracle as oracle
 from conftest import (
     AS_OF_DAYS,
     AS_OF_INSTANTS,
     AS_OF_OPS,
+    AS_OF_ZONES,
     corpus_sessions,
     ingest_case1,
     load_gen,
@@ -371,8 +372,9 @@ def _store_reads(store, as_of):
 
 
 def _instants(anchors):
-    """Each subject's anchors as the distinct instants they name: two
-    spellings of one instant are two anchors, and one in another offset."""
+    """Each subject's anchors as the distinct instants they name: a date
+    and its midnight instant are two anchors, and a rewrite may turn one
+    into the other."""
     return {subject: sorted(set(map(oracle.instant, listed)))
             for subject, listed in anchors.items()}
 
@@ -475,28 +477,91 @@ def test_append_log_holds_only_base_rows(case1_store):
 
 
 def test_case1_rows_and_log_keep_their_bytes(case1_store):
-    """The row and log format of schema version 2, pinned: a change to either
-    changes these hashes, and the replay of stored logs with them."""
+    """The row and log format of schema version 3, pinned: a change to either
+    changes these hashes, and the replay of stored logs with them. The base
+    rows, every table but the log, have kept their bytes since version 2;
+    the dump holds the log too, whose rows became positional in version 3."""
     def sha256(data):
         return hashlib.sha256(data).hexdigest()
 
-    assert sha256(case1_store.canonical_dump()) == (
-        "7d7801b268ae9c614d06db8d3e8f1c095d8b2eb524bed8874533ab1733e2ed5c")
+    dump = case1_store.canonical_dump()
+    base = b"\n---\n".join(chunk for chunk in dump.split(b"\n---\n")
+                            if not chunk.startswith(b"append_log\n"))
+    assert sha256(base) == (
+        "4d33dc408437d6bb119eb9ff0664bb200658ca491737605ea7646b5ff938cd88")
+    assert sha256(dump) == (
+        "feff598d5474290ad613cc73278249b18606251909aa834e3ea730be8d24d1e9")
     assert sha256(json.dumps(case1_store.append_log()).encode()) == (
-        "a3f7fc5f2e97eed9ee88155c1894835a59645fbf23e07e17776192c835a0db26")
+        "40a88d373b211838960d5bd5d39cf254a3eab4a736c5a25045df9a10f179fee8")
 
 
 def test_open_rejects_version_1_store(tmp_path):
-    path = str(tmp_path / "v1.sqlite")
-    Store.open(path).close()
-    import sqlite3
+    """Stores of versions 1 and 2 are refused: version 2 logged its rows
+    by column name and stored stamps as written."""
+    for version in ("1", "2"):
+        path = str(tmp_path / f"v{version}.sqlite")
+        Store.open(path).close()
+        conn = sqlite3.connect(path)
+        conn.execute("UPDATE meta SET value = ? WHERE key = 'schema_version'", (version,))
+        conn.commit()
+        conn.close()
+        with pytest.raises(SchemaMismatch, match=f"store schema version '{version}'"):
+            Store.open(path)
 
-    conn = sqlite3.connect(path)
-    conn.execute("UPDATE meta SET value = '1' WHERE key = 'schema_version'")
-    conn.commit()
-    conn.close()
-    with pytest.raises(SchemaMismatch):
-        Store.open(path)
+
+def test_a_fact_window_is_checked_when_stored(store):
+    """A fact's valid_from may not be after its valid_to; a date and its
+    midnight instant are one time. The check runs when the fact is stored,
+    so nothing of the bundle is written."""
+    subject = store.append_entity("Alice", "Person", Role.Speaker)
+    for valid_from, valid_to in [("2024-02-01", "2024-01-01"),
+                                 ("2024-01-01T05:00:00+05:00", "2023-12-31T23:59:59Z")]:
+        with pytest.raises(ValidationFailure, match="after valid_to"):
+            store.append_event_bundle(_event(), [Fact(
+                None, subject, "favorite_color", "blue", DType.str, valid_from, valid_to)],
+                participants=[(subject, Role.Mentioned)])
+    assert store.row_counts()["events"] == 0
+    for valid_from, valid_to in [("2024-01-01", "2024-01-01T00:00:00Z"),
+                                 ("2024-01-01T00:00:00Z", "2024-01-01"),
+                                 ("2024-01-01T05:00:00+05:00", "2024-01-01")]:
+        store.append_event_bundle(_event(), [Fact(
+            None, subject, "favorite_color", "blue", DType.str, valid_from, valid_to)])
+    assert store.row_counts()["facts"] == 3
+
+
+_STAMP_COLUMNS = {"entities": ("created_at",), "properties": ("created_at",),
+                  "facts": ("valid_from", "valid_to", "created_at"),
+                  "events": ("anchor_datetime", "created_at"), "turns": ("anchor_datetime",)}
+
+
+def _is_canonical(stamp):
+    return (stamp is None or re.fullmatch(r"\d{4}-\d\d-\d\d(T\d\d:\d\d:\d\dZ)?", stamp)
+            is not None and canonical_stamp(stamp) == stamp)
+
+
+@settings(max_examples=30, deadline=None)
+@given(AS_OF_OPS)
+def test_every_stored_stamp_is_canonical(ops):
+    """Whatever UTC offset a stamp is written in, every stamp column of
+    every table, and every stamp of every log record, holds it as a UTC
+    ``Z`` instant or a date."""
+    columns = table_columns()
+    assert {table for table, names in columns.items()
+            if any(name in ("created_at", "anchor_datetime") or name.startswith("valid_")
+                   for name in names)} == set(_STAMP_COLUMNS)
+    for rewrite in range(len(AS_OF_ZONES)):
+        store = Store.open(":memory:")
+        write_as_of_ops(store, ops, rewrite)
+        for table, names in _STAMP_COLUMNS.items():
+            for row in store.all_rows(table):
+                assert all(_is_canonical(row[name]) for name in names), row
+        for _sequence, payload in store.append_log():
+            for table, rows in payload["rows"].items():
+                for row in rows:
+                    logged = dict(zip(columns[table], row))
+                    assert all(_is_canonical(logged[name])
+                               for name in _STAMP_COLUMNS.get(table, ())), logged
+        store.close()
 
 
 def test_schema_version_recorded(store):
@@ -945,12 +1010,13 @@ def test_kept_histories_read_as_a_fresh_store_does(ops):
 def test_latest_anchor_is_the_latest_of_a_full_scan(ops):
     """``max_anchor_datetime``, read by a handle between appends on it and
     on another handle of the file, is the latest of every turn and event
-    anchor as an instant (of equal instants, the first as text)."""
+    anchor as an instant (of a date and its midnight, the midnight)."""
 
     def full_scan(store):
         anchors = {row["anchor_datetime"]
                    for table in ("turns", "events") for row in store.all_rows(table)}
-        return max(sorted(anchors), key=temporal_sort_key) if anchors else None
+        return max(anchors, key=lambda anchor: (oracle.instant(anchor), len(anchor)),
+                   default=None)
 
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "db.sqlite")

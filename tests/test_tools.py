@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from apexmem import tools
 from apexmem.extract import ingest_session
 from apexmem.index import KINDS, VectorIndex, hybrid_search, upsert_embeddings
-from apexmem.ontology import DType, Event, Fact, Role, Turn, temporal_sort_key
+from apexmem.ontology import DType, Event, Fact, Role, Turn
 from apexmem.sqlguard import SqlValidationReport
 from apexmem.store import WHITELISTED_TABLES, Store, _Authorizer
 from apexmem.tools import (
@@ -808,7 +808,7 @@ def test_entity_lookup_reads_as_the_oracle(ops):
                 check(handle, indexes[who], as_of)
                 continue
             if None not in (valid_from, valid_to) and (
-                    temporal_sort_key(valid_to) < temporal_sort_key(valid_from)):
+                    oracle.instant(valid_to) < oracle.instant(valid_from)):
                 valid_from, valid_to = valid_to, valid_from
             facts = [] if action == "event" else [
                 Fact(None, subject, prop, value, dtype, valid_from, valid_to, 1.0, stamp)]
@@ -845,29 +845,45 @@ def test_a_fact_line_is_kept_by_store():
 
 
 def test_anchors_are_listed_in_time_order(store, index):
-    """Anchors with UTC offsets are listed as instants, not as text; the day
-    cut is the UTC day of the question date, and the last anchor is the
-    first as text of the latest instant on or before it."""
+    """Anchors with UTC offsets are stored as UTC instants and listed in
+    time order, a date before its midnight; the day cut is the UTC day of
+    the question date, and the last anchor is the latest listed."""
     alice = store.append_entity("Alice", "Person", Role.Speaker)
-    # as UTC instants: 01-01T23, 01-02T00, 01-02T01 twice
+    # as UTC instants: 01-02T00, 01-02T01, 01-01T23, 01-02T01 again, 01-02
     for anchor in ["2024-01-02T05:00:00+05:00", "2024-01-02T01:00:00Z",
-                   "2024-01-01T23:00:00Z", "2024-01-01T20:00:00-05:00"]:
+                   "2024-01-01T23:00:00Z", "2024-01-01T20:00:00-05:00", "2024-01-02"]:
         store.append_event_bundle(Event(None, "conversation", anchor),
                                   participants=[(alice, Role.Mentioned)])
     upsert_embeddings(store, index)
-    in_time_order = ("2024-01-01T23:00:00Z", "2024-01-02T05:00:00+05:00",
-                     "2024-01-01T20:00:00-05:00", "2024-01-02T01:00:00Z")
+    in_time_order = ("2024-01-01T23:00:00Z", "2024-01-02", "2024-01-02T00:00:00Z",
+                     "2024-01-02T01:00:00Z")
     assert store.entity_anchors(alice) == in_time_order
-    for as_of, listed, last_anchor in [
-        (None, in_time_order, "2024-01-01T20:00:00-05:00"),
-        ("2024-01-01", in_time_order[:1], "2024-01-01T23:00:00Z"),
+    for as_of, listed in [
+        (None, in_time_order),
+        ("2024-01-01", in_time_order[:1]),
         # 2024-01-02T03:00:00Z: its UTC day holds every anchor
-        ("2024-01-01T22:00:00-05:00", in_time_order, "2024-01-01T20:00:00-05:00"),
-        ("2024-01-02", in_time_order, "2024-01-01T20:00:00-05:00"),
+        ("2024-01-01T22:00:00-05:00", in_time_order),
+        ("2024-01-02", in_time_order),
+        ("2024-01-02T00:00:00Z", in_time_order[:3]),
     ]:
-        lines = f"\nlast_anchor: {last_anchor}\nanchors: {', '.join(listed)}\n"
+        lines = f"\nlast_anchor: {listed[-1]}\nanchors: {', '.join(listed)}\n"
         assert lines in build_entity_document(store, alice, as_of)
         assert lines in entity_lookup(store, index, "Alice", k=1, as_of=as_of).text
+
+
+def test_one_instant_in_three_offsets_is_one_anchor(store, index):
+    """The same instant written in Z, +05:00 and -03:00 is stored once as
+    UTC, so the entity has one anchor and it is the last anchor."""
+    alice = store.append_entity("Alice", "Person", Role.Speaker)
+    for anchor in ["2024-01-02T01:00:00Z", "2024-01-02T06:00:00+05:00",
+                   "2024-01-01T22:00:00-03:00"]:
+        store.append_event_bundle(Event(None, "conversation", anchor),
+                                  participants=[(alice, Role.Mentioned)])
+    upsert_embeddings(store, index)
+    assert store.entity_anchors(alice) == ("2024-01-02T01:00:00Z",)
+    lines = "\nlast_anchor: 2024-01-02T01:00:00Z\nanchors: 2024-01-02T01:00:00Z\n"
+    assert lines in build_entity_document(store, alice)
+    assert lines in entity_lookup(store, index, "Alice", k=1, as_of="2024-01-02").text
 
 
 def test_a_repeated_lookup_renders_no_fact_line(case1_store, index, monkeypatch):
