@@ -40,7 +40,6 @@ AGO_PATTERN = r"(\d+)\s+(day|week|month)s?\s+ago"
 
 _AGO_RE = re.compile(f"^{AGO_PATTERN}$")
 _TEMPORAL_WORDS = "|".join(RELATIVE_EXPRESSIONS)
-_ISO_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
 
 def _previous_month(anchor: date) -> Tuple[date, date]:
@@ -270,7 +269,8 @@ def _resolve_temporal_value(raw: RawFact, anchor: str) -> Tuple[Any, Optional[st
         valid_from = ontology.parse_iso_datetime(anchor).date().isoformat()
 
     value = raw.value
-    if raw.dtype_name == "date" and isinstance(value, str) and not _ISO_DATE_RE.match(value):
+    if (raw.dtype_name == "date" and isinstance(value, str)
+            and not ontology.ISO_DATE_RE.fullmatch(value)):
         resolved, _ = normalize_temporal(value, anchor)
         value = resolved
     return value, valid_from, valid_to

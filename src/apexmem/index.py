@@ -23,7 +23,7 @@ from array import array
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -380,6 +380,18 @@ def kind_documents(store: Store, kind: str, after_id: int = 0) -> List[Tuple[int
     return store.lexical_documents(kind, after_id)
 
 
+class _Ranking:
+    """One result that ``VectorIndex.nearest`` keeps, and the value that
+    ``VectorIndex.derive_nearest`` kept of it for one store."""
+
+    __slots__ = ("ranked", "store", "derived")
+
+    def __init__(self, ranked: List[Tuple[int, float]]):
+        self.ranked = ranked
+        self.store: Optional[weakref.ref] = None
+        self.derived: Any = None
+
+
 class VectorIndex:
     """Exhaustively scanned vectors, one matrix per kind, persisted as an
     append-only sidecar file when it has a path; and the BM25 postings of
@@ -413,7 +425,7 @@ class VectorIndex:
         self._lexical_store = None
         self._postings: Dict[str, _Postings] = {}
         # per kind, the vector count and the nearest() results taken at it
-        self._nearest: Dict[str, Tuple[int, Dict[Tuple[str, int], list]]] = {}
+        self._nearest: Dict[str, Tuple[int, Dict[Tuple[str, int], _Ranking]]] = {}
         if self.path is not None:
             self._unsaved = []
             self._load()
@@ -557,25 +569,43 @@ class VectorIndex:
         cosines = products / (vectors.norms[:distinct] * query_norm)
         return Scores(vectors.doc_ids[:n], cosines[vectors.slots[:n]], vectors.rows)
 
-    def nearest(self, kind: str, text: str, k: int) -> List[Tuple[int, float]]:
-        """``dense_scores(kind, embed(text)).top(k)``, kept per kind until the
-        kind gains a vector. A doc_id's vector never changes, so the count
-        of a kind's vectors identifies the vectors it holds; the embedder
-        must map the same text to the same vector. A call that raises keeps
-        nothing."""
+    def _ranking(self, kind: str, text: str, k: int) -> _Ranking:
         vectors = self._vectors.get(kind)
         count = 0 if vectors is None else len(vectors.rows)
         held = self._nearest.get(kind)
         if held is None or held[0] != count:
             held = self._nearest[kind] = (count, {})
         kept = held[1]
-        ranked = kept.get((text, k))
-        if ranked is None:
-            ranked = self.dense_scores(kind, self.embed(text)).top(k)
+        ranking = kept.get((text, k))
+        if ranking is None:
+            ranking = _Ranking(self.dense_scores(kind, self.embed(text)).top(k))
             if len(kept) >= NEAREST_KEPT:
                 del kept[next(iter(kept))]  # the oldest
-            kept[text, k] = ranked
-        return list(ranked)
+            kept[text, k] = ranking
+        return ranking
+
+    def nearest(self, kind: str, text: str, k: int) -> List[Tuple[int, float]]:
+        """``dense_scores(kind, embed(text)).top(k)``, kept per kind until the
+        kind gains a vector. A doc_id's vector never changes, so the count
+        of a kind's vectors identifies the vectors it holds; the embedder
+        must map the same text to the same vector. A call that raises keeps
+        nothing."""
+        return list(self._ranking(kind, text, k).ranked)
+
+    def derive_nearest(self, store: Store, kind: str, text: str, k: int,
+                       derive: Callable[[List[Tuple[int, float]]], Tuple[Any, bool]]) -> Any:
+        """The value ``derive`` makes of ``nearest(kind, text, k)`` with the
+        rows of ``store``. ``derive`` returns it and whether it may be kept:
+        only a value that the same ranking and store give again, as a value
+        of rows that are never changed does. A kept value goes with its
+        ranking, and is given to no other store."""
+        ranking = self._ranking(kind, text, k)
+        if ranking.store is not None and ranking.store() is store:
+            return ranking.derived
+        derived, keep = derive(list(ranking.ranked))
+        if keep:
+            ranking.store, ranking.derived = weakref.ref(store), derived
+        return derived
 
     def lexical_scores(self, store: Store, kind: str, query: str) -> Scores:
         """BM25 over every committed row of ``kind`` in ``store``, after

@@ -192,6 +192,10 @@ def known_at(key, cutoff: Optional[str]):
 
 _SCALAR_TYPES = (str, int, float, bool)
 
+# the only text a date value may be, after strip(): date.fromisoformat
+# alone also reads "20240501", "2024-W18-3" and "20240501T1" as 2024-05-01
+ISO_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+
 
 def validate_dtype_value(value: Any, dtype: DType) -> Any:
     """Canonicalize ``value`` under ``dtype`` or raise DTypeMismatch.
@@ -241,10 +245,13 @@ def validate_dtype_value(value: Any, dtype: DType) -> Any:
         if isinstance(value, date):
             return value
         if isinstance(value, str):
+            text = value.strip()
             try:
-                return date.fromisoformat(value.strip())
+                if ISO_DATE_RE.fullmatch(text):
+                    return date.fromisoformat(text)
             except ValueError:
-                raise DTypeMismatch(f"not an ISO date: {value!r}") from None
+                pass
+            raise DTypeMismatch(f"not an ISO date: {value!r}")
         raise DTypeMismatch(f"not a date: {value!r}")
 
     if dtype is DType.datetime:
@@ -307,7 +314,7 @@ def infer_dtype(value: Any) -> DType:
         return DType.list
     if isinstance(value, str):
         text = value.strip()
-        if re.match(r"^\d{4}-\d{2}-\d{2}$", text):
+        if ISO_DATE_RE.fullmatch(text):
             try:
                 date.fromisoformat(text)
                 return DType.date

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Protocol, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from . import ontology
 from .errors import InvalidDecision, ProviderFailure, Unnormalizable
@@ -80,39 +80,52 @@ def render_entity_text(name: str, etype: str, aliases: Iterable[str]) -> str:
     return rendered
 
 
-def _candidates(ranked: List[Tuple[int, float]], described: dict) -> List[Candidate]:
-    """``index.nearest``'s ranking as candidates, in its order. ``described``
-    holds the (name, text) of each ranked id the store has; the others are
-    left out."""
-    candidates = []
-    for doc_id, score in ranked:
-        if doc_id in described:
-            name, text = described[doc_id]
-            candidates.append(Candidate(doc_id, text, max(0.0, min(1.0, score)), name))
-    return candidates
+def _describe_entities(store: Store, entity_ids: Iterable[int]) -> Dict[int, Tuple[str, str]]:
+    return {
+        entity_id: (row["entity_name"], render_entity_text(
+            row["entity_name"], row["entity_type"], row["aliases"]))
+        for entity_id, row in store.entity_rows(entity_ids).items()
+    }
+
+
+def _describe_properties(store: Store, property_ids: Iterable[int]) -> Dict[int, Tuple[str, str]]:
+    return {property_id: (name, f"{name} ({dtype})")
+            for property_id, (name, dtype) in store.property_rows(property_ids).items()}
+
+
+def _retrieve(store: Store, index: VectorIndex, kind: str, text: str,
+              describe: Callable[[Store, Iterable[int]], Dict[int, Tuple[str, str]]],
+              ) -> List[Candidate]:
+    """The top-DEFAULT_K stored rows of ``kind`` by cosine similarity to the
+    embedding of ``text``: ``index.nearest``'s ranking as candidates, in its
+    order. ``describe`` gives the (name, text) of each ranked id the store
+    has; the others are left out. Rows are never changed, so a list in
+    which every ranked id had a row is kept with its ranking
+    (``VectorIndex.derive_nearest``), and a repeat reads no row; a list
+    that left an id out is not, since that row may be committed later."""
+    def build(ranked: List[Tuple[int, float]]) -> Tuple[Tuple[Candidate, ...], bool]:
+        described = describe(store, (doc_id for doc_id, _ in ranked))
+        candidates = []
+        for doc_id, score in ranked:
+            if doc_id in described:
+                name, text = described[doc_id]
+                candidates.append(Candidate(doc_id, text, max(0.0, min(1.0, score)), name))
+        return tuple(candidates), len(candidates) == len(ranked)
+
+    return list(index.derive_nearest(store, kind, text, DEFAULT_K, build))
 
 
 def retrieve_entity_candidates(
     store: Store, index: VectorIndex, mention: str
 ) -> List[Candidate]:
     """Top-DEFAULT_K stored entities by cosine similarity to the mention embedding."""
-    ranked = index.nearest("entity", mention, DEFAULT_K)
-    rows = store.entity_rows(entity_id for entity_id, _ in ranked)
-    return _candidates(ranked, {
-        entity_id: (row["entity_name"], render_entity_text(
-            row["entity_name"], row["entity_type"], row["aliases"]))
-        for entity_id, row in rows.items()
-    })
+    return _retrieve(store, index, "entity", mention, _describe_entities)
 
 
 def retrieve_property_candidates(
     store: Store, index: VectorIndex, name: str
 ) -> List[Candidate]:
-    ranked = index.nearest("property", name, DEFAULT_K)
-    rows = store.property_rows(property_id for property_id, _ in ranked)
-    return _candidates(ranked, {
-        property_id: (name, f"{name} ({dtype})") for property_id, (name, dtype) in rows.items()
-    })
+    return _retrieve(store, index, "property", name, _describe_properties)
 
 
 class RuleBasedProvider:
@@ -188,7 +201,7 @@ def resolve_entity(
     candidates = retrieve_entity_candidates(store, index, mention)
     decision = _decide(provider, mention, context, candidates)
     if decision.decision == "choose_existing":
-        # a candidate's row was read a moment ago; only another id is read
+        # a candidate's row exists; only another id is read
         if decision.id not in {c.id for c in candidates} and (
             decision.id is None or store.entity_row(decision.id) is None
         ):

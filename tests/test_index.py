@@ -784,7 +784,7 @@ def test_dense_scores_refuse_zero_vectors(store):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(
     st.tuples(
-        st.sampled_from(["upsert", "reload", "query", "query"]),
+        st.sampled_from(["upsert", "reload", "roll back", "query", "query"]),
         st.sampled_from(["entity", "property"]),
         # few texts and ks, so that most queries repeat an earlier one
         st.sampled_from(["sakura sushi", "sushi", "blue", "garden walk"]),
@@ -793,19 +793,29 @@ def test_dense_scores_refuse_zero_vectors(store):
     min_size=1, max_size=30,
 ))
 def test_nearest_equals_a_fresh_scan(steps):
-    """Upserts, reloads from the sidecar and repeated queries in any order:
-    ``nearest`` returns what a full scan of the kind returns at that moment."""
+    """Upserts, reloads from the sidecar, roll-backs and repeated queries
+    in any order: ``nearest`` returns what a full scan of the kind returns
+    at that moment. A roll-back is ``reload`` without a save, as after a
+    rolled-back session, and the next session's rows then take the
+    dropped ids: the kinds have as many vectors as before, other ones."""
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "db.sqlite.vec")
         index = VectorIndex(path=path)
         next_ids = Counter()
+        unsaved = []
         for action, kind, text, k in steps:
             if action == "upsert":
                 next_ids[kind] += 1
                 index.upsert(kind, next_ids[kind], text)
+                unsaved.append((kind, next_ids[kind]))
             elif action == "reload":
                 index.save()
                 index = VectorIndex(path=path)
+                unsaved.clear()
+            elif action == "roll back":
+                index.reload()
+                for dropped_kind, doc_id in unsaved:
+                    index.upsert(dropped_kind, doc_id, text)
             else:
                 fresh = index.dense_scores(kind, index.embed(text)).top(k)
                 assert index.nearest(kind, text, k) == fresh

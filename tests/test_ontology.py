@@ -102,6 +102,13 @@ def test_date_rejects_datetime_string():
         validate_dtype_value("2023-05-07T10:00:00Z", DType.date)
 
 
+@pytest.mark.parametrize("text", ["20240501T1", "2024050110", "20240501", "2024-W18-3"])
+def test_date_rejects_every_spelling_but_yyyy_mm_dd(text):
+    """date.fromisoformat reads each of these as 2024-05-01."""
+    with pytest.raises(DTypeMismatch):
+        validate_dtype_value(text, DType.date)
+
+
 def test_fact_validates_confidence():
     """A fact's stamps and their order are checked when it is stored
     (``test_a_fact_window_is_checked_when_stored``); its confidence when it
@@ -142,6 +149,28 @@ def test_str_round_trip_property(value):
 def test_date_round_trip_property(value):
     wire = serialize_value(validate_dtype_value(value, DType.date), DType.date)
     assert validate_dtype_value(wire, DType.date) == value
+
+
+_DATE_LIKE_TEXT = st.one_of(
+    st.builds(
+        lambda day, form, pad: pad + day.strftime(form) + pad,
+        st.dates(min_value=dt.date(1000, 1, 1), max_value=dt.date(9999, 12, 31)),
+        st.sampled_from(["%Y-%m-%d", "%Y%m%d", "%Y%m%dT1", "%Y%m%d10", "%G-W%V-%u"]),
+        st.sampled_from(["", " ", "\n"]),
+    ),
+    st.text(st.sampled_from("0123456789-WT: \u0663"), max_size=12),
+)
+
+
+@given(_DATE_LIKE_TEXT)
+def test_an_accepted_date_text_is_its_value_spelt_in_iso(text):
+    """A date text is accepted only as its value's ISO spelling, around
+    which only whitespace may stand."""
+    try:
+        value = validate_dtype_value(text, DType.date)
+    except DTypeMismatch:
+        return
+    assert text.strip() == value.isoformat()
 
 
 def test_infer_dtype():

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apexmem.errors import InvalidDecision, Unnormalizable
-from apexmem.ontology import DType, EntityType, Role
+from apexmem.extract import ReferenceExtractor, ingest_session
+from apexmem.index import VectorIndex, upsert_embeddings
+from apexmem.ontology import DType, EntityType, Role, Turn
 from apexmem.store import Store
 from apexmem.resolve import (
+    DEFAULT_K,
     Candidate,
     ResolutionDecision,
     RuleBasedProvider,
@@ -153,10 +156,8 @@ def test_resolve_property_exact_match_short_circuits(store, index):
     assert decision.normalized_name == "favorite_restaurant"
 
 
-def test_a_chosen_candidate_is_not_read_again(store, index, monkeypatch):
-    """choose_existing of a candidate takes the row its candidate read
-    returned; only an id outside the candidates costs another read."""
-    ingest_case1(store, index)
+def _counting_reads(monkeypatch) -> Counter:
+    """Count the calls of each row read of ``Store``."""
     reads = Counter()
     for name in ("entity_row", "entity_rows", "property_rows"):
         def counting(self, *args, _name=name, _original=getattr(Store, name)):
@@ -164,6 +165,14 @@ def test_a_chosen_candidate_is_not_read_again(store, index, monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(Store, name, counting)
+    return reads
+
+
+def test_a_chosen_candidate_is_not_read_again(store, index, monkeypatch):
+    """choose_existing of a candidate takes the row its candidate read
+    returned; only an id outside the candidates costs another read."""
+    ingest_case1(store, index)
+    reads = _counting_reads(monkeypatch)
 
     class FirstCandidate:
         def decide(self, mention, context, candidates):
@@ -188,3 +197,142 @@ def test_resolve_property_proposes_normalized_name(store, index):
 def test_resolve_property_rejects_empty_name(store, index):
     with pytest.raises(InvalidDecision):
         resolve_property(store, index, RuleBasedProvider(), "", "x")
+
+
+def test_a_repeated_mention_reads_no_row_until_its_kind_grows(store, index, monkeypatch):
+    """A list whose ranking is still kept is handed out again, as a new
+    list of the same candidates; a new vector of the kind drops it."""
+    ingest_case1(store, index)
+    entities = retrieve_entity_candidates(store, index, "Alice")
+    properties = retrieve_property_candidates(store, index, "favorite_restaurant")
+    reads = _counting_reads(monkeypatch)
+    for _ in range(3):
+        again = retrieve_entity_candidates(store, index, "Alice")
+        assert again == entities and again is not entities
+        again.clear()  # the kept list is not the caller's
+        assert retrieve_property_candidates(store, index, "favorite_restaurant") == properties
+    assert reads == {}
+    store.append_entity("Alicia", "Person", Role.Mentioned, created_at="2024-04-01")
+    upsert_embeddings(store, index)
+    grown = retrieve_entity_candidates(store, index, "Alice")
+    assert reads == {"entity_rows": 1}
+    assert "Alicia" in {c.name for c in grown}
+    assert retrieve_property_candidates(store, index, "favorite_restaurant") == properties
+    assert reads == {"entity_rows": 1}
+
+
+def test_a_list_that_left_an_id_out_is_built_again(store, index, monkeypatch):
+    """An id ranked without a row may get one later, so a list that left it
+    out is not kept; once the row is committed, its candidate is listed."""
+    ingest_case1(store, index)
+    orphan = store.peek_next_entity_id()
+    index.upsert("entity", orphan, "Italian Garden restaurant")
+    reads = _counting_reads(monkeypatch)
+    before = retrieve_entity_candidates(store, index, "Italian Garden")
+    assert orphan not in {c.id for c in before}
+    assert store.append_entity("Italian Garden Cafe", "Place", created_at="2024-04-01") == orphan
+    after = retrieve_entity_candidates(store, index, "Italian Garden")
+    assert reads == {"entity_rows": 2}
+    assert [c.id for c in after] == [
+        doc_id for doc_id, _ in index.nearest("entity", "Italian Garden", DEFAULT_K)]
+    assert retrieve_entity_candidates(store, index, "Italian Garden") == after
+    assert reads == {"entity_rows": 2}
+
+
+def _fresh_candidates(store, index, kind, text):
+    """The candidates of ``text`` built from a full scan and row reads."""
+    ranked = index.dense_scores(kind, index.embed(text)).top(DEFAULT_K)
+    ids = [doc_id for doc_id, _ in ranked]
+    if kind == "entity":
+        described = {
+            entity_id: (row["entity_name"], render_entity_text(
+                row["entity_name"], row["entity_type"], row["aliases"]))
+            for entity_id, row in store.entity_rows(ids).items()}
+    else:
+        described = {property_id: (name, f"{name} ({dtype})")
+                     for property_id, (name, dtype) in store.property_rows(ids).items()}
+    return [Candidate(doc_id, described[doc_id][1], max(0.0, min(1.0, score)),
+                      described[doc_id][0])
+            for doc_id, score in ranked if doc_id in described]
+
+
+class _Abort(BaseException):
+    """Escapes ingest_session's per-turn handling: the session rolls back."""
+
+
+class _CheckingProvider(RuleBasedProvider):
+    """The reference decisions, after recording whether the candidates it
+    is handed equal a fresh build. The mention "Zed Bar" fails its turn and
+    "Quit" ends the session with an escaping exception."""
+
+    def __init__(self, kind, state):
+        self.kind, self.state = kind, state
+
+    def decide(self, mention, context, candidates):
+        text = mention if self.kind == "entity" else normalize_snake_case(mention)
+        store, index = self.state["store"], self.state["index"]
+        self.state["checks"].append(
+            (candidates, _fresh_candidates(store, index, self.kind, text)))
+        if mention == "Zed Bar":
+            raise RuntimeError("the turn fails")
+        if mention == "Quit":
+            raise _Abort()
+        return super().decide(mention, context, candidates)
+
+
+_KIND_TEXTS = st.sampled_from(["Alice", "alice", "Sakura Sushi", "Zed Bar", "favorite_color",
+                               "favourite colour", "sushi"])
+_SESSION_TURNS = st.lists(st.tuples(
+    st.sampled_from(["Alice", "Alicia", "Bob", "Quit"]),
+    st.sampled_from(["Sakura Sushi", "Sakura Bar", "Italian Garden", "Zed Bar"]),
+    st.sampled_from(["favorite color", "favourite colour", "favorite food"]),
+    st.sampled_from(["blue", "green"]),
+), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(st.just("session"), _SESSION_TURNS),
+    st.tuples(st.sampled_from(["orphan", "query"]), st.sampled_from(["entity", "property"]),
+              _KIND_TEXTS),
+    st.tuples(st.just("switch")),
+), max_size=12))
+def test_kept_candidate_lists_equal_fresh_ones(steps):
+    """Sessions with failed turns and rolled-back sessions, vectors indexed
+    before their rows are committed, and one index used with two stores, in
+    any order: every candidate list of either kind equals a fresh build."""
+    stores = [Store.open(":memory:"), Store.open(":memory:")]
+    state = {"store": stores[0], "index": VectorIndex(), "checks": []}
+    extractor = ReferenceExtractor()
+    entity_provider = _CheckingProvider("entity", state)
+    property_provider = _CheckingProvider("property", state)
+    try:
+        for number, step in enumerate(steps):
+            store, index = state["store"], state["index"]
+            if step[0] == "session":
+                turns = [Turn(None, f"s{number}", speaker, "Assistant",
+                              f"I love {place}. My {prop} is {value}.",
+                              f"2024-01-{1 + number:02d}T10:00:00Z", ordinal)
+                         for ordinal, (speaker, place, prop, value) in enumerate(step[1])]
+                try:
+                    ingest_session(store, index, extractor, entity_provider,
+                                   property_provider, turns)
+                except _Abort:
+                    pass
+            elif step[0] == "orphan":
+                table = "entities" if step[1] == "entity" else "properties"
+                index.upsert(step[1], store.last_ids()[table] + 1, step[2])
+            elif step[0] == "query":
+                retrieve = (retrieve_entity_candidates if step[1] == "entity"
+                            else retrieve_property_candidates)
+                state["checks"].append(
+                    (retrieve(store, index, step[2]),
+                     _fresh_candidates(store, index, step[1], step[2])))
+            else:
+                state["store"] = stores[stores[0] is store]
+            for kept, fresh in state["checks"]:
+                assert kept == fresh
+            state["checks"].clear()
+    finally:
+        for store in stores:
+            store.close()

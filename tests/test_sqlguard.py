@@ -234,9 +234,18 @@ def test_tokenize_matches_the_reference(statement):
 # -- layer 1 against SQLite ---------------------------------------------------
 
 _SOURCE_TABLES = [*sorted(WHITELISTED_TABLES), "append_log", "sqlite_master", "main.facts"]
-_ALIASES = ["", " a", " AS a", " AS b", ' AS "a"', " AS 'b'", " with", " AS with", " window"]
+# aliases, some of them words that SQLite reads as a name in one place and
+# as a keyword in another: WITH, WINDOW, RECURSIVE, MATERIALIZED and the
+# words of a join
+_ALIASES = ["", " a", " AS a", " AS b", ' AS "a"', " AS 'b'", " with", " AS with", " window",
+            *(f"{as_}{word}" for word in ("recursive", "materialized", "left", "right", "full",
+                                          "inner", "outer", "cross", "natural", "join")
+              for as_ in (" ", " AS "))]
 _JOINS = [", ", " JOIN ", " LEFT JOIN ", " CROSS JOIN ", " NATURAL JOIN "]
 _CONSTRAINTS = ["", " ON 1", " ON a.id = 1", " USING (id)"]
+# CTE names, two of them words of the WITH clause
+_CTE_NAMES = ["c", "recursive", "materialized"]
+_CTE_MODIFIERS = ["", " MATERIALIZED", " NOT MATERIALIZED"]
 
 
 @st.composite
@@ -244,7 +253,7 @@ def _sources(draw, depth):
     """One table source: a table, a subquery or a parenthesised join."""
     form = draw(st.sampled_from(["table", "table", "subquery", "join"] if depth else ["table"]))
     if form == "table":
-        source = draw(st.sampled_from(_SOURCE_TABLES + ["c"]))
+        source = draw(st.sampled_from(_SOURCE_TABLES + _CTE_NAMES))
     elif form == "subquery":
         source = f"({draw(_selects(depth - 1))})"
     else:
@@ -279,14 +288,18 @@ def _selects(draw, depth):
 def _statements(draw):
     """Statements of the grammar layer 1 accepts, over whitelisted and probe
     tables: aliases with and without AS, comma lists, joins, subqueries and
-    CTEs, some named like a table."""
+    CTEs (RECURSIVE or not, with MATERIALIZED or not), some named like a
+    table."""
     statement = draw(_selects(2))
     if draw(st.booleans()):
         statement += " UNION SELECT * FROM " + draw(_join_clauses(1))
-    ctes = draw(st.lists(st.sampled_from(["c", "append_log", "facts"]), max_size=2, unique=True))
+    ctes = draw(st.lists(st.sampled_from(_CTE_NAMES + ["append_log", "facts"]),
+                         max_size=2, unique=True))
     if ctes:
-        bodies = [f"{name} AS ({draw(_selects(1))})" for name in ctes]
-        statement = f"WITH {', '.join(bodies)} {statement}"
+        bodies = [f"{name} AS{draw(st.sampled_from(_CTE_MODIFIERS))} ({draw(_selects(1))})"
+                  for name in ctes]
+        recursive = draw(st.sampled_from(["", " RECURSIVE"]))
+        statement = f"WITH{recursive} {', '.join(bodies)} {statement}"
     return statement
 
 
